@@ -1,8 +1,10 @@
 #include "src/base/strings.h"
 
 #include <array>
+#include <bit>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 namespace hemlock {
 
@@ -56,7 +58,24 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
+bool IsCanonicalAbsolutePath(std::string_view path) {
+  if (path.size() < 2 || path[0] != '/' || path.back() == '/') {
+    return false;
+  }
+  // Every '/' must start a non-empty component that does not begin with '.': that
+  // excludes "//", "/./", "/../" and (conservatively) dot-files like "/.x".
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (path[i] == '/' && (path[i + 1] == '/' || path[i + 1] == '.')) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string NormalizePath(std::string_view path) {
+  if (IsCanonicalAbsolutePath(path)) {
+    return std::string(path);
+  }
   bool absolute = IsAbsolutePath(path);
   std::vector<std::string> stack;
   for (const std::string& part : SplitString(path, '/')) {
@@ -174,6 +193,31 @@ uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed) {
     h *= 0x100000001B3ull;
   }
   return h;
+}
+
+uint64_t HashWords64(const void* data, size_t n, uint64_t seed) {
+  constexpr uint64_t kMul = 0x517CC1B727220A95ull;
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint64_t h = seed ^ (static_cast<uint64_t>(n) * kMul);
+  // Each step is a bijection of the state, so inputs of one length that differ in a
+  // single word always hash apart.
+  auto step = [&h](uint64_t word) { h = (std::rotl(h, 5) ^ word) * kMul; };
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    step(word);
+  }
+  uint64_t tail = 0;
+  if (n > 0) {
+    std::memcpy(&tail, p, n);
+  }
+  step(tail);
+  // splitmix64's finalizer: spread every input bit over the whole digest.
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBull;
+  return h ^ (h >> 31);
 }
 
 }  // namespace hemlock

@@ -249,9 +249,13 @@ Status ValidateLoadImage(const LoadImage& img) {
 std::vector<uint8_t> LinkedModule::SerializeFile() const {
   // Memory image first: payload then implicit bss zeros, padded to a page.
   std::vector<uint8_t> file = payload;
-  uint32_t mapped = PageCeil(MemSize());
-  file.resize(mapped, 0);
-  // Trailer.
+  file.resize(PageCeil(MemSize()), 0);
+  std::vector<uint8_t> tail = SerializeTrailer();
+  file.insert(file.end(), tail.begin(), tail.end());
+  return file;
+}
+
+std::vector<uint8_t> LinkedModule::SerializeTrailer() const {
   ByteWriter w;
   w.Str(name);
   w.U32(base);
@@ -263,17 +267,12 @@ std::vector<uint8_t> LinkedModule::SerializeFile() const {
   WriteStringList(&w, module_list);
   WriteStringList(&w, search_path);
   w.U64(template_hash);
-  std::vector<uint8_t> trailer = w.Take();
-  uint32_t trailer_off = mapped;
-  file.insert(file.end(), trailer.begin(), trailer.end());
+  uint32_t trailer_size = static_cast<uint32_t>(w.buffer().size());
   // Footer.
-  ByteWriter f;
-  f.U32(kHmlMagic);
-  f.U32(trailer_off);
-  f.U32(static_cast<uint32_t>(trailer.size()));
-  const std::vector<uint8_t>& footer = f.buffer();
-  file.insert(file.end(), footer.begin(), footer.end());
-  return file;
+  w.U32(kHmlMagic);
+  w.U32(PageCeil(MemSize()));  // the trailer starts right past the mapped pages
+  w.U32(trailer_size);
+  return w.Take();
 }
 
 bool LinkedModule::LooksLikeModuleFile(const std::vector<uint8_t>& bytes) {

@@ -121,6 +121,10 @@ struct LinkedModule {
 
   // Serializes to the HML file layout described above (image @0, trailer, footer).
   std::vector<uint8_t> SerializeFile() const;
+  // Just the trailer and footer, which belong at offset PageCeil(MemSize()) of the
+  // file. |payload| is not read: ldl rewrites a live module's metadata with this
+  // without touching its mapped pages.
+  std::vector<uint8_t> SerializeTrailer() const;
   static Result<LinkedModule> DeserializeFile(const std::vector<uint8_t>& bytes);
   // True if |bytes| carries the HML footer (distinguishes module files from plain
   // data segments when the fault handler maps by address).

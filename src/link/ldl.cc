@@ -142,7 +142,9 @@ int Ldl::FindModuleAt(uint32_t addr) const {
 
 void Ldl::InvalidateNegativeCaches() {
   for (RtModule& m : modules_) {
-    m.scope_negative.clear();
+    if (!m.scope_negative.empty()) {
+      m.scope_negative.clear();  // clear() walks the bucket array even when empty
+    }
     // Negative dep_cache entries (-1: locate failed) go with them — a freshly
     // registered module may be exactly the dependency that could not be found.
     // Positive entries are stable (a located module never un-registers).
@@ -209,7 +211,9 @@ Status Ldl::StartupImpl(Process& proc) {
   // (1)+(3) Locate dynamic modules; instantiate privates; create missing publics; map.
   std::vector<std::string> dirs = RootDirs(proc);
   for (const DynModuleRecord& rec : image_.dynamic_modules) {
-    Result<int> idx = AcquireModule(proc, rec.name, rec.cls, /*parent=*/-1, dirs);
+    Result<std::string> found = FindModuleFile(machine_->vfs(), rec.name, dirs);
+    Result<int> idx = found.ok() ? AcquireModule(proc, rec.name, *found, rec.cls, /*parent=*/-1)
+                                 : Result<int>(found.status());
     if (!idx.ok()) {
       if (IsCrash(idx.status())) {
         return idx.status();  // an injected crash kills the machine, not just this module
@@ -256,10 +260,9 @@ Status Ldl::StartupImpl(Process& proc) {
   return OkStatus();
 }
 
-Result<int> Ldl::AcquireModule(Process& proc, const std::string& name, ShareClass cls, int parent,
-                               const std::vector<std::string>& dirs) {
+Result<int> Ldl::AcquireModule(Process& proc, const std::string& name, const std::string& found,
+                               ShareClass cls, int parent) {
   Vfs& vfs = machine_->vfs();
-  ASSIGN_OR_RETURN(std::string found, FindModuleFile(vfs, name, dirs));
   ++*c_modules_located_;
 
   if (IsPublic(cls)) {
@@ -314,16 +317,13 @@ Result<int> Ldl::AcquireModule(Process& proc, const std::string& name, ShareClas
                             "' is being created by pid " +
                             std::to_string(machine_->sfs().LockOwner(st.ino)));
         }
-        ASSIGN_OR_RETURN(std::vector<uint8_t> tpl_bytes, vfs.ReadFile(found));
-        ASSIGN_OR_RETURN(ObjectFile tpl, ObjectFile::Deserialize(tpl_bytes));
-        return CreatePublicModule(proc, tpl, module_path, st.ino, /*rebuild=*/true, cls, parent);
+        return CreatePublicModule(proc, found, module_path, st.ino, /*rebuild=*/true, cls,
+                                  parent);
       }
     }
     // Create the public module from its template, under the creation lock (fn. 3).
-    ASSIGN_OR_RETURN(std::vector<uint8_t> tpl_bytes, vfs.ReadFile(found));
-    ASSIGN_OR_RETURN(ObjectFile tpl, ObjectFile::Deserialize(tpl_bytes));
-    return CreatePublicModule(proc, tpl, module_path, /*existing_ino=*/0, /*rebuild=*/false, cls,
-                              parent);
+    return CreatePublicModule(proc, found, module_path, /*existing_ino=*/0, /*rebuild=*/false,
+                              cls, parent);
   }
 
   // Dynamic private: a fresh instance per process tree, in private memory.
@@ -335,8 +335,9 @@ Result<int> Ldl::AcquireModule(Process& proc, const std::string& name, ShareClas
   ASSIGN_OR_RETURN(ObjectFile tpl, ObjectFile::Deserialize(tpl_bytes));
   uint32_t base = private_arena_;
   uint32_t trampolines = 0;
-  ASSIGN_OR_RETURN(LinkedModule mod,
-                   LinkModuleAtBase(tpl, base, StripExtension(PathBasename(found)), &trampolines));
+  ASSIGN_OR_RETURN(LinkedModule mod, LinkModuleAtBase(tpl, tpl_bytes, base,
+                                                      StripExtension(PathBasename(found)),
+                                                      &trampolines));
   private_arena_ += PageCeil(mod.MemSize()) + kPageSize;  // guard page between instances
   ++*c_privates_instantiated_;
   return RegisterLinked(proc, std::move(mod), ShareClass::kDynamicPrivate, found, /*ino=*/0,
@@ -380,9 +381,11 @@ Status Ldl::LockInodeWithRetry(uint32_t ino, int pid) {
   return st;
 }
 
-Result<int> Ldl::CreatePublicModule(Process& proc, const ObjectFile& tpl,
+Result<int> Ldl::CreatePublicModule(Process& proc, const std::string& tpl_path,
                                     const std::string& module_path, uint32_t existing_ino,
                                     bool rebuild, ShareClass cls, int parent) {
+  ASSIGN_OR_RETURN(std::vector<uint8_t> tpl_bytes, machine_->vfs().ReadFile(tpl_path));
+  ASSIGN_OR_RETURN(ObjectFile tpl, ObjectFile::Deserialize(tpl_bytes));
   SharedFs& sfs = machine_->sfs();
   FaultRegistry& faults = FaultRegistry::Global();
   std::string rel_path = Vfs::SfsRelative(module_path);
@@ -406,7 +409,8 @@ Result<int> Ldl::CreatePublicModule(Process& proc, const ObjectFile& tpl,
   }
   uint32_t base = SfsAddressForInode(ino);
   uint32_t trampolines = 0;
-  Result<LinkedModule> mod = LinkModuleAtBase(tpl, base, PathBasename(module_path), &trampolines);
+  Result<LinkedModule> mod =
+      LinkModuleAtBase(tpl, tpl_bytes, base, PathBasename(module_path), &trampolines);
   if (!mod.ok()) {
     (void)sfs.UnlockInode(ino, proc.pid());
     if (!rebuild) {
@@ -435,12 +439,15 @@ Result<int> Ldl::RegisterLinked(Process& proc, LinkedModule mod, ShareClass cls,
   m.base = mod.base;
   m.mem_size = mod.MemSize();
   m.text_size = mod.text_size;
+  m.data_size = mod.data_size;
+  m.bss_size = mod.bss_size;
   m.ino = ino;
   m.src_hash = mod.template_hash;
   m.parent = parent;
   m.module_list = mod.module_list;
   m.search_path = mod.search_path;
   m.relocs = mod.pending;
+  m.disk_pending = static_cast<uint32_t>(mod.pending.size());
   m.exports = mod.exports;
   m.export_index.reserve(m.exports.size());
   for (const AbsSymbol& sym : m.exports) {
@@ -709,8 +716,9 @@ Result<uint32_t> Ldl::LookupInOwnScope(Process& proc, int index, const std::stri
       Result<int> dep = NotFound("unresolved dependency");
       int scope = index;
       while (true) {
-        std::vector<std::string> dirs = DirsFor(proc, scope);
-        dep = AcquireModule(proc, dep_name, ClassForDependency(dep_name, dirs), index, dirs);
+        Result<std::string> found = FindModuleFile(machine_->vfs(), dep_name, DirsFor(proc, scope));
+        dep = found.ok() ? AcquireModule(proc, dep_name, *found, ClassForDependency(*found), index)
+                         : Result<int>(found.status());
         if (dep.ok() || scope < 0) {
           break;
         }
@@ -754,15 +762,11 @@ Result<uint32_t> Ldl::LookupInOwnScope(Process& proc, int index, const std::stri
 
 // Convention: a dependency whose template is found on the shared partition is a public
 // module; anything else instantiates privately.
-ShareClass Ldl::ClassForDependency(const std::string& name,
-                                   const std::vector<std::string>& dirs) {
-  Result<std::string> found = FindModuleFile(machine_->vfs(), name, dirs);
-  if (found.ok()) {
-    Result<std::string> resolved = machine_->vfs().Resolve(*found);
-    std::string target = resolved.ok() ? *resolved : *found;
-    if (Vfs::OnSharedPartition(StripExtension(*found)) || Vfs::OnSharedPartition(target)) {
-      return ShareClass::kDynamicPublic;
-    }
+ShareClass Ldl::ClassForDependency(const std::string& found) {
+  Result<std::string> resolved = machine_->vfs().Resolve(found);
+  const std::string& target = resolved.ok() ? *resolved : found;
+  if (Vfs::OnSharedPartition(StripExtension(found)) || Vfs::OnSharedPartition(target)) {
+    return ShareClass::kDynamicPublic;
   }
   return ShareClass::kDynamicPrivate;
 }
@@ -901,31 +905,42 @@ Status Ldl::ResolveModule(Process& proc, int index, uint32_t fault_addr) {
 
 Status Ldl::UpdatePublicTrailer(RtModule& m) {
   // Persist the shrinking pending list so a later boot (or another program) sees the
-  // module's resolution state. Only the trailer region past the mapped pages is
-  // rewritten; the live segment bytes are untouched.
-  ASSIGN_OR_RETURN(SfsStat st, machine_->sfs().StatInode(m.ino));
-  std::vector<uint8_t> file(st.size);
-  ASSIGN_OR_RETURN(uint32_t n, machine_->sfs().ReadAt(m.ino, 0, file.data(), st.size));
-  file.resize(n);
-  ASSIGN_OR_RETURN(LinkedModule mod, LinkedModule::DeserializeFile(file));
-  std::vector<PendingReloc> still;
-  for (const PendingReloc& rel : mod.pending) {
+  // module's resolution state. Only the trailer and footer past the mapped pages are
+  // rewritten: the live segment — applied relocations, data, .bss — stays as it is.
+  LinkedModule meta;
+  for (const PendingReloc& rel : m.relocs) {
     if (m.resolved.count(rel.symbol) == 0) {
-      still.push_back(rel);
+      meta.pending.push_back(rel);
     }
   }
-  if (still.size() == mod.pending.size()) {
+  if (meta.pending.size() == m.disk_pending) {
     return OkStatus();
   }
-  mod.pending = std::move(still);
-  // Refresh the payload from the live segment so already-applied relocations persist.
-  uint32_t init = mod.text_size + mod.data_size;
-  mod.payload.resize(init);
-  ASSIGN_OR_RETURN(uint32_t read, machine_->sfs().ReadAt(m.ino, 0, mod.payload.data(), init));
-  (void)read;
-  std::vector<uint8_t> out = mod.SerializeFile();
-  RETURN_IF_ERROR(machine_->sfs().Truncate(m.ino, 0));
-  return machine_->sfs().WriteAt(m.ino, 0, out.data(), static_cast<uint32_t>(out.size()));
+  meta.name = m.name;
+  meta.base = m.base;
+  meta.text_size = m.text_size;
+  meta.data_size = m.data_size;
+  meta.bss_size = m.bss_size;
+  meta.exports = m.exports;
+  meta.module_list = m.module_list;
+  meta.search_path = m.search_path;
+  meta.template_hash = m.src_hash;
+  SharedFs& sfs = machine_->sfs();
+  uint32_t mapped = PageCeil(m.mem_size);
+  // A replica must not publish a trailer ahead of the patched pages it describes,
+  // so under --connect the live pages travel with it (a same-bytes rewrite here).
+  uint32_t from = sfs.remote_attached() ? 0 : mapped;
+  std::vector<uint8_t> out(mapped - from);
+  if (!out.empty()) {
+    RETURN_IF_ERROR(sfs.ReadAt(m.ino, 0, out.data(), mapped).status());
+  }
+  std::vector<uint8_t> tail = meta.SerializeTrailer();
+  out.insert(out.end(), tail.begin(), tail.end());
+  // A crash between the two leaves a file without a footer, which attachers rebuild.
+  RETURN_IF_ERROR(sfs.Truncate(m.ino, mapped));
+  RETURN_IF_ERROR(sfs.WriteAt(m.ino, from, out.data(), static_cast<uint32_t>(out.size())));
+  m.disk_pending = static_cast<uint32_t>(meta.pending.size());
+  return OkStatus();
 }
 
 Status Ldl::ResolveAll(Process& proc) {
@@ -1163,10 +1178,7 @@ void Ldl::LoadManifest(Process& proc) {
       }
     } else {
       Result<std::vector<uint8_t>> tb = vfs.ReadFile(rec.key);
-      if (tb.ok()) {
-        Result<ObjectFile> tpl = ObjectFile::Deserialize(*tb);
-        ok = tpl.ok() && LinkedTemplateHash(*tpl, rec.base) == rec.src_hash;
-      }
+      ok = tb.ok() && LinkedTemplateHash(*tb, rec.base) == rec.src_hash;
     }
     if (!ok) {
       ++*c_manifest_misses_;

@@ -149,6 +149,8 @@ class Ldl {
     uint32_t base = 0;
     uint32_t mem_size = 0;
     uint32_t text_size = 0;
+    uint32_t data_size = 0;
+    uint32_t bss_size = 0;
     uint32_t ino = 0;  // public modules: backing inode
     // Content identity for the resolution manifest: the template_hash stamped by
     // LinkModuleAtBase (0 for modules from pre-hash HML files — never recorded).
@@ -159,6 +161,9 @@ class Ldl {
     // All external references, kept (not drained) so resolution is idempotent and can
     // be re-applied in a forked child's address space.
     std::vector<PendingReloc> relocs;
+    // Length of the pending list in the module file's trailer (public modules):
+    // UpdatePublicTrailer rewrites the trailer only when resolution shrank it.
+    uint32_t disk_pending = 0;
     std::vector<AbsSymbol> exports;
     // Hashed export index (first definition wins, matching the linear-scan order the
     // exports vector used to be searched in).
@@ -193,21 +198,23 @@ class Ldl {
     bool warm_covered = false;
   };
 
-  // Locates + registers + maps a dynamic module (creating it if needed).
-  // |parent| is the scoped-linking parent index (-1 for root).
-  Result<int> AcquireModule(Process& proc, const std::string& name, ShareClass cls, int parent,
-                            const std::vector<std::string>& dirs);
+  // Registers + maps the dynamic module |name|, whose template the caller located
+  // at |found| (creating the module if needed). |parent| is the scoped-linking
+  // parent index (-1 for root).
+  Result<int> AcquireModule(Process& proc, const std::string& name, const std::string& found,
+                            ShareClass cls, int parent);
   // Registers an already-linked module (static publics at startup, or an HML file
   // discovered through a pointer-follow fault).
   Result<int> RegisterLinked(Process& proc, LinkedModule mod, ShareClass cls,
                              const std::string& key, uint32_t ino, int parent);
   Status MapModule(Process& proc, RtModule& m, bool accessible);
 
-  // Builds (or rebuilds) a public module's segment from its template object, under
-  // the creation protocol: creation_pending marker -> lock -> link -> truncate ->
-  // write -> clear marker -> unlock. |rebuild| means the file existed but its
-  // contents cannot be trusted (pending marker set, or unparseable).
-  Result<int> CreatePublicModule(Process& proc, const ObjectFile& tpl,
+  // Builds (or rebuilds) a public module's segment from the template file at
+  // |tpl_path|, under the creation protocol: read + parse template ->
+  // creation_pending marker -> lock -> link -> truncate -> write -> clear marker ->
+  // unlock. |rebuild| means the file existed but its contents cannot be trusted
+  // (pending marker set, or unparseable).
+  Result<int> CreatePublicModule(Process& proc, const std::string& tpl_path,
                                  const std::string& module_path, uint32_t existing_ino,
                                  bool rebuild, ShareClass cls, int parent);
   // LockInode with bounded retry. A *dead* holder's lease is burned off with
@@ -242,9 +249,15 @@ class Ldl {
   // The directory list used to locate modules named by module |index|'s list.
   std::vector<std::string> DirsFor(Process& proc, int index);
   std::vector<std::string> RootDirs(Process& proc);
-  // Convention: a dependency found on the shared partition is public, else private.
-  ShareClass ClassForDependency(const std::string& name, const std::vector<std::string>& dirs);
+  // Convention: a dependency whose template was found (at |found|) on the shared
+  // partition is public, else private.
+  ShareClass ClassForDependency(const std::string& found);
 
+  // Rewrites a public module file's trailer (and footer) to list only the
+  // relocations still unresolved, built from |m| alone; the mapped pages are not
+  // rewritten, except that a replica sends them along. The list is this linker's
+  // view: a site another live linker patched meanwhile stays listed, and a later
+  // attacher resolves it again.
   Status UpdatePublicTrailer(RtModule& m);
 
   // --- function-lazy (jump-table) machinery ---

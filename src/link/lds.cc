@@ -1,7 +1,10 @@
 #include "src/link/lds.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/base/layout.h"
 #include "src/base/logging.h"
@@ -51,32 +54,40 @@ ObjectFile SynthesizeCrt0() {
   return b.Take();
 }
 
-uint64_t LinkedTemplateHash(const ObjectFile& tpl, uint32_t base) {
-  uint8_t base_le[4] = {static_cast<uint8_t>(base), static_cast<uint8_t>(base >> 8),
-                        static_cast<uint8_t>(base >> 16), static_cast<uint8_t>(base >> 24)};
-  uint64_t h = Fnv1a64(base_le, sizeof(base_le), tpl.ContentHash());
+uint64_t LinkedTemplateHash(const std::vector<uint8_t>& tpl_bytes, uint32_t base) {
+  uint64_t h = HashWords64(tpl_bytes.data(), tpl_bytes.size(), kFnv1a64Seed ^ base);
   return h != 0 ? h : 1;  // 0 means "pre-hash file": never collide with it
 }
 
-Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl, uint32_t base,
+Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl,
+                                      const std::vector<uint8_t>& tpl_bytes, uint32_t base,
                                       const std::string& name, uint32_t* trampolines_out) {
   LinkedModule mod;
   mod.name = name;
   mod.base = base;
   mod.module_list = tpl.module_list();
   mod.search_path = tpl.search_path();
-  mod.template_hash = LinkedTemplateHash(tpl, base);
+  mod.template_hash = LinkedTemplateHash(tpl_bytes, base);
 
-  // Pass 1: find external JUMP26 targets; give each distinct symbol one trampoline.
-  std::map<std::string, uint32_t> tramp_slots;  // symbol -> text offset of its slot
+  // Index the symbol table once (first entry of a name wins, as FindSymbol's scan).
+  std::unordered_map<std::string_view, const Symbol*> symbols;
+  symbols.reserve(tpl.symbols().size());
+  for (const Symbol& sym : tpl.symbols()) {
+    symbols.emplace(sym.name, &sym);
+  }
+
+  // Pass 1: resolve each relocation's symbol locally (null: external); give each
+  // distinct external JUMP26 target one trampoline.
+  std::vector<const Symbol*> local_targets;
+  local_targets.reserve(tpl.relocations().size());
+  std::unordered_map<std::string_view, uint32_t> tramp_slots;  // symbol -> slot offset
   for (const Relocation& rel : tpl.relocations()) {
-    const Symbol* sym = tpl.FindSymbol(rel.symbol);
-    bool external = sym == nullptr || !sym->defined;
-    if (rel.type == RelocType::kJump26 && external &&
-        tramp_slots.count(rel.symbol) == 0) {
+    auto it = symbols.find(rel.symbol);
+    local_targets.push_back(it != symbols.end() && it->second->defined ? it->second : nullptr);
+    if (rel.type == RelocType::kJump26 && local_targets.back() == nullptr) {
       uint32_t slot = static_cast<uint32_t>(tpl.text().size()) +
                       static_cast<uint32_t>(tramp_slots.size()) * kTrampolineBytes;
-      tramp_slots[rel.symbol] = slot;
+      tramp_slots.try_emplace(rel.symbol, slot);
     }
   }
   if (trampolines_out != nullptr) {
@@ -121,15 +132,20 @@ Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl, uint32_t base,
     }
   }
 
-  // Write trampoline slots (unresolved form) and their pending relocations.
-  for (const auto& [symbol, slot] : tramp_slots) {
+  // Write trampoline slots (unresolved form) and their pending relocations, in
+  // symbol order so the pending list does not depend on the hash map's layout.
+  std::vector<std::pair<std::string_view, uint32_t>> slots(tramp_slots.begin(),
+                                                           tramp_slots.end());
+  std::sort(slots.begin(), slots.end());
+  for (const auto& [symbol, slot] : slots) {
     WriteTrampoline(&mod.payload, slot, 0);
-    mod.pending.push_back(PendingReloc{RelocType::kHi16, base + slot, symbol, 0});
-    mod.pending.push_back(PendingReloc{RelocType::kLo16, base + slot + 4, symbol, 0});
+    mod.pending.push_back(PendingReloc{RelocType::kHi16, base + slot, std::string(symbol), 0});
+    mod.pending.push_back(PendingReloc{RelocType::kLo16, base + slot + 4, std::string(symbol), 0});
   }
 
   // Pass 2: apply relocations.
-  for (const Relocation& rel : tpl.relocations()) {
+  for (size_t i = 0; i < tpl.relocations().size(); ++i) {
+    const Relocation& rel = tpl.relocations()[i];
     uint32_t site = 0;
     switch (rel.section) {
       case SectionKind::kText:
@@ -141,8 +157,7 @@ Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl, uint32_t base,
       case SectionKind::kBss:
         return CorruptData("relocation against .bss in module " + name);
     }
-    const Symbol* sym = tpl.FindSymbol(rel.symbol);
-    if (sym != nullptr && sym->defined) {
+    if (const Symbol* sym = local_targets[i]) {
       uint32_t target = addr_of(*sym) + static_cast<uint32_t>(rel.addend);
       RETURN_IF_ERROR(ApplyReloc(&mod.payload, base, rel.type, site, target));
       continue;
@@ -191,7 +206,12 @@ Result<LoadImage> StaticLinker::Link(const LdsOptions& options, LdsReport* repor
     crt0.found_path = "<crt0>";
     privates.push_back(std::move(crt0));
   }
-  std::vector<std::pair<std::string, ObjectFile>> static_publics;  // found path, template
+  struct StaticPublic {
+    std::string found_path;
+    std::vector<uint8_t> bytes;  // the template file, hashed into the module's trailer
+    ObjectFile tpl;
+  };
+  std::vector<StaticPublic> static_publics;
 
   for (const LdsInput& input : options.inputs) {
     if (IsDynamic(input.cls)) {
@@ -220,13 +240,13 @@ Result<LoadImage> StaticLinker::Link(const LdsOptions& options, LdsReport* repor
       placed.found_path = *found;
       privates.push_back(std::move(placed));
     } else {
-      static_publics.emplace_back(*found, std::move(tpl));
+      static_publics.push_back(StaticPublic{*found, std::move(bytes), std::move(tpl)});
     }
   }
 
   // --- Create or load static public modules ---
   std::vector<LinkedModule> publics;
-  for (auto& [found_path, tpl] : static_publics) {
+  for (const auto& [found_path, tpl_bytes, tpl] : static_publics) {
     if (!Vfs::OnSharedPartition(found_path)) {
       return InvalidArgument("lds: public module template '" + found_path +
                              "' must reside on the shared partition");
@@ -243,7 +263,7 @@ Result<LoadImage> StaticLinker::Link(const LdsOptions& options, LdsReport* repor
       ASSIGN_OR_RETURN(uint32_t ino, vfs_->sfs().Create(rel));
       uint32_t base = SfsAddressForInode(ino);
       Result<LinkedModule> mod =
-          LinkModuleAtBase(tpl, base, PathBasename(module_path), &report->trampolines);
+          LinkModuleAtBase(tpl, tpl_bytes, base, PathBasename(module_path), &report->trampolines);
       if (!mod.ok()) {
         (void)vfs_->sfs().Unlink(rel);
         return mod.status();

@@ -67,17 +67,20 @@ struct LdsReport {
 // Links one template at a fixed base address, producing a linked module:
 // internal references finalized, external JUMP26 sites redirected through reserved
 // trampoline slots, all other external references left pending. Shared by lds (static
-// publics) and ldl (run-time creation of dynamic modules).
-Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl, uint32_t base,
+// publics) and ldl (run-time creation of dynamic modules). |tpl_bytes| is the file
+// |tpl| was parsed from; its LinkedTemplateHash is stamped into the module.
+Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl,
+                                      const std::vector<uint8_t>& tpl_bytes, uint32_t base,
                                       const std::string& name, uint32_t* trampolines_out);
 
 // The content identity LinkModuleAtBase stamps into the linked module's trailer:
-// a digest of the template bytes chained with the link base (the same template
-// linked at two addresses is two different artifacts). Deterministic, so a warm
-// start can verify a recorded resolution against the template *without* relinking
-// (stable linking's cheap re-check; see src/link/manifest.h). Never returns 0 —
-// 0 is reserved for "pre-hash HML file, unverifiable".
-uint64_t LinkedTemplateHash(const ObjectFile& tpl, uint32_t base);
+// a word-at-a-time digest of the template *file bytes*, keyed by the link base (the
+// same template linked at two addresses is two different artifacts). Deterministic,
+// so a warm start can verify a recorded resolution against the template *without*
+// relinking or even parsing it (stable linking's cheap re-check; see
+// src/link/manifest.h). Never returns 0 — 0 is reserved for "pre-hash HML file,
+// unverifiable".
+uint64_t LinkedTemplateHash(const std::vector<uint8_t>& tpl_bytes, uint32_t base);
 
 // The replacement crt0 (paper: "links C programs with a special start-up file" that
 // gives ldl a chance to run; here the loader runs ldl natively before transferring

@@ -52,7 +52,7 @@ struct ManifestModule {
   uint32_t base = 0;
   uint32_t ino = 0;   // public modules: backing inode; 0 for private instances
   // Public modules: the template_hash stamped in the HML trailer. Private
-  // instances: Fnv1a64(template bytes) chained with the base — what
+  // instances: LinkedTemplateHash(template file bytes, base) — what
   // LinkModuleAtBase would assign. Never 0 (unverifiable modules are not recorded).
   uint64_t src_hash = 0;
   std::vector<std::pair<std::string, uint32_t>> resolved;  // symbol -> absolute addr

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "src/base/layout.h"
-#include "src/base/strings.h"
 
 namespace hemlock {
 
@@ -125,11 +124,6 @@ uint32_t ObjectFile::SectionSize(SectionKind kind) const {
       return bss_size_;
   }
   return 0;
-}
-
-uint64_t ObjectFile::ContentHash() const {
-  std::vector<uint8_t> bytes = Serialize();
-  return Fnv1a64(bytes.data(), bytes.size());
 }
 
 std::vector<uint8_t> ObjectFile::Serialize() const {

@@ -113,12 +113,6 @@ class ObjectFile {
   std::vector<uint8_t> Serialize() const;
   static Result<ObjectFile> Deserialize(const std::vector<uint8_t>& bytes);
 
-  // Content identity for stable linking: the FNV-1a 64 digest of the canonical
-  // serialized form. Two templates with the same hash link to the same module at
-  // the same base (the linker is deterministic), so resolution decisions recorded
-  // against this hash survive across runs until the template actually changes.
-  uint64_t ContentHash() const;
-
  private:
   std::string name_;
   std::vector<uint8_t> text_;

@@ -20,6 +20,13 @@ constexpr uint32_t kSfsVersion2 = 2;
 // One bit per page across the whole 1 GB shared region.
 constexpr uint32_t kSfsRegionBytes = kSfsMaxInodes * kSfsMaxFileBytes;
 constexpr uint32_t kSfsCodeBitmapBytes = kSfsRegionBytes / kPageSize / 8;
+
+// Whether |name| is the final component of the stored path |path|, without copying
+// it out: most siblings fail on the separator check before any bytes are compared.
+bool IsLeafOf(std::string_view path, std::string_view name) {
+  return path.size() > name.size() && path[path.size() - name.size() - 1] == '/' &&
+         path.ends_with(name);
+}
 }  // namespace
 
 SharedFs::SharedFs()
@@ -44,39 +51,49 @@ Result<uint32_t> SharedFs::AllocInode() {
   return ResourceExhausted("sfs: all 1024 inodes in use");
 }
 
+uint32_t SharedFs::FindChild(uint32_t dir, std::string_view name) const {
+  for (uint32_t child : inodes_[dir].children) {
+    if (IsLeafOf(inodes_[child].path, name)) {
+      return child;
+    }
+  }
+  return 0;
+}
+
 Result<uint32_t> SharedFs::WalkDir(const std::string& dir_path) const {
-  std::string norm = NormalizePath(dir_path);
-  if (norm == "/") {
-    return kRootIno;
+  // Canonical paths (nearly every caller's) are walked in place; others once normalized.
+  std::string normalized;
+  std::string_view norm = dir_path;
+  if (!IsCanonicalAbsolutePath(norm)) {
+    normalized = NormalizePath(dir_path);
+    norm = normalized;
   }
   uint32_t cur = kRootIno;
-  for (const std::string& part : SplitString(norm, '/')) {
-    const Inode& node = inodes_[cur];
-    if (node.type != SfsNodeType::kDirectory) {
-      return NotFound("sfs: not a directory on path: " + dir_path);
+  size_t start = 0;
+  while (start < norm.size()) {
+    size_t end = norm.find('/', start);
+    if (end == std::string_view::npos) {
+      end = norm.size();
     }
-    uint32_t next = 0;
-    for (uint32_t child : node.children) {
-      if (PathBasename(inodes_[child].path) == part) {
-        next = child;
-        break;
+    if (end > start) {
+      if (inodes_[cur].type != SfsNodeType::kDirectory) {
+        return NotFound("sfs: not a directory on path: " + dir_path);
+      }
+      cur = FindChild(cur, norm.substr(start, end - start));
+      if (cur == 0) {
+        return NotFound("sfs: no such path: " + dir_path);
       }
     }
-    if (next == 0) {
-      return NotFound("sfs: no such path: " + dir_path);
-    }
-    cur = next;
+    start = end + 1;
   }
   return cur;
 }
 
-Status SharedFs::ValidatePathForCreate(const std::string& path, uint32_t* parent_ino,
-                                       std::string* leaf) const {
+Status SharedFs::ValidatePathForCreate(const std::string& path, uint32_t* parent_ino) const {
   std::string norm = NormalizePath(path);
   if (!IsAbsolutePath(norm) || norm == "/") {
     return InvalidArgument("sfs: bad path: " + path);
   }
-  *leaf = PathBasename(norm);
   Result<uint32_t> parent = WalkDir(PathDirname(norm));
   if (!parent.ok()) {
     return parent.status();
@@ -84,10 +101,8 @@ Status SharedFs::ValidatePathForCreate(const std::string& path, uint32_t* parent
   if (inodes_[*parent].type != SfsNodeType::kDirectory) {
     return InvalidArgument("sfs: parent not a directory: " + path);
   }
-  for (uint32_t child : inodes_[*parent].children) {
-    if (PathBasename(inodes_[child].path) == *leaf) {
-      return AlreadyExists("sfs: exists: " + norm);
-    }
+  if (FindChild(*parent, std::string_view(norm).substr(norm.find_last_of('/') + 1)) != 0) {
+    return AlreadyExists("sfs: exists: " + norm);
   }
   *parent_ino = *parent;
   return OkStatus();
@@ -102,8 +117,7 @@ Result<uint32_t> SharedFs::Create(const std::string& path) {
     ASSIGN_OR_RETURN(expect, remote_->OnCreate(path));
   }
   uint32_t parent = 0;
-  std::string leaf;
-  RETURN_IF_ERROR(ValidatePathForCreate(path, &parent, &leaf));
+  RETURN_IF_ERROR(ValidatePathForCreate(path, &parent));
   ASSIGN_OR_RETURN(uint32_t ino, AllocInode());
   if (expect != 0 && ino != expect) {
     return Internal(StrFormat("sfs: replica diverged: server created inode %u, local chose %u",
@@ -142,8 +156,7 @@ Result<uint32_t> SharedFs::Mkdir(const std::string& path) {
     ASSIGN_OR_RETURN(expect, remote_->OnMkdir(path));
   }
   uint32_t parent = 0;
-  std::string leaf;
-  RETURN_IF_ERROR(ValidatePathForCreate(path, &parent, &leaf));
+  RETURN_IF_ERROR(ValidatePathForCreate(path, &parent));
   ASSIGN_OR_RETURN(uint32_t ino, AllocInode());
   if (expect != 0 && ino != expect) {
     return Internal(StrFormat("sfs: replica diverged: server created inode %u, local chose %u",
@@ -239,8 +252,7 @@ Result<uint32_t> SharedFs::Symlink(const std::string& path, const std::string& t
     ASSIGN_OR_RETURN(expect, remote_->OnSymlink(path, target));
   }
   uint32_t parent = 0;
-  std::string leaf;
-  RETURN_IF_ERROR(ValidatePathForCreate(path, &parent, &leaf));
+  RETURN_IF_ERROR(ValidatePathForCreate(path, &parent));
   ASSIGN_OR_RETURN(uint32_t ino, AllocInode());
   if (expect != 0 && ino != expect) {
     return Internal(StrFormat("sfs: replica diverged: server created inode %u, local chose %u",

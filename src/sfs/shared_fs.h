@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -287,8 +288,9 @@ class SharedFs {
 
   Result<uint32_t> AllocInode();
   Result<uint32_t> WalkDir(const std::string& dir_path) const;
-  Status ValidatePathForCreate(const std::string& path, uint32_t* parent_ino,
-                               std::string* leaf) const;
+  // The child of directory |dir| named |name|, 0 if none.
+  uint32_t FindChild(uint32_t dir, std::string_view name) const;
+  Status ValidatePathForCreate(const std::string& path, uint32_t* parent_ino) const;
   void AddAddrEntry(uint32_t ino);
   void RemoveAddrEntry(uint32_t ino);
   // Kernel-side mutation of a file's bytes (WriteAt/Truncate/Unlink): if any touched

@@ -162,7 +162,21 @@ INSTANTIATE_TEST_SUITE_P(
                       PathCase{"/a/./b", "/a/b"}, PathCase{"/a/../b", "/b"},
                       PathCase{"/../a", "/a"}, PathCase{"a/../b", "b"},
                       PathCase{"../a", "../a"}, PathCase{".", "."}, PathCase{"/", "/"},
-                      PathCase{"a/b/../../c", "c"}, PathCase{"/shm/lib/../tmp", "/shm/tmp"}));
+                      PathCase{"a/b/../../c", "c"}, PathCase{"/shm/lib/../tmp", "/shm/tmp"},
+                      PathCase{"//a", "/a"}, PathCase{"/a/", "/a"}, PathCase{"/.x", "/.x"},
+                      PathCase{"/a/b.", "/a/b."}, PathCase{"/a/..", "/"},
+                      PathCase{"/a/.", "/a"}));
+
+// Only paths NormalizePath would return unchanged may skip its general path.
+TEST(NormalizePathTest, FastPathOnlyForCanonicalInput) {
+  for (const char* path : {"//a", "/a/", "/a/./b", "/a/../b", "/.x", "/", "a/b", "", "/a//b"}) {
+    EXPECT_FALSE(IsCanonicalAbsolutePath(path)) << path;
+  }
+  for (const char* path : {"/a", "/a/b.", "/shm/lib/lib12.o", "/a.b/c"}) {
+    EXPECT_TRUE(IsCanonicalAbsolutePath(path)) << path;
+    EXPECT_EQ(NormalizePath(path), path);
+  }
+}
 
 TEST(NormalizePathTest, Idempotent) {
   for (const char* path : {"/a/../b/./c//d", "x/./y/..", "/", "..", "a//b/c/../.."}) {

@@ -14,8 +14,11 @@ import sys
 import tempfile
 import unittest
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      os.pardir, "tools", "bench_compare.py")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SCRIPT = os.path.join(ROOT, "tools", "bench_compare.py")
+BASELINE = os.path.join(ROOT, "bench", "baseline.json")
+# Set by CTest to the built bench_interp; the live check below skips without it.
+BENCH_INTERP = os.environ.get("BENCH_INTERP")
 
 
 def run(*argv):
@@ -166,6 +169,48 @@ class BenchCompareTest(unittest.TestCase):
         p = run("--remote", path)
         self.assertEqual(p.returncode, 1, p.stderr)
         self.assertIn("row missing", p.stderr)
+
+    # --- jit_compiled is a per-iteration value, so the counter gate does not
+    # depend on how many iterations google-benchmark picks ---
+
+    def jit_row(self, iterations, jit_compiled):
+        return {"benchmarks": [
+            {"name": "BM_InterpSpeedup", "speedup": 3.5},
+            {"name": "BM_JitSpeedup", "iterations": iterations,
+             "jit_compiled": jit_compiled, "speedup": 20.0}]}
+
+    def test_same_per_iteration_jit_count_passes_at_any_iteration_count(self):
+        base = self.write("base.json", self.jit_row(16, 2.0))
+        cur = self.write("cur.json", self.jit_row(3, 2.0))
+        p = run(base, cur)
+        self.assertEqual(p.returncode, 0, p.stderr)
+        self.assertIn("BM_JitSpeedup.jit_compiled", p.stdout)
+
+    def test_committed_baseline_records_jit_compiled_per_iteration(self):
+        with open(BASELINE) as f:
+            rows = {b["name"]: b for b in json.load(f)["benchmarks"]}
+        row = rows["BM_JitSpeedup"]
+        # One timed loop compiles a couple of blocks; a cumulative total would
+        # scale with the row's iteration count instead.
+        self.assertGreater(row["jit_compiled"], 0)
+        self.assertLess(row["jit_compiled"], row["iterations"])
+
+    @unittest.skipUnless(BENCH_INTERP, "BENCH_INTERP not set")
+    def test_bench_reports_the_same_jit_count_at_two_run_lengths(self):
+        counts = []
+        for min_time in ("0.01", "0.15"):
+            out = os.path.join(self._dir.name, f"jit{min_time}.json")
+            subprocess.run([BENCH_INTERP, "--benchmark_filter=BM_JitSpeedup$",
+                            f"--benchmark_min_time={min_time}",
+                            f"--benchmark_out={out}", "--benchmark_out_format=json"],
+                           check=True, capture_output=True, timeout=120)
+            with open(out) as f:
+                row = json.load(f)["benchmarks"][0]
+            counts.append((row["iterations"], row.get("jit_compiled", 0)))
+        if counts[0][1] == 0:
+            self.skipTest("the JIT compiled nothing on this host")
+        self.assertNotEqual(counts[0][0], counts[1][0], counts)
+        self.assertEqual(counts[0][1], counts[1][1], counts)
 
 
 if __name__ == "__main__":

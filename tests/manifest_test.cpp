@@ -12,6 +12,7 @@
 #include "src/base/bytes.h"
 #include "src/base/faults.h"
 #include "src/base/strings.h"
+#include "src/link/lds.h"
 #include "src/link/manifest.h"
 #include "src/runtime/world.h"
 #include "src/sfs/sfs_check.h"
@@ -484,6 +485,102 @@ TEST_F(ManifestLifecycleTest, CrashDuringFaultTimeFlushSalvagesOnReboot) {
     SfsCheck(&world.sfs()).Run(/*at_boot=*/false, &report);
     EXPECT_TRUE(report.clean()) << point << ": " << report.ToString();
   }
+}
+
+// --- one template hash for lds, ldl create and manifest verification ---
+
+constexpr char kStaticPublicSrc[] = "int s_fn(int x) { return x + 100; }";
+constexpr char kPrivateSrc[] = "int p_fn(int x) { return x + 1000; }";
+constexpr char kAllClassesProgram[] = R"(
+  extern int a_used(int x);
+  extern int s_fn(int x);
+  extern int p_fn(int x);
+  int main(void) {
+    putint(a_used(10) + s_fn(1) + p_fn(2));
+    puts("\n");
+    return 0;
+  }
+)";
+
+// The chain (dynamic public, created by ldl), a static public module (created by
+// lds) and a dynamic private instance, with the manifest on.
+Result<ChainRun> RunAllClasses(HemlockWorld& world) {
+  CompileOptions leaf;
+  leaf.include_prelude = false;
+  if (!world.vfs().Exists("/shm/lib/stat.o")) {
+    RETURN_IF_ERROR(world.CompileTo(kStaticPublicSrc, "/shm/lib/stat.o", leaf));
+  }
+  // Private templates live off the partition, so every boot compiles its own copy.
+  RETURN_IF_ERROR(world.CompileTo(kPrivateSrc, "/usr/lib/priv.o", leaf));
+  RETURN_IF_ERROR(world.CompileTo(kAllClassesProgram, "/home/user/prog.o"));
+  ASSIGN_OR_RETURN(LoadImage image,
+                   world.Link({.inputs = {{"prog.o", ShareClass::kStaticPrivate},
+                                          {"stat.o", ShareClass::kStaticPublic},
+                                          {"moda.o", ShareClass::kDynamicPublic},
+                                          {"priv.o", ShareClass::kDynamicPrivate}},
+                               .lib_dirs = {"/shm/lib"}}));
+  ExecOptions exec;
+  exec.ldl.use_manifest = true;
+  ASSIGN_OR_RETURN(ExecResult run, world.Exec(image, exec));
+  ASSIGN_OR_RETURN(int status, world.RunToExit(run.pid));
+  ChainRun out;
+  out.exit_code = status;
+  out.stdout_text = world.machine().FindProcess(run.pid)->stdout_text();
+  out.ldl = run.ldl;
+  return out;
+}
+
+uint64_t TemplateHashOf(HemlockWorld& world, const std::string& tpl_path, uint32_t base) {
+  Result<std::vector<uint8_t>> bytes = world.vfs().ReadFile(tpl_path);
+  EXPECT_TRUE(bytes.ok()) << tpl_path;
+  return bytes.ok() ? LinkedTemplateHash(*bytes, base) : 0;
+}
+
+TEST_F(ManifestLifecycleTest, EveryStampIsTheTemplateFileHash) {
+  HemlockWorld world;
+  ASSERT_TRUE(BuildChain(world).ok());
+  Result<ChainRun> cold = RunAllClasses(world);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(cold->stdout_text, "1138\n");
+
+  // lds stamped stat; ldl's create path stamped the chain.
+  for (const char* module : {"/shm/lib/stat", "/shm/lib/moda", "/shm/lib/modb", "/shm/lib/modc"}) {
+    SCOPED_TRACE(module);
+    Result<std::vector<uint8_t>> bytes = world.vfs().ReadFile(module);
+    ASSERT_TRUE(bytes.ok());
+    Result<LinkedModule> mod = LinkedModule::DeserializeFile(*bytes);
+    ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+    EXPECT_EQ(mod->template_hash, TemplateHashOf(world, std::string(module) + ".o", mod->base));
+  }
+
+  // The manifest's records — the private one is what a warm start re-verifies.
+  Result<std::vector<uint8_t>> bytes = world.vfs().ReadFile(kLdlManifestPath);
+  ASSERT_TRUE(bytes.ok());
+  Result<ResolutionManifest> manifest = ResolutionManifest::Deserialize(*bytes);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->images.size(), 1u);
+  const std::vector<ManifestModule>& records = manifest->images[0].modules;
+  ASSERT_EQ(records.size(), 5u);  // stat, moda, modb, modc, priv
+  bool saw_private = false;
+  for (const ManifestModule& rec : records) {
+    SCOPED_TRACE(rec.key);
+    std::string tpl = IsPublic(rec.cls) ? rec.key + ".o" : rec.key;
+    EXPECT_EQ(rec.src_hash, TemplateHashOf(world, tpl, rec.base));
+    saw_private = saw_private || rec.cls == ShareClass::kDynamicPrivate;
+  }
+  EXPECT_TRUE(saw_private);
+
+  // A warm start after the cold one verifies and installs every record.
+  Result<std::vector<uint8_t>> disk = SaveDisk(world);
+  ASSERT_TRUE(disk.ok());
+  HemlockWorld warm_world;
+  ASSERT_TRUE(RestoreDisk(warm_world, *disk).ok());
+  Result<ChainRun> warm = RunAllClasses(warm_world);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm->stdout_text, cold->stdout_text);
+  EXPECT_EQ(warm->Metric("ldl.manifest.hits"), records.size());
+  EXPECT_EQ(warm->Metric("ldl.manifest.misses"), 0u);
+  EXPECT_EQ(warm->Metric("ldl.manifest.rejected"), 0u);
 }
 
 }  // namespace

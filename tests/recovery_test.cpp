@@ -219,6 +219,88 @@ TEST(RecoveryTest, PosixHeapAndAutoAttachFaultPointsRecover) {
   (void)::system(("rm -rf " + dir).c_str());
 }
 
+// A public module that links lazily into another: its first call faults, and ldl
+// rewrites the module file's trailer (truncate to the mapped pages, then write the
+// new trailer) after creating both segments.
+constexpr char kCallerSrc[] = R"(
+  extern int callee(int x);
+  int caller(int x) { return callee(x) + 1; }
+)";
+constexpr char kCalleeSrc[] = "int callee(int x) { return x * 2; }";
+constexpr char kCallerProgSrc[] = R"(
+  extern int caller(int x);
+  int main(void) { putint(caller(20)); puts("\n"); return 0; }
+)";
+
+void CompileCallerTemplates(HemlockWorld* world) {
+  ASSERT_TRUE(world->vfs().MkdirAll("/shm/lib").ok());
+  CompileOptions opts;
+  opts.include_prelude = false;
+  ASSERT_TRUE(world->CompileTo(kCalleeSrc, "/shm/lib/callee.o", opts).ok());
+  opts.module_list = {"callee.o"};
+  opts.search_path = {"/shm/lib"};
+  ASSERT_TRUE(world->CompileTo(kCallerSrc, "/shm/lib/caller.o", opts).ok());
+}
+
+Result<RunOutcome> RunCaller(HemlockWorld* world) {
+  return world->RunProgram(kCallerProgSrc, {{"caller.o", ShareClass::kDynamicPublic}});
+}
+
+// Crashes at every file truncate and write of a lazily linked run in turn — the
+// segment creations and the trailer rewrite at the link fault — and requires the
+// rebooted partition to run the program again and fsck clean.
+TEST(RecoveryTest, CrashAtEveryTruncateAndWriteOfALazyLinkRecovers) {
+  FaultRegistry& faults = FaultRegistry::Global();
+  for (const char* point : {"sfs.truncate", "sfs.write"}) {
+    uint64_t hits = 0;
+    {
+      HemlockWorld world;
+      CompileCallerTemplates(&world);
+      faults.Reset();
+      Result<RunOutcome> run = RunCaller(&world);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ASSERT_EQ(run->stdout_text, "41\n");
+      ASSERT_EQ(MetricValue(run->metrics, "ldl.link_faults"), 1u);
+      hits = faults.HitCount(point);
+    }
+    // Two segment creations plus the trailer rewrite.
+    ASSERT_GE(hits, 3u) << point;
+    for (uint64_t nth = 1; nth <= hits; ++nth) {
+      SCOPED_TRACE(std::string(point) + " crash at hit " + std::to_string(nth));
+      std::vector<uint8_t> disk;
+      {
+        HemlockWorld world;
+        CompileCallerTemplates(&world);
+        faults.Reset();
+        faults.Arm(point, FaultMode::kCrash, nth);
+        Result<RunOutcome> run = RunCaller(&world);
+        if (!run.ok()) {
+          EXPECT_TRUE(IsCrash(run.status())) << run.status().ToString();
+        }
+        EXPECT_EQ(faults.TriggerCount(point), 1u) << "the armed crash never fired";
+        faults.Reset();
+        ByteWriter w;
+        ASSERT_TRUE(world.sfs().Serialize(&w).ok());
+        disk = w.Take();
+      }
+      HemlockWorld world;
+      ByteReader r(disk);
+      SfsCheckReport report;
+      Result<std::unique_ptr<SharedFs>> fs = SharedFs::Deserialize(&r, &report);
+      ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+      world.machine().ReplaceSfs(std::move(*fs));
+      Result<RunOutcome> rerun = RunCaller(&world);
+      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+      EXPECT_EQ(rerun->exit_code, 0);
+      EXPECT_EQ(rerun->stdout_text, "41\n");
+      SfsCheckReport final_report;
+      SfsCheck(&world.sfs()).Run(/*at_boot=*/false, &final_report);
+      EXPECT_TRUE(final_report.clean()) << final_report.ToString();
+    }
+  }
+  faults.Reset();
+}
+
 // A creator that looks alive but never finishes (wedged): attachers spin on the
 // creation lock until the lease expires on the operation clock, then break it.
 TEST(RecoveryTest, WedgedCreatorLockBreaksWhenLeaseExpires) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/layout.h"
+#include "src/base/strings.h"
 #include "src/sfs/vfs.h"
 
 namespace hemlock {
@@ -21,6 +22,31 @@ TEST(SharedFsTest, CreateAssignsFixedAddress) {
   EXPECT_GE(*fs.AddressOf(*a), kSfsBase);
   EXPECT_LT(*fs.AddressOf(*b), kSfsLimit);
   EXPECT_EQ((*fs.AddressOf(*a) - kSfsBase) % kSfsMaxFileBytes, 0u);
+}
+
+TEST(SharedFsTest, LargeDirectoryLookupAndRecreate) {
+  SharedFs fs;
+  ASSERT_TRUE(fs.Mkdir("/big").ok());
+  std::vector<uint32_t> inos;
+  for (int i = 0; i < 150; ++i) {
+    Result<uint32_t> ino = fs.Create(StrFormat("/big/f%03d", i));
+    ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+    inos.push_back(*ino);
+  }
+  EXPECT_EQ(*fs.Lookup("/big/f000"), inos.front());
+  EXPECT_EQ(*fs.Lookup("/big/f149"), inos.back());
+  EXPECT_EQ(fs.Lookup("/big/f150").status().code(), ErrorCode::kNotFound);
+  // A leaf must match whole: neither a suffix nor a prefix of another entry's name.
+  EXPECT_EQ(fs.Lookup("/big/149").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs.Lookup("/big/f14").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs.Create("/big/f149").status().code(), ErrorCode::kAlreadyExists);
+
+  ASSERT_TRUE(fs.Unlink("/big/f075").ok());
+  EXPECT_EQ(fs.Lookup("/big/f075").status().code(), ErrorCode::kNotFound);
+  Result<uint32_t> again = fs.Create("/big/f075");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(*fs.Lookup("/big/f075"), *again);
+  EXPECT_EQ(*fs.Lookup("/big//./f075"), *again);  // non-canonical spellings still walk
 }
 
 TEST(SharedFsTest, ReadWriteAndTruncate) {
