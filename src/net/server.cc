@@ -174,9 +174,12 @@ Status SegmentServer::PollOnce(int timeout_ms) {
     // Warm failover: track the primary through its journal and wait. The
     // first client to dial us is the signal that the primary is gone.
     struct pollfd pfd = {listener_.fd(), POLLIN, 0};
+    lock.unlock();
     int n = ::poll(&pfd, 1, timeout_ms);
-    if (n < 0 && errno != EINTR) {
-      return IoError(StrFormat("net: poll: %s", std::strerror(errno)));
+    int poll_errno = errno;
+    lock.lock();
+    if (n < 0 && poll_errno != EINTR) {
+      return IoError(StrFormat("net: poll: %s", std::strerror(poll_errno)));
     }
     RETURN_IF_ERROR(TailJournal());
     if (n <= 0 || (pfd.revents & POLLIN) == 0) {
@@ -200,12 +203,18 @@ Status SegmentServer::PollOnce(int timeout_ms) {
     fds.push_back({session.conn.fd(), POLLIN, 0});
     ids.push_back(id);
   }
+  // Only this thread mutates sessions_, so it can wait without mu_: holding
+  // it across the poll starves SessionCount() callers, because the lock is
+  // re-taken the instant each round releases it.
+  lock.unlock();
   int n = ::poll(fds.data(), fds.size(), timeout_ms);
+  int poll_errno = errno;
+  lock.lock();
   if (n < 0) {
-    if (errno == EINTR) {
+    if (poll_errno == EINTR) {
       return OkStatus();
     }
-    return IoError(StrFormat("net: poll: %s", std::strerror(errno)));
+    return IoError(StrFormat("net: poll: %s", std::strerror(poll_errno)));
   }
   if (n == 0) {
     return OkStatus();
