@@ -122,7 +122,7 @@ uint8_t* AddressSpace::Resolve(uint32_t addr, uint32_t len, AccessKind access, b
     if (access == AccessKind::kWrite && HasProt(t.prot, Prot::kExec)) {
       NoteExecStore(addr);
     }
-    return t.host + (addr - page);
+    return reinterpret_cast<uint8_t*>(t.bias + addr);
   }
   ++*tlb_misses_;
   return ResolveSlow(addr, page, access, check_prot, fault);
@@ -169,13 +169,29 @@ uint8_t* AddressSpace::ResolveSlow(uint32_t addr, uint32_t page, AccessKind acce
   // only needed to *grant* new rights, which BumpMapGen already handles.
   TlbEntry& t = tlb_[(page >> kPageBits) & (kTlbEntries - 1)];
   t.page = page;
+  t.rtag = HasProt(e.prot, Prot::kRead) ? page : kTlbNoTag;
+  t.wtag = HasProt(e.prot, Prot::kWrite) && !HasProt(e.prot, Prot::kExec) ? page : kTlbNoTag;
   t.prot = e.prot;
   t.epoch = TranslationEpoch();
-  t.host = host_page;
+  t.bias = reinterpret_cast<uintptr_t>(host_page) - page;
   if (access == AccessKind::kWrite && HasProt(e.prot, Prot::kExec)) {
     NoteExecStore(addr);
   }
   return host_page + in_page;
+}
+
+void AddressSpace::SyncTlbTags() const {
+  uint64_t epoch = TranslationEpoch();
+  if (epoch == tags_epoch_) {
+    return;
+  }
+  tags_epoch_ = epoch;
+  for (TlbEntry& t : tlb_) {
+    if (t.epoch != epoch) {
+      t.rtag = kTlbNoTag;
+      t.wtag = kTlbNoTag;
+    }
+  }
 }
 
 void AddressSpace::BumpMapGen() {

@@ -117,21 +117,47 @@ class AddressSpace {
 
   // --- The JIT TLB-probe contract ---
   //
-  // The template JIT (src/vm/jit.cc) inlines the Resolve hit path into generated
-  // host code: it indexes tlb_ directly, compares page and epoch, tests the prot
-  // byte, and adds into host. That makes the entry layout, the line count, and
-  // the direct-mapped index function part of this header's contract — jit.cc
-  // static_asserts every offset below, so a layout change fails the build instead
-  // of silently desynchronizing the two probes. The inline probe must also route
-  // every write that hits a page with Prot::kExec to the slow helper, since that
-  // is where NoteExecStore (the self-modifying-code epoch bump) lives.
+  // The template JIT (src/vm/jit.cc) inlines a one-compare TLB probe into
+  // generated host code. Each entry carries two access tags next to the page:
+  //   * rtag is the page when an inline read may hit (the page is readable);
+  //   * wtag is the page when an inline write may hit (writable and NOT
+  //     executable — every store into an exec page must take the slow helper,
+  //     since that is where NoteExecStore, the self-modifying-code epoch bump,
+  //     lives).
+  // Otherwise a tag holds kTlbNoTag. The probe indexes tlb_ with
+  // (addr >> 7) & 0x1FE0 (page bits times the 32-byte entry), compares the tag
+  // against addr & 0xFFFFF003 for a word (so a misaligned address misses too)
+  // or addr & 0xFFFFF000 for a byte, and on a match accesses [bias + addr]. One
+  // compare thus covers page match, permission and alignment; whatever it
+  // rejects runs the full Resolve through Load32/Store32, so faults and
+  // counters are those of the interpreter.
+  //
+  // The probe does not compare epochs. Instead the JIT calls SyncTlbTags before
+  // every native run, which drops the tags of entries filled under an older
+  // TranslationEpoch. That is sound because the epoch cannot move while native
+  // code runs: map_gen_ moves only in this process's own syscalls and faults,
+  // which exit native code first, and every SharedFs data-epoch bump happens
+  // under a shootdown, which drains all cores out of guest code. Only tags are
+  // dropped — page and epoch stay, so Resolve (and with it vm.tlb.misses) sees
+  // exactly the entries it would have seen without the sync.
+  //
+  // The entry layout, the line count and the index function are part of this
+  // contract: jit.cc static_asserts every offset the probe reads, so a layout
+  // change fails the build instead of silently desynchronizing the two probes.
   static constexpr uint32_t kTlbEntries = 256;  // direct-mapped, 1-page lines
+  // Never equals a masked guest address: those have bits 2..11 clear.
+  static constexpr uint32_t kTlbNoTag = 4;
   struct TlbEntry {
-    uint32_t page = 1;   // non-page-aligned sentinel: never matches a real page
+    uint32_t page = kTlbNoTag;
+    uint32_t rtag = kTlbNoTag;
+    uint32_t wtag = kTlbNoTag;
     Prot prot = Prot::kNone;
     uint64_t epoch = 0;
-    uint8_t* host = nullptr;  // host address of the page's first byte
+    uintptr_t bias = 0;  // host address of the page's first byte, minus page
   };
+  // Drops the tags of entries whose epoch is not TranslationEpoch(); returns at
+  // once when the epoch has not moved since the last call.
+  void SyncTlbTags() const;
   // The TLB array for the JIT's inlined probe (mutable cache, hence const).
   TlbEntry* tlb_for_jit() const { return tlb_; }
 
@@ -163,6 +189,8 @@ class AddressSpace {
 
   // TLB state is logically cache, so const access paths may fill it.
   mutable TlbEntry tlb_[kTlbEntries];
+  // TranslationEpoch() at the last SyncTlbTags.
+  mutable uint64_t tags_epoch_ = 0;
 
   // Bumped by MapPrivate/MapPublic/Unmap/Protect; feeds both epochs above.
   uint64_t map_gen_ = 0;

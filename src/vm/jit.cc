@@ -16,19 +16,18 @@ namespace hemlock {
 static_assert(offsetof(JitContext, regs) == 0);
 static_assert(offsetof(JitContext, tlb) == 8);
 static_assert(offsetof(JitContext, fuel) == 16);
-static_assert(offsetof(JitContext, tepoch) == 24);
-static_assert(offsetof(JitContext, code_epoch) == 32);
-static_assert(offsetof(JitContext, tlb_hits) == 40);
-static_assert(offsetof(JitContext, space) == 48);
-static_assert(offsetof(JitContext, exit_pc) == 56);
-static_assert(offsetof(JitContext, exit_reason) == 60);
-static_assert(offsetof(JitContext, mem_value) == 64);
-static_assert(offsetof(JitContext, fault) == 72);
-static_assert(sizeof(AddressSpace::TlbEntry) == 24);
-static_assert(offsetof(AddressSpace::TlbEntry, page) == 0);
-static_assert(offsetof(AddressSpace::TlbEntry, prot) == 4);
-static_assert(offsetof(AddressSpace::TlbEntry, epoch) == 8);
-static_assert(offsetof(AddressSpace::TlbEntry, host) == 16);
+static_assert(offsetof(JitContext, code_epoch) == 24);
+static_assert(offsetof(JitContext, tlb_hits) == 32);
+static_assert(offsetof(JitContext, space) == 40);
+static_assert(offsetof(JitContext, exit_pc) == 48);
+static_assert(offsetof(JitContext, exit_reason) == 52);
+static_assert(offsetof(JitContext, mem_value) == 56);
+static_assert(offsetof(JitContext, fault) == 64);
+static_assert(sizeof(AddressSpace::TlbEntry) == 32);
+static_assert(offsetof(AddressSpace::TlbEntry, rtag) == 4);
+static_assert(offsetof(AddressSpace::TlbEntry, wtag) == 8);
+static_assert(offsetof(AddressSpace::TlbEntry, bias) == 24);
+static_assert((AddressSpace::kTlbNoTag & 0xFFC) != 0);
 static_assert(AddressSpace::kTlbEntries == 256);
 static_assert(kPageBits == 12);
 
@@ -88,7 +87,7 @@ namespace {
 
 // Pinned registers (all callee-saved, so helper calls preserve them):
 //   rbx = &regs[0]   r12 = JitContext*   r13 = fuel
-//   r14 = TLB base   r15 = TranslationEpoch snapshot
+//   r14 = TLB base   rbp = inline-probe hits (stored to the context on exit)
 // Scratch: eax/ecx/edx/esi/edi — esi doubles as the address argument to the
 // memory helpers, edx as the store-value argument.
 
@@ -169,12 +168,13 @@ void StoreGuestImm(Asm& a, uint8_t guest, uint32_t imm) {
   a.U32(imm);
 }
 
-// mov [r12+16], r13; restore callee-saved; ret — the shared exit sequence,
-// inlined into every stub (20 bytes beats a cross-block fixup scheme).
+// mov [r12+16], r13; mov [r12+32], rbp; restore callee-saved; ret — the shared
+// exit sequence, inlined into every stub (19 bytes beats a cross-block fixup
+// scheme).
 void Epilogue(Asm& a) {
   a.Bytes({0x4D, 0x89, 0x6C, 0x24, 0x10});                          // fuel out
-  a.Bytes({0x48, 0x83, 0xC4, 0x08});                                // add rsp, 8
-  a.Bytes({0x41, 0x5F, 0x41, 0x5E, 0x41, 0x5D, 0x41, 0x5C, 0x5B, 0x5D, 0xC3});
+  a.Bytes({0x49, 0x89, 0x6C, 0x24, 0x20});                          // hits out
+  a.Bytes({0x41, 0x5E, 0x41, 0x5D, 0x41, 0x5C, 0x5B, 0x5D, 0xC3});
 }
 
 // An exit stub: refund unretired fuel, record the architectural pc and reason,
@@ -212,70 +212,47 @@ struct BlockAsm {
   }
 };
 
-// The inlined TLB probe for a load. Address in esi (kept unmasked until every
-// check passed, so the slow path gets the full address); value lands in eax.
-// |prot_bit| is the Prot bit the access needs. Jumps to |slow| on any miss.
+// The tag compare both probes open with. ecx = the address masked to its page
+// (plus, for a word, its alignment bits, so a misaligned word never matches);
+// |idx| = the entry's byte offset (addr >> 7) & 0x1FE0; then
+// cmp [r14+idx+tag], ecx; jne slow. esi keeps the full address for the helper.
+void EmitTagCompare(Asm& a, int slow, bool word, uint8_t idx, uint8_t tag) {
+  a.Bytes({0x89, 0xF1});                                    // mov ecx, esi
+  a.Bytes({0x81, 0xE1});                                    // and ecx, mask
+  a.U32(word ? 0xFFFFF003 : 0xFFFFF000);
+  a.Bytes({0x89, static_cast<uint8_t>(0xF0 | idx)});        // mov idx, esi
+  a.Bytes({0xC1, static_cast<uint8_t>(0xE8 | idx), 0x07});  // shr idx, 7
+  a.Bytes({0x81, static_cast<uint8_t>(0xE0 | idx)});        // and idx, 0x1FE0
+  a.U32(0x1FE0);
+  a.Bytes({0x41, 0x39, 0x4C, static_cast<uint8_t>(0x06 | (idx << 3)), tag});
+  a.Jcc(kCcNe, slow);
+}
+
+// The inlined TLB probe for a load. Address in esi; value lands in eax. Jumps
+// to |slow| on a tag miss.
 void EmitLoadProbe(Asm& a, int slow, bool word) {
-  if (word) {
-    a.Bytes({0xF7, 0xC6, 0x03, 0x00, 0x00, 0x00});  // test esi, 3 (alignment)
-    a.Jcc(kCcNe, slow);
-  }
-  a.Bytes({0x89, 0xF1});                                  // mov ecx, esi
-  a.Bytes({0x81, 0xE1, 0x00, 0xF0, 0xFF, 0xFF});          // and ecx, ~kPageMask
-  a.Bytes({0x89, 0xF2});                                  // mov edx, esi
-  a.Bytes({0xC1, 0xEA, 0x0C});                            // shr edx, kPageBits
-  a.Bytes({0x81, 0xE2, 0xFF, 0x00, 0x00, 0x00});          // and edx, kTlbEntries-1
-  a.Bytes({0x48, 0x8D, 0x14, 0x52});                      // lea rdx, [rdx+rdx*2]
-  a.Bytes({0x48, 0xC1, 0xE2, 0x03});                      // shl rdx, 3 (idx * 24)
-  a.Bytes({0x41, 0x39, 0x0C, 0x16});                      // cmp [r14+rdx], ecx
-  a.Jcc(kCcNe, slow);
-  a.Bytes({0x4D, 0x39, 0x7C, 0x16, 0x08});                // cmp [r14+rdx+8], r15
-  a.Jcc(kCcNe, slow);
-  a.Bytes({0x41, 0xF6, 0x44, 0x16, 0x04,                  // test byte [r14+rdx+4],
-           static_cast<uint8_t>(Prot::kRead)});           //   kRead
-  a.Jcc(kCcE, slow);                                      // jz slow
-  a.Bytes({0x49, 0x8B, 0x44, 0x16, 0x10});                // mov rax, [r14+rdx+16]
-  a.Bytes({0x81, 0xE6, 0xFF, 0x0F, 0x00, 0x00});          // and esi, kPageMask
+  EmitTagCompare(a, slow, word, /*idx=edx*/ 2, offsetof(AddressSpace::TlbEntry, rtag));
+  a.Bytes({0x49, 0x8B, 0x44, 0x16, 0x18});                // mov rax, [r14+rdx+24] (bias)
   if (word) {
     a.Bytes({0x8B, 0x04, 0x30});                          // mov eax, [rax+rsi]
   } else {
     a.Bytes({0x0F, 0xB6, 0x04, 0x30});                    // movzx eax, byte [rax+rsi]
   }
-  a.Bytes({0x49, 0xFF, 0x44, 0x24, 0x28});                // inc qword [r12+40] (tlb hit)
+  a.Bytes({0x48, 0xFF, 0xC5});                            // inc rbp (tlb hit)
 }
 
-// The inlined TLB probe for a store. Address in esi, value in edx. The prot
-// check requires kWrite set AND kExec clear — every write into an executable
-// page must take the helper so NoteExecStore sees it (the SMC contract).
+// The inlined TLB probe for a store. Address in esi, value in edx. wtag is
+// only set on writable, non-exec pages, so every write into an executable
+// page takes the helper and NoteExecStore sees it (the SMC contract).
 void EmitStoreProbe(Asm& a, int slow, bool word) {
-  if (word) {
-    a.Bytes({0xF7, 0xC6, 0x03, 0x00, 0x00, 0x00});        // test esi, 3
-    a.Jcc(kCcNe, slow);
-  }
-  a.Bytes({0x89, 0xF1});                                  // mov ecx, esi
-  a.Bytes({0x81, 0xE1, 0x00, 0xF0, 0xFF, 0xFF});          // and ecx, ~kPageMask
-  a.Bytes({0x89, 0xF0});                                  // mov eax, esi
-  a.Bytes({0xC1, 0xE8, 0x0C});                            // shr eax, kPageBits
-  a.Bytes({0x25, 0xFF, 0x00, 0x00, 0x00});                // and eax, kTlbEntries-1
-  a.Bytes({0x48, 0x8D, 0x04, 0x40});                      // lea rax, [rax+rax*2]
-  a.Bytes({0x48, 0xC1, 0xE0, 0x03});                      // shl rax, 3
-  a.Bytes({0x41, 0x39, 0x0C, 0x06});                      // cmp [r14+rax], ecx
-  a.Jcc(kCcNe, slow);
-  a.Bytes({0x4D, 0x39, 0x7C, 0x06, 0x08});                // cmp [r14+rax+8], r15
-  a.Jcc(kCcNe, slow);
-  a.Bytes({0x41, 0x0F, 0xB6, 0x4C, 0x06, 0x04});          // movzx ecx, byte [r14+rax+4]
-  a.Bytes({0x83, 0xE1, static_cast<uint8_t>(static_cast<uint8_t>(Prot::kWrite) |
-                                            static_cast<uint8_t>(Prot::kExec))});
-  a.Bytes({0x83, 0xF9, static_cast<uint8_t>(Prot::kWrite)});
-  a.Jcc(kCcNe, slow);                                     // not plain-writable
-  a.Bytes({0x49, 0x8B, 0x44, 0x06, 0x10});                // mov rax, [r14+rax+16]
-  a.Bytes({0x81, 0xE6, 0xFF, 0x0F, 0x00, 0x00});          // and esi, kPageMask
+  EmitTagCompare(a, slow, word, /*idx=eax*/ 0, offsetof(AddressSpace::TlbEntry, wtag));
+  a.Bytes({0x49, 0x8B, 0x44, 0x06, 0x18});                // mov rax, [r14+rax+24] (bias)
   if (word) {
     a.Bytes({0x89, 0x14, 0x30});                          // mov [rax+rsi], edx
   } else {
     a.Bytes({0x88, 0x14, 0x30});                          // mov [rax+rsi], dl
   }
-  a.Bytes({0x49, 0xFF, 0x44, 0x24, 0x28});                // inc qword [r12+40]
+  a.Bytes({0x48, 0xFF, 0xC5});                            // inc rbp
 }
 
 // mov rdi, r12; movabs rax, helper; call rax
@@ -288,8 +265,8 @@ void EmitHelperCall(Asm& a, const void* helper) {
 
 // Terminal exit through ctx with a *runtime* pc already in eax (jr/jalr).
 void EmitDynamicExit(Asm& a) {
-  a.Bytes({0x41, 0x89, 0x44, 0x24, 0x38});            // mov [r12+56], eax
-  a.Bytes({0x41, 0xC7, 0x44, 0x24, 0x3C});            // mov dword [r12+60],
+  a.Bytes({0x41, 0x89, 0x44, 0x24, 0x30});            // mov [r12+48], eax
+  a.Bytes({0x41, 0xC7, 0x44, 0x24, 0x34});            // mov dword [r12+52],
   a.U32(kJitExitEnd);                                 //   kJitExitEnd
   Epilogue(a);
 }
@@ -329,7 +306,7 @@ void EmitMemSlowPaths(BlockAsm& b, const SlowPathReqs& slow_reqs) {
     } else {
       a.Bytes({0x85, 0xC0});                      // test eax, eax
       a.Jcc(kCcNe, fault);
-      a.Bytes({0x41, 0x8B, 0x44, 0x24, 0x40});    // mov eax, [r12+64] (mem_value)
+      a.Bytes({0x41, 0x8B, 0x44, 0x24, 0x38});    // mov eax, [r12+56] (mem_value)
       a.Jmp(r.resume);
     }
   }
@@ -551,16 +528,16 @@ Jit::Jit(size_t arena_bytes) {
   arena_ = static_cast<uint8_t*>(mem);
   arena_size_ = arena_bytes;
 
-  // The entry thunk: save callee-saved state, align the stack, load the pinned
-  // registers from the context, and tail-jump into the block (rsi).
+  // The entry thunk: save callee-saved state (five pushes leave the stack
+  // 16-byte aligned), load the pinned registers from the context, zero the hit
+  // count, and tail-jump into the block (rsi).
   Asm a;
-  a.Bytes({0x55, 0x53, 0x41, 0x54, 0x41, 0x55, 0x41, 0x56, 0x41, 0x57});  // pushes
-  a.Bytes({0x48, 0x83, 0xEC, 0x08});              // sub rsp, 8 (16-byte align)
+  a.Bytes({0x55, 0x53, 0x41, 0x54, 0x41, 0x55, 0x41, 0x56});  // pushes
   a.Bytes({0x49, 0x89, 0xFC});                    // mov r12, rdi
   a.Bytes({0x49, 0x8B, 0x5C, 0x24, 0x00});        // mov rbx, [r12+0]  regs
   a.Bytes({0x4D, 0x8B, 0x74, 0x24, 0x08});        // mov r14, [r12+8]  tlb
   a.Bytes({0x4D, 0x8B, 0x6C, 0x24, 0x10});        // mov r13, [r12+16] fuel
-  a.Bytes({0x4D, 0x8B, 0x7C, 0x24, 0x18});        // mov r15, [r12+24] tepoch
+  a.Bytes({0x31, 0xED});                          // xor ebp, ebp      hits
   a.Bytes({0xFF, 0xE6});                          // jmp rsi
   std::memcpy(arena_, a.buf.data(), a.buf.size());
   code_base_ = arena_used_ = (a.buf.size() + 15) & ~size_t{15};
@@ -630,9 +607,9 @@ size_t Jit::Compile(const DecodedBlock& block) {
       a.Bytes({0x49, 0x81, 0xC5});                 // add r13, refund
       a.U32(s.refund);
     }
-    a.Bytes({0x41, 0xC7, 0x44, 0x24, 0x38});       // mov dword [r12+56], pc
+    a.Bytes({0x41, 0xC7, 0x44, 0x24, 0x30});       // mov dword [r12+48], pc
     a.U32(s.pc);
-    a.Bytes({0x41, 0xC7, 0x44, 0x24, 0x3C});       // mov dword [r12+60], reason
+    a.Bytes({0x41, 0xC7, 0x44, 0x24, 0x34});       // mov dword [r12+52], reason
     a.U32(s.reason);
     Epilogue(a);
   }
@@ -700,11 +677,13 @@ JitRun Jit::TryRun(const DecodedBlock& block, AddressSpace* space, CpuState* st,
     return JitRun::kNotRun;
   }
 
+  // The probe trusts tags instead of comparing epochs; the translation epoch
+  // cannot move until native code exits (the contract in address_space.h).
+  space->SyncTlbTags();
   JitContext ctx;
   ctx.regs = st->regs.data();
   ctx.tlb = reinterpret_cast<uint8_t*>(space->tlb_for_jit());
   ctx.fuel = fuel;
-  ctx.tepoch = space->TranslationEpoch();
   ctx.code_epoch = epoch;
   ctx.space = space;
   entry_thunk_(&ctx, arena_ + it->second);

@@ -20,10 +20,10 @@
 //     store, so even same-block self-modifying code deopts exactly where the
 //     interpreter would re-decode.
 //   * TranslationEpoch(): generated code never embeds a host data pointer; guest
-//     memory is only reached through TLB entries validated against the epoch
-//     snapshotted at chunk entry. A cross-core shootdown (which moves host
-//     pointers) can only happen while no guest chunk runs, so the snapshot is
-//     stable for the lifetime of one native call.
+//     memory is only reached through TLB entries whose access tags were synced
+//     against the epoch at chunk entry (AddressSpace::SyncTlbTags). A cross-core
+//     shootdown (which moves host pointers) can only happen while no guest chunk
+//     runs, so the synced tags stay valid for the lifetime of one native call.
 //
 // Fuel lives in a pinned register; every block entry checks and charges its full
 // length up front, and every early exit refunds the unretired tail, so step
@@ -55,15 +55,14 @@ struct JitContext {
   uint32_t* regs = nullptr;       // 0:  &CpuState::regs[0]
   uint8_t* tlb = nullptr;         // 8:  AddressSpace::tlb_for_jit()
   uint64_t fuel = 0;              // 16: steps remaining (in), steps unretired (out)
-  uint64_t tepoch = 0;            // 24: TranslationEpoch snapshot (probe compare)
-  uint64_t code_epoch = 0;        // 32: CodeEpoch snapshot (store helpers compare)
-  uint64_t tlb_hits = 0;          // 40: inline-probe hits, folded after the call
-  AddressSpace* space = nullptr;  // 48: helper target
-  uint32_t exit_pc = 0;           // 56: architectural pc at exit
-  uint32_t exit_reason = 0;       // 60: JitExit
-  uint32_t mem_value = 0;         // 64: load-helper result
-  uint32_t pad_ = 0;              // 68
-  Fault fault = {};               // 72: filled by helpers on a guest fault
+  uint64_t code_epoch = 0;        // 24: CodeEpoch snapshot (store helpers compare)
+  uint64_t tlb_hits = 0;          // 32: inline-probe hits, folded after the call
+  AddressSpace* space = nullptr;  // 40: helper target
+  uint32_t exit_pc = 0;           // 48: architectural pc at exit
+  uint32_t exit_reason = 0;       // 52: JitExit
+  uint32_t mem_value = 0;         // 56: load-helper result
+  uint32_t pad_ = 0;              // 60
+  Fault fault = {};               // 64: filled by helpers on a guest fault
 };
 
 // Why generated code handed control back (JitContext::exit_reason).

@@ -17,6 +17,7 @@
 #include "src/runtime/world.h"
 #include "src/vm/cpu.h"
 #include "src/vm/exec_cache.h"
+#include "src/vm/jit.h"
 #include "src/vm/machine.h"
 
 namespace hemlock {
@@ -120,6 +121,78 @@ TEST_F(TlbTest, UnlinkRevokesCachedTranslation) {
   ASSERT_TRUE(sfs_.Unlink("/seg").ok());
   uint32_t v = 0;
   EXPECT_FALSE(space_.Load32(kSfsBase, &v, &fault)) << "read through an unlinked segment";
+}
+
+// The JIT's inline probe trusts the access tags instead of comparing epochs, so
+// SyncTlbTags must drop exactly the tags of entries filled under an older
+// TranslationEpoch — and nothing Resolve reads, or vm.tlb.misses would move.
+TEST_F(TlbTest, TagSyncDropsOnlyStaleTags) {
+  constexpr uint32_t kA = 0x1000, kB = 0x2000, kX = 0x3000;
+  constexpr uint32_t kNoTag = AddressSpace::kTlbNoTag;
+  Result<uint32_t> ino = sfs_.Create("/seg");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(sfs_.EnsureExtent(*ino, kPageSize).ok());
+  ASSERT_TRUE(space_.MapPublic(kSfsBase, kPageSize, Prot::kReadWrite, *ino, 0).ok());
+  ASSERT_TRUE(space_.MapPrivate(kA, kPageSize, Prot::kReadWrite, MakeBacking(1), 0).ok());
+  ASSERT_TRUE(space_.MapPrivate(kB, kPageSize, Prot::kReadWrite, MakeBacking(1), 0).ok());
+  ASSERT_TRUE(space_.MapPrivate(kX, kPageSize, Prot::kAll, MakeBacking(1), 0).ok());
+  auto entry = [&](uint32_t page) -> const AddressSpace::TlbEntry& {
+    return space_.tlb_for_jit()[(page >> kPageBits) % AddressSpace::kTlbEntries];
+  };
+  auto touch = [&](uint32_t addr) {
+    uint32_t v = 0;
+    Fault fault;
+    ASSERT_TRUE(space_.Load32(addr, &v, &fault));
+  };
+  for (uint32_t page : {kA, kB, kX, kSfsBase}) {
+    touch(page);
+  }
+  space_.SyncTlbTags();
+  for (uint32_t page : {kA, kB, kSfsBase}) {
+    EXPECT_EQ(entry(page).rtag, page);
+    EXPECT_EQ(entry(page).wtag, page);
+  }
+  // An exec page never gets a write tag: its stores must reach NoteExecStore.
+  EXPECT_EQ(entry(kX).rtag, kX);
+  EXPECT_EQ(entry(kX).wtag, kNoTag);
+
+  // map_gen_: downgrade B, then refill A under the new epoch.
+  ASSERT_TRUE(space_.Protect(kB, kPageSize, Prot::kRead).ok());
+  touch(kA);
+  space_.SyncTlbTags();
+  EXPECT_EQ(entry(kA).rtag, kA) << "a current entry lost its tags";
+  EXPECT_EQ(entry(kA).wtag, kA);
+  for (uint32_t page : {kB, kX, kSfsBase}) {
+    EXPECT_EQ(entry(page).rtag, kNoTag) << "a stale tag survived for page " << page;
+    EXPECT_EQ(entry(page).wtag, kNoTag);
+    EXPECT_EQ(entry(page).page, page) << "the sync must leave Resolve's fields alone";
+  }
+  // Resolve still counts exactly what it would have: the stale B misses, the
+  // refill tags it for reads only.
+  uint64_t misses = misses_;
+  touch(kB);
+  EXPECT_EQ(misses_, misses + 1);
+  EXPECT_EQ(entry(kB).rtag, kB);
+  EXPECT_EQ(entry(kB).wtag, kNoTag);
+
+  // data_epoch_: an SFS extent grow (the host pointer may move). Refill the
+  // public page afterwards; only the entries filled before the grow go stale.
+  ASSERT_TRUE(sfs_.EnsureExtent(*ino, 64 * kPageSize).ok());
+  touch(kSfsBase);
+  space_.SyncTlbTags();
+  EXPECT_EQ(entry(kSfsBase).rtag, kSfsBase);
+  EXPECT_EQ(entry(kSfsBase).wtag, kSfsBase);
+  for (uint32_t page : {kA, kB}) {
+    EXPECT_EQ(entry(page).rtag, kNoTag);
+    EXPECT_EQ(entry(page).wtag, kNoTag);
+  }
+
+  // Unmap: the unmapped page's tags go.
+  touch(kA);
+  ASSERT_TRUE(space_.Unmap(kA, kPageSize).ok());
+  space_.SyncTlbTags();
+  EXPECT_EQ(entry(kA).rtag, kNoTag);
+  EXPECT_EQ(entry(kA).wtag, kNoTag);
 }
 
 // --- Decoded-block cache ---
@@ -579,6 +652,11 @@ TEST(FastPathSmp, LdlRebuildOnOneCoreShootsDownSiblings) {
   // shootdown path, and the code-epoch bump retired the siblings' cached blocks.
   EXPECT_GE(metrics.Get("vm.sched.shootdowns"), 1u);
   EXPECT_GE(metrics.Get("vm.icache.invalidations"), 1u);
+  if (world.machine().jit_enabled() && Jit::HostSupported()) {
+    // Under the JIT engine the spinning parents ran native code across the
+    // shootdown: their TLB tags were re-synced at the next entry.
+    EXPECT_GT(metrics.Get("vm.jit.compiled_blocks"), 0u);
+  }
 }
 
 // Guest-store SMC across cores: a writer process patches a word inside a shared

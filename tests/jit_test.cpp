@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/layout.h"
+#include "src/base/strings.h"
 #include "src/isa/isa.h"
 #include "src/kernel/scheduler.h"
 #include "src/runtime/world.h"
@@ -251,6 +252,273 @@ TEST_F(JitCpuTest, ArenaExhaustionFallsBackToTheBlockCache) {
   EXPECT_EQ(st2.regs[kRegT1], 7u);
 }
 
+// --- The one-compare probe: every tag miss lands where the reference lands ---
+//
+// Each case runs one program under all three engines and checks the JIT
+// against the reference loop (stop reason, pc, registers, retired steps, fault)
+// and against the block cache (the same, plus vm.tlb.hits and vm.tlb.misses:
+// the inline probe must hit exactly where Resolve would). Code sits at
+// kProbeCode, so page 0 stays unmapped and its TLB entry empty.
+
+constexpr uint32_t kProbeCode = 0x10000;
+constexpr uint32_t kProbeData = 0x20000;
+constexpr uint32_t kProbeLazy = 0x30000;
+
+struct ProbeProgram {
+  std::vector<uint32_t> code;  // at kProbeCode, in a kAll page
+  Prot data_prot = Prot::kReadWrite;  // the page at kProbeData
+  // Initial bytes of the data page (offset, value).
+  std::vector<std::pair<uint32_t, uint8_t>> data_bytes;
+  // kProbeLazy is mapped read-write only when the program first faults on it,
+  // the way ldl maps a segment on its first touch.
+  bool lazy_page = false;
+};
+
+enum class Engine { kReference, kBlockCache, kJit };
+
+struct EngineRun {
+  CpuState st;
+  StopReason stop = StopReason::kSteps;
+  uint64_t steps = 0;
+  Fault fault;
+  uint64_t tlb_hits = 0, tlb_misses = 0;
+  uint64_t compiled = 0, deopts = 0;
+  int syscalls = 0, map_faults = 0;
+};
+
+// Runs |p| in 64-step quanta until it breaks, takes a fatal fault or retires
+// 100000 steps. Syscall exits resume at once; a fault on the lazy page maps it
+// first.
+EngineRun RunProbeProgram(Engine engine, const ProbeProgram& p) {
+  EngineRun out;
+  SharedFs sfs;
+  AddressSpace space(&sfs);
+  auto page = [] { return std::make_shared<std::vector<uint8_t>>(kPageSize, 0); };
+  EXPECT_TRUE(space.MapPrivate(kProbeCode, kPageSize, Prot::kAll, page(), 0).ok());
+  EXPECT_TRUE(space
+                  .WriteBytes(kProbeCode, reinterpret_cast<const uint8_t*>(p.code.data()),
+                              static_cast<uint32_t>(4 * p.code.size()))
+                  .ok());
+  EXPECT_TRUE(space.MapPrivate(kProbeData, kPageSize, p.data_prot, page(), 0).ok());
+  for (auto [off, value] : p.data_bytes) {
+    EXPECT_TRUE(space.WriteBytes(kProbeData + off, &value, 1).ok());
+  }
+  uint64_t flushes = 0, chained = 0, bailouts = 0, arena_bytes = 0;
+  space.WireVmCounters(&out.tlb_hits, &out.tlb_misses, &flushes);  // count the run only
+  ExecCache cache;
+  Jit jit;
+  Cpu cpu(&space);
+  if (engine != Engine::kReference) {
+    cpu.set_exec_cache(&cache);
+  }
+  if (engine == Engine::kJit) {
+    jit.set_threshold(1);
+    jit.WireCounters(&out.compiled, &chained, &out.deopts, &bailouts, &arena_bytes,
+                     &out.tlb_hits);
+    cpu.set_jit(&jit);
+  }
+  out.st.pc = kProbeCode;
+  while (out.steps < 100000) {
+    uint64_t steps = 0;
+    out.stop = cpu.Run(&out.st, /*max_steps=*/64, &steps, &out.fault);
+    out.steps += steps;
+    if (out.stop == StopReason::kSyscall) {
+      ++out.syscalls;
+    } else if (out.stop == StopReason::kFault && p.lazy_page && out.map_faults == 0 &&
+               PageFloor(out.fault.addr) == kProbeLazy) {
+      ++out.map_faults;
+      EXPECT_TRUE(space.MapPrivate(kProbeLazy, kPageSize, Prot::kReadWrite, page(), 0).ok());
+    } else if (out.stop != StopReason::kSteps) {
+      break;
+    }
+  }
+  return out;
+}
+
+void ExpectSameArchitecturalOutcome(const EngineRun& got, const EngineRun& want) {
+  EXPECT_EQ(got.stop, want.stop);
+  EXPECT_EQ(got.st.pc, want.st.pc);
+  EXPECT_EQ(got.st.regs, want.st.regs);
+  EXPECT_EQ(got.steps, want.steps) << "retired-instruction accounting diverged";
+  EXPECT_EQ(got.syscalls, want.syscalls);
+  EXPECT_EQ(got.map_faults, want.map_faults);
+  if (want.stop == StopReason::kFault) {
+    EXPECT_EQ(got.fault.addr, want.fault.addr);
+    EXPECT_EQ(got.fault.access, want.fault.access);
+    EXPECT_EQ(got.fault.kind, want.fault.kind);
+  }
+}
+
+// Runs |p| on all three engines and returns the JIT's run after checking it.
+EngineRun ExpectJitMatchesReference(const ProbeProgram& p) {
+  EngineRun ref = RunProbeProgram(Engine::kReference, p);
+  EngineRun blocks = RunProbeProgram(Engine::kBlockCache, p);
+  EngineRun jit = RunProbeProgram(Engine::kJit, p);
+  {
+    SCOPED_TRACE("jit vs reference");
+    ExpectSameArchitecturalOutcome(jit, ref);
+  }
+  {
+    SCOPED_TRACE("jit vs block cache");
+    ExpectSameArchitecturalOutcome(jit, blocks);
+    EXPECT_EQ(jit.tlb_hits, blocks.tlb_hits);
+    EXPECT_EQ(jit.tlb_misses, blocks.tlb_misses);
+  }
+  EXPECT_GE(jit.compiled, 1u) << "the program never reached native code";
+  return jit;
+}
+
+// lui + ori: rt = |value|.
+void LoadImm(std::vector<uint32_t>* code, uint8_t rt, uint32_t value) {
+  code->push_back(EncodeLui(rt, static_cast<uint16_t>(value >> 16)));
+  code->push_back(EncodeOri(rt, rt, static_cast<uint16_t>(value)));
+}
+
+class JitProbeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!Jit::HostSupported()) {
+      GTEST_SKIP() << "no template backend for this host architecture";
+    }
+  }
+};
+
+TEST_F(JitProbeTest, MisalignedWordAccessesFaultLikeTheReference) {
+  // A warm entry (the aligned access fills it) must still miss on a misaligned
+  // address in its page; and address 1 — page 0, never mapped, whose entry
+  // holds the empty tag — must miss too: kTlbNoTag equals no masked address.
+  for (Op op : {Op::kLw, Op::kSw}) {
+    for (uint32_t addr : {kProbeData + 2, kProbeData + 0x7FD, 1u}) {
+      SCOPED_TRACE(testing::Message() << (op == Op::kLw ? "lw" : "sw") << " at " << addr);
+      ProbeProgram p;
+      LoadImm(&p.code, kRegT0, kProbeData);
+      LoadImm(&p.code, kRegT1, addr);
+      p.code.push_back(EncodeI(op, kRegT2, kRegT0, 0));  // aligned: fills the entry
+      p.code.push_back(EncodeI(op, kRegT2, kRegT0, 0));  // aligned: an inline hit
+      p.code.push_back(EncodeI(op, kRegT2, kRegT1, 0));  // misaligned
+      p.code.push_back(EncodeBreak());
+      EngineRun jit = ExpectJitMatchesReference(p);
+      EXPECT_EQ(jit.stop, StopReason::kFault);
+      EXPECT_EQ(jit.fault.addr, addr);
+      EXPECT_EQ(jit.st.pc, kProbeCode + 24);
+      EXPECT_EQ(jit.fault.access, op == Op::kLw ? AccessKind::kRead : AccessKind::kWrite);
+    }
+  }
+}
+
+TEST_F(JitProbeTest, StoreIntoReadOnlyPageFaults) {
+  // The load sets the entry's read tag; the store must not hit through it.
+  ProbeProgram p;
+  p.data_prot = Prot::kRead;
+  LoadImm(&p.code, kRegT0, kProbeData);
+  p.code.push_back(EncodeI(Op::kLw, kRegT1, kRegT0, 8));
+  p.code.push_back(EncodeI(Op::kLw, kRegT1, kRegT0, 12));
+  p.code.push_back(EncodeI(Op::kSb, kRegT1, kRegT0, 3));
+  p.code.push_back(EncodeBreak());
+  EngineRun jit = ExpectJitMatchesReference(p);
+  EXPECT_EQ(jit.stop, StopReason::kFault);
+  EXPECT_EQ(jit.fault.kind, FaultKind::kProtection);
+  EXPECT_EQ(jit.fault.access, AccessKind::kWrite);
+  EXPECT_EQ(jit.fault.addr, kProbeData + 3);
+}
+
+TEST_F(JitProbeTest, LoadFromAnUnreadablePageFaults) {
+  // The kernel's write (it ignores protections) leaves a current entry for the
+  // kNone page behind: it must carry no read tag, or the load would hit.
+  ProbeProgram p;
+  p.data_prot = Prot::kNone;
+  p.data_bytes = {{0, 7}};
+  LoadImm(&p.code, kRegT0, kProbeData);
+  p.code.push_back(EncodeI(Op::kLw, kRegT1, kRegT0, 0));
+  p.code.push_back(EncodeBreak());
+  EngineRun jit = ExpectJitMatchesReference(p);
+  EXPECT_EQ(jit.stop, StopReason::kFault);
+  EXPECT_EQ(jit.fault.kind, FaultKind::kProtection);
+  EXPECT_EQ(jit.st.regs[kRegT1], 0u);
+}
+
+TEST_F(JitProbeTest, StoreIntoExecPageTakesTheSmcDeopt) {
+  // The code page is readable, writable and executable: its entry gets a read
+  // tag (the lw hits inline) but never a write tag, so the sw reaches
+  // NoteExecStore and rewrites the instruction at +36 in its own block.
+  ProbeProgram p;
+  uint32_t patched = EncodeI(Op::kAddi, kRegT4, kRegZero, 22);
+  LoadImm(&p.code, kRegT0, kProbeCode);                     // +0
+  LoadImm(&p.code, kRegT2, patched);                        // +8
+  p.code.push_back(EncodeI(Op::kLw, kRegT1, kRegT0, 0x80));  // +16: fills the entry
+  p.code.push_back(EncodeI(Op::kLw, kRegT1, kRegT0, 0x84));  // +20: inline hit
+  p.code.push_back(EncodeI(Op::kSw, kRegT2, kRegT0, 36));    // +24
+  p.code.push_back(EncodeI(Op::kAddi, kRegT3, kRegZero, 11));
+  p.code.push_back(EncodeI(Op::kAddi, kRegT3, kRegT3, 1));
+  p.code.push_back(EncodeI(Op::kAddi, kRegT4, kRegZero, 11));  // +36
+  p.code.push_back(EncodeBreak());
+  EngineRun jit = ExpectJitMatchesReference(p);
+  EXPECT_EQ(jit.stop, StopReason::kBreak);
+  EXPECT_EQ(jit.st.regs[kRegT4], 22u) << "stale compiled code ran after the store";
+  EXPECT_GE(jit.deopts, 1u) << "the store never took the SMC exit";
+}
+
+TEST_F(JitProbeTest, ByteAccessesAtAPagesLastByte) {
+  ProbeProgram p;
+  p.data_bytes = {{0xFFC, 0x11}, {0xFFD, 0x22}, {0xFFE, 0x33}, {0xFFF, 0x80}};
+  LoadImm(&p.code, kRegT0, kProbeData);
+  p.code.push_back(EncodeI(Op::kLb, kRegT1, kRegT0, 0xFFF));   // fills: -128
+  p.code.push_back(EncodeI(Op::kLbu, kRegT2, kRegT0, 0xFFF));  // inline: 128
+  p.code.push_back(EncodeI(Op::kLw, kRegT3, kRegT0, 0xFFC));
+  p.code.push_back(EncodeI(Op::kSb, kRegT2, kRegT0, 0xFFE));
+  p.code.push_back(EncodeI(Op::kLb, kRegT4, kRegT0, 0xFFE));
+  p.code.push_back(EncodeI(Op::kLbu, kRegT5, kRegT0, 0x1000));  // next page: unmapped
+  p.code.push_back(EncodeBreak());
+  EngineRun jit = ExpectJitMatchesReference(p);
+  EXPECT_EQ(jit.st.regs[kRegT1], 0xFFFFFF80u);
+  EXPECT_EQ(jit.st.regs[kRegT2], 0x80u);
+  EXPECT_EQ(jit.st.regs[kRegT3], 0x80332211u);
+  EXPECT_EQ(jit.st.regs[kRegT4], 0xFFFFFF80u);
+  EXPECT_EQ(jit.stop, StopReason::kFault);
+  EXPECT_EQ(jit.fault.addr, kProbeData + kPageSize);
+}
+
+TEST_F(JitProbeTest, TlbCountersMatchTheBlockCacheAcrossEveryExit) {
+  // A load/store loop over two pages, one of them mapped by the first fault
+  // (after which every tag is stale and must be dropped at the next entry),
+  // with a syscall every 8th iteration and a store into the code page every
+  // 32nd (the SMC exit). Inline hits live in a register until an exit stores
+  // them, so every exit path must hand them back.
+  ProbeProgram p;
+  p.lazy_page = true;
+  std::vector<uint32_t>& c = p.code;
+  LoadImm(&c, kRegT0, kProbeData);                             // +0
+  LoadImm(&c, kRegT5, kProbeLazy);                             // +8
+  LoadImm(&c, kRegS0, kProbeCode);                             // +16
+  c.push_back(EncodeI(Op::kAddi, kRegT6, kRegZero, 200));      // +24
+  // loop (+28):
+  c.push_back(EncodeI(Op::kLw, kRegT1, kRegT0, 0));            // +28
+  c.push_back(EncodeI(Op::kAddi, kRegT1, kRegT1, 3));          // +32
+  c.push_back(EncodeI(Op::kSw, kRegT1, kRegT0, 0));            // +36
+  c.push_back(EncodeI(Op::kSb, kRegT1, kRegT0, 5));            // +40
+  c.push_back(EncodeI(Op::kLbu, kRegT2, kRegT0, 5));           // +44
+  c.push_back(EncodeR(Funct::kAdd, kRegT3, kRegT3, kRegT2));   // +48
+  c.push_back(EncodeI(Op::kLw, kRegT4, kRegT5, 0));            // +52: lazy page
+  c.push_back(EncodeR(Funct::kAdd, kRegT4, kRegT4, kRegT1));   // +56
+  c.push_back(EncodeI(Op::kSw, kRegT4, kRegT5, 0));            // +60
+  c.push_back(EncodeI(Op::kAndi, kRegT7, kRegT6, 7));          // +64
+  c.push_back(EncodeI(Op::kBne, kRegT7, kRegZero, 1));         // +68: skip the syscall
+  c.push_back(EncodeSyscall());                                // +72
+  c.push_back(EncodeI(Op::kAndi, kRegT7, kRegT6, 31));         // +76
+  c.push_back(EncodeI(Op::kBne, kRegT7, kRegZero, 1));         // +80: skip the SMC store
+  c.push_back(EncodeI(Op::kSw, kRegT6, kRegS0, 0x800));        // +84
+  c.push_back(EncodeI(Op::kAddi, kRegT6, kRegT6, -1));         // +88
+  c.push_back(EncodeI(Op::kBne, kRegT6, kRegZero, static_cast<uint16_t>(-17)));  // +92
+  c.push_back(EncodeBreak());                                  // +96
+  EngineRun jit = ExpectJitMatchesReference(p);
+  EXPECT_EQ(jit.stop, StopReason::kBreak);
+  EXPECT_EQ(jit.st.regs[kRegT1], 600u);
+  EXPECT_EQ(jit.syscalls, 25);
+  EXPECT_EQ(jit.map_faults, 1);
+  EXPECT_GE(jit.deopts, 7u) << "fault and SMC exits never left native code";
+  EXPECT_GT(jit.tlb_hits, 1000u);
+}
+
 // --- End-to-end: the JIT is the default engine and must be invisible ---
 
 constexpr char kHotLoopProg[] = R"(
@@ -289,6 +557,59 @@ TEST(JitEndToEnd, ByteIdenticalToTheReferenceInterpreter) {
     EXPECT_GT(MetricValue(jit->metrics, "vm.jit.arena_bytes"), 0u);
   }
   EXPECT_EQ(MetricValue(slow->metrics, "vm.jit.compiled_blocks"), 0u);
+}
+
+TEST(JitEndToEnd, LdlMapFaultBetweenDispatchesMatchesTheReference) {
+  // A hot loop warms the TLB tags on private pages, then follows a pointer into
+  // a plain SFS file the program never mapped: ldl's fault handler maps the
+  // segment (the translation epoch moves between two dispatches), and the loop
+  // goes on loading and storing through both. The next native entry must drop
+  // every stale tag; the output must be the reference loop's.
+  auto run = [](bool slow) -> Result<RunOutcome> {
+    HemlockWorld world;
+    world.machine().set_slow_interp(slow);
+    world.machine().set_jit_enabled(true);  // pin: CI sets HEMLOCK_JIT=0
+    world.machine().set_jit_threshold(1);
+    Result<uint32_t> ino = world.sfs().Create("/plain.dat");
+    if (!ino.ok()) return ino.status();
+    uint32_t seed = 777;
+    Status wrote = world.sfs().WriteAt(*ino, 0, reinterpret_cast<uint8_t*>(&seed), 4);
+    if (!wrote.ok()) return wrote;
+    Result<uint32_t> addr = world.sfs().AddressOf(*ino);
+    if (!addr.ok()) return addr.status();
+    return world.RunProgram(StrFormat(R"(
+      int table[64];
+      int main(void) {
+        int i;
+        int acc;
+        int *p;
+        acc = 0;
+        for (i = 0; i < 2000; i += 1) {
+          table[i & 63] = table[(i * 7) & 63] + i;
+          acc = acc + table[i & 63];
+        }
+        p = %u;
+        for (i = 0; i < 2000; i += 1) {
+          p[i & 15] = p[(i + 1) & 15] + table[i & 63];
+          acc = acc + p[i & 15];
+        }
+        putint(acc);
+        puts("\n");
+        return acc & 63;
+      }
+    )",
+                                      *addr));
+  };
+  Result<RunOutcome> jit = run(/*slow=*/false);
+  ASSERT_TRUE(jit.ok()) << jit.status().ToString();
+  Result<RunOutcome> slow = run(/*slow=*/true);
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  EXPECT_EQ(jit->stdout_text, slow->stdout_text);
+  EXPECT_EQ(jit->exit_code, slow->exit_code);
+  EXPECT_GE(MetricValue(jit->metrics, "ldl.map_faults"), 1u);
+  if (Jit::HostSupported()) {
+    EXPECT_GT(MetricValue(jit->metrics, "vm.jit.compiled_blocks"), 0u);
+  }
 }
 
 TEST(JitEndToEnd, RaceDetectorKeepsTheJitOff) {
