@@ -96,7 +96,7 @@ int main() {
   std::printf("client output: %s",
               world.machine().FindProcess(run->pid)->stdout_text().c_str());
 
-  LdlStats stats = run->ldl->stats();  // legacy view, materialized from metrics()
+  const MetricsRegistry& ldl_metrics = run->ldl->metrics();
   std::printf("\nreachability graph: %zu modules known to ldl\n", run->ldl->ModuleCount());
   std::printf("feature modules actually *linked* this run (had their references "
               "resolved):\n");
@@ -109,8 +109,10 @@ int main() {
       ++linked;
     }
   }
-  std::printf("%d of %zu features linked; %u link faults; %u relocations applied.\n",
-              linked, std::size(kFeatures), stats.link_faults, stats.relocs_applied);
+  std::printf("%d of %zu features linked; %llu link faults; %llu relocations applied.\n",
+              linked, std::size(kFeatures),
+              static_cast<unsigned long long>(ldl_metrics.Get("ldl.link_faults")),
+              static_cast<unsigned long long>(ldl_metrics.Get("ldl.relocs_applied")));
   std::printf("(tetris and psychoanalyze stay unlinked until someone needs them.)\n");
   return linked == 2 ? 0 : 1;
 }

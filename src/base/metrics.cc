@@ -3,12 +3,7 @@
 namespace hemlock {
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MetricsSnapshot snap(counters_.begin(), counters_.end());
-  for (const auto& [name, timer] : timers_) {
-    snap[name + ".ns"] = timer.total_ns;
-    snap[name + ".calls"] = timer.calls;
-  }
-  return snap;
+  return MetricsSnapshot(counters_.begin(), counters_.end());
 }
 
 void MetricsRegistry::Merge(MetricsSnapshot* into, const MetricsSnapshot& other) {
@@ -20,9 +15,6 @@ void MetricsRegistry::Merge(MetricsSnapshot* into, const MetricsSnapshot& other)
 void MetricsRegistry::Reset() {
   for (auto& [name, value] : counters_) {
     value = 0;
-  }
-  for (auto& [name, timer] : timers_) {
-    timer = Timer{};
   }
 }
 

@@ -1,7 +1,7 @@
 // MetricsRegistry — the single stats substrate for the whole system.
 //
 // Every subsystem (ldl, the loader, the kernel fault path, the shared file system)
-// registers named counters and timers here instead of growing ad-hoc stats structs.
+// registers named counters here instead of growing ad-hoc stats structs.
 // Counter handles are raw uint64_t pointers into a std::map, which never invalidates
 // references, so the hot paths pay one pointer bump per event and name resolution
 // happens once, at registration time.
@@ -12,15 +12,13 @@
 #ifndef SRC_BASE_METRICS_H_
 #define SRC_BASE_METRICS_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
 
 namespace hemlock {
 
-// An ordered, self-contained copy of every counter and timer at one instant.
-// Timers appear as two entries: "<name>.ns" (total) and "<name>.calls".
+// An ordered, self-contained copy of every counter at one instant.
 using MetricsSnapshot = std::map<std::string, uint64_t>;
 
 class MetricsRegistry {
@@ -43,12 +41,6 @@ class MetricsRegistry {
     return it == counters_.end() ? 0 : it->second;
   }
 
-  struct Timer {
-    uint64_t total_ns = 0;
-    uint64_t calls = 0;
-  };
-  Timer* FindOrCreateTimer(const std::string& name) { return &timers_[name]; }
-
   MetricsSnapshot Snapshot() const;
 
   // Merges |other|'s snapshot entries into |into| (summing shared names) — used to
@@ -59,27 +51,6 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, uint64_t> counters_;
-  std::map<std::string, Timer> timers_;
-};
-
-// RAII wall-clock accumulator for a registered timer.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(MetricsRegistry::Timer* timer)
-      : timer_(timer), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    auto end = std::chrono::steady_clock::now();
-    timer_->total_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count());
-    ++timer_->calls;
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  MetricsRegistry::Timer* timer_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace hemlock

@@ -54,6 +54,11 @@ Result<SchedParams> ParseSchedSpec(const std::string& spec) {
                 "unknown scheduler spec '" + spec + "' (want rr|random[:seed])");
 }
 
+Scheduler::Scheduler() {
+  cores_.resize(1);
+  BindCoreCounters(0, &cores_[0]);
+}
+
 void Scheduler::SetMetrics(MetricsRegistry* metrics) {
   metrics_ = metrics;
   c_switches_ = metrics->Counter("vm.sched.switches");
@@ -99,27 +104,22 @@ void Scheduler::ConfigureCores(int num_cores) {
   if (num_cores < 1) num_cores = 1;
   if (num_cores == num_cores_) return;
   // Drain every queued pid (priority order, FIFO within a class) so nothing is
-  // lost across a mode switch, then re-home them under the new core count.
+  // lost across the resize, then re-home them under the new core count. Old
+  // placements may name cores that no longer exist, so all of them go.
   std::vector<std::pair<int, int>> queued;  // (priority, pid)
-  auto drain = [&queued](ReadyQueue* q) {
-    for (auto& [prio, deque] : *q) {
+  for (const CoreQueue& core : cores_) {
+    for (const auto& [prio, deque] : core.ready) {
       for (int pid : deque) queued.emplace_back(prio, pid);
     }
-    q->clear();
-  };
-  drain(&ready_);
-  for (CoreQueue& core : cores_) drain(&core.ready);
+  }
   ready_set_.clear();
+  affinity_.clear();
   num_cores_ = num_cores;
   next_core_ = 0;
   cores_.clear();
-  if (num_cores_ > 1) {
-    cores_.resize(static_cast<size_t>(num_cores_));
-    for (int c = 0; c < num_cores_; ++c) {
-      BindCoreCounters(c, &cores_[static_cast<size_t>(c)]);
-    }
-  } else {
-    affinity_.clear();
+  cores_.resize(static_cast<size_t>(num_cores_));
+  for (int c = 0; c < num_cores_; ++c) {
+    BindCoreCounters(c, &cores_[static_cast<size_t>(c)]);
   }
   for (const auto& [prio, pid] : queued) {
     Enqueue(pid, prio);
@@ -127,7 +127,6 @@ void Scheduler::ConfigureCores(int num_cores) {
 }
 
 Scheduler::ReadyQueue* Scheduler::HomeQueue(int pid) {
-  if (num_cores_ == 1) return &ready_;
   auto it = affinity_.find(pid);
   if (it == affinity_.end()) {
     // First sighting: place round-robin so initial load spreads evenly.
@@ -163,7 +162,6 @@ size_t Scheduler::CountOf(const ReadyQueue& q) {
 
 void Scheduler::Remove(int pid) {
   if (ready_set_.erase(pid) > 0) {
-    EraseFrom(&ready_, pid);
     for (CoreQueue& core : cores_) EraseFrom(&core.ready, pid);
   }
   affinity_.erase(pid);
@@ -189,29 +187,7 @@ int Scheduler::PopFrom(ReadyQueue* q) {
   return pid;
 }
 
-int Scheduler::PickNext() {
-  if (ready_set_.empty()) return -1;
-  ++*c_switches_;
-  if (policy_ == SchedPolicy::kRandom) {
-    // Uniform pick over every ready pid. Iterate the set (sorted, so the pick
-    // sequence is deterministic) rather than the queues to ignore priority.
-    // Kept verbatim from the pre-SMP scheduler: the chaos schedule at --cores=1
-    // must replay byte-for-byte against old seeds.
-    size_t index = SplitMix64(&rng_state_) % ready_set_.size();
-    auto it = ready_set_.begin();
-    std::advance(it, index);
-    int pid = *it;
-    ready_set_.erase(it);
-    EraseFrom(&ready_, pid);
-    return pid;
-  }
-  int pid = PopFrom(&ready_);
-  ready_set_.erase(pid);
-  return pid;
-}
-
-int Scheduler::PickNextOnCore(int core) {
-  if (num_cores_ == 1) return PickNext();
+int Scheduler::PickNext(int core) {
   if (ready_set_.empty()) return -1;
   CoreQueue& own = cores_[static_cast<size_t>(core)];
   int pid = PopFrom(&own.ready);
@@ -245,7 +221,6 @@ int Scheduler::PickNextOnCore(int core) {
 }
 
 void Scheduler::CountCoreTicks(int core, uint64_t ticks) {
-  if (num_cores_ == 1 || core < 0 || core >= num_cores_) return;
   *cores_[static_cast<size_t>(core)].ticks += ticks;
 }
 

@@ -11,24 +11,21 @@
 //     (seeded uniform pick over every ready process, ignoring priority — a "chaos
 //     schedule" for deterministic interleaving fuzzing of sync code).
 //
-// SMP (docs/CONCURRENCY.md): ConfigureCores(N) splits the ready structure into N
-// per-core run queues with pid -> core affinity. A core picks from its own queue
-// first and *steals* from the most loaded sibling when its own is dry, so work
-// spreads without a global queue bottleneck. Wait queues stay global — a wake
-// routes the waiter back to its affine core. With one core (the default) the
-// legacy single-queue structure is kept bit-for-bit, so `--cores=1` dispatch
-// order is exactly the pre-SMP order (the interp-differential CI job relies on
-// this).
+// Per-core run queues (docs/CONCURRENCY.md): ConfigureCores(N) sizes the ready
+// structure to N queues with pid -> core affinity; one core (the default) is just
+// N = 1. A core picks from its own queue first and *steals* from the most loaded
+// sibling when its own is dry, so work spreads without a global queue bottleneck.
+// Wait queues stay global — a wake routes the waiter back to its affine core.
 //
 // The scheduler is deliberately dumb about Process internals: it tracks pids only.
 // The Machine drives every state transition (enqueue on runnable, block on wait,
-// remove on exit) and is responsible for keeping the two views consistent. Under
-// an SMP run every scheduler call is made with the Machine's kernel lock held —
-// the scheduler itself takes no locks.
+// remove on exit) and is responsible for keeping the two views consistent. Every
+// scheduler call is made with the Machine's kernel lock held — the scheduler
+// itself takes no locks.
 //
 // Observability: every transition bumps a "vm.sched.*" counter in the machine's
 // registry (switches, preemptions, blocks, wakes, futex waits/wakes, deadlocks,
-// steals); per-core queues add "vm.sched.core.<n>.*" (dispatches, steals, ticks).
+// steals); each core adds "vm.sched.core.<n>.*" (dispatches, steals, ticks).
 #ifndef SRC_KERNEL_SCHEDULER_H_
 #define SRC_KERNEL_SCHEDULER_H_
 
@@ -64,7 +61,7 @@ Result<SchedParams> ParseSchedSpec(const std::string& spec);
 
 class Scheduler {
  public:
-  Scheduler() = default;
+  Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -77,32 +74,28 @@ class Scheduler {
   void Configure(SchedPolicy policy, uint64_t seed);
   SchedPolicy policy() const { return policy_; }
 
-  // Sizes the per-core run queues; queued pids are redistributed. 1 restores the
-  // single legacy queue (and its exact dispatch order). Registers the
-  // "vm.sched.core.<n>.*" counters on first growth.
+  // Sizes the per-core run queues. Queued pids are redistributed and every pid's
+  // placement is forgotten, so each lands afresh on one of the new cores.
+  // Registers the "vm.sched.core.<n>.*" counters.
   void ConfigureCores(int num_cores);
   int num_cores() const { return num_cores_; }
 
   // --- Ready-queue transitions (driven by the Machine) ---
 
-  // Adds |pid| to the back of its priority's ready queue. No-op if already queued.
-  // With per-core queues the pid lands on its affine core (least-loaded core on
-  // first sighting).
+  // Adds |pid| to the back of its priority's ready queue on its affine core
+  // (round-robin placement on first sighting). No-op if already queued.
   void Enqueue(int pid, int priority);
   // Re-queues a preempted process (quantum exhausted, still runnable).
   void Preempt(int pid, int priority);
   // Removes |pid| from every queue (process exited or was killed).
   void Remove(int pid);
 
-  // Picks the next pid to dispatch and removes it from the ready queue.
-  // Returns -1 when no process is ready. Counted in vm.sched.switches.
-  int PickNext();
-
-  // SMP pick for |core|: pops from the core's own queue; when that is dry, steals
-  // from the back of the most loaded sibling's queue (counted in vm.sched.steals
-  // and the thief's vm.sched.core.<n>.steals) and re-homes the pid's affinity.
-  // Returns -1 when no process is ready on any core.
-  int PickNextOnCore(int core);
+  // Picks the next pid for |core| and removes it from the ready queues: pops from
+  // the core's own queue; when that is dry, steals from the back of the most
+  // loaded sibling's queue (counted in vm.sched.steals and the thief's
+  // vm.sched.core.<n>.steals) and re-homes the pid's affinity. Returns -1 when no
+  // process is ready on any core. Counted in vm.sched.switches.
+  int PickNext(int core);
 
   // Charges |ticks| retired on |core| to vm.sched.core.<n>.ticks.
   void CountCoreTicks(int core, uint64_t ticks);
@@ -134,7 +127,7 @@ class Scheduler {
   std::vector<int> FutexWaitersAt(uint32_t addr) const;
   // One line per wait entry, for deadlock reports: "pid 3: futex 0x30000040".
   std::vector<std::string> DescribeWaiters() const;
-  // The core |pid| last ran on (-1 before its first SMP dispatch).
+  // The core |pid| is placed on or last ran on (-1 when it has no placement).
   int CoreOf(int pid) const;
 
   void CountDeadlock() { ++*c_deadlocks_; }
@@ -153,12 +146,10 @@ class Scheduler {
   SchedPolicy policy_ = SchedPolicy::kRoundRobin;
   uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
 
-  // Single-core (legacy) ready queue: priority (descending) -> FIFO of pids.
-  // |ready_set_| guards against double-enqueue in both modes.
-  ReadyQueue ready_;
+  // Every queued pid, across all cores; guards against double-enqueue.
   std::set<int> ready_set_;
 
-  // Per-core run queues (SMP mode; empty while num_cores_ == 1).
+  // One run queue per core: priority (descending) -> FIFO of pids.
   struct CoreQueue {
     ReadyQueue ready;
     // Per-core fallback cells, used until SetMetrics registers the real

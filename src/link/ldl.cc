@@ -82,34 +82,6 @@ Ldl::Ldl(Machine* machine, LoadImage image, LdlOptions options)
   }
 }
 
-LdlStats Ldl::stats() const {
-  LdlStats s;
-  s.modules_located = static_cast<uint32_t>(*c_modules_located_);
-  s.publics_created = static_cast<uint32_t>(*c_publics_created_);
-  s.publics_rebuilt = static_cast<uint32_t>(*c_publics_rebuilt_);
-  s.publics_attached = static_cast<uint32_t>(*c_publics_attached_);
-  s.privates_instantiated = static_cast<uint32_t>(*c_privates_instantiated_);
-  s.link_faults = static_cast<uint32_t>(*c_link_faults_);
-  s.map_faults = static_cast<uint32_t>(*c_map_faults_);
-  s.plt_faults = static_cast<uint32_t>(*c_plt_faults_);
-  s.relocs_applied = static_cast<uint32_t>(*c_relocs_applied_);
-  s.lock_acquisitions = static_cast<uint32_t>(*c_lock_acquisitions_);
-  s.lock_retries = static_cast<uint32_t>(*c_lock_retries_);
-  s.lock_waits = static_cast<uint32_t>(*c_lock_waits_);
-  s.unresolved_refs = static_cast<uint32_t>(*c_unresolved_refs_);
-  s.deps_missing = static_cast<uint32_t>(*c_deps_missing_);
-  s.lookups = static_cast<uint32_t>(*c_lookups_);
-  s.cache_hits = static_cast<uint32_t>(*c_cache_hits_);
-  s.cache_misses = static_cast<uint32_t>(*c_cache_misses_);
-  s.manifest_hits = static_cast<uint32_t>(*c_manifest_hits_);
-  s.manifest_misses = static_cast<uint32_t>(*c_manifest_misses_);
-  s.manifest_rebuilds = static_cast<uint32_t>(*c_manifest_rebuilds_);
-  s.manifest_rejected = static_cast<uint32_t>(*c_manifest_rejected_);
-  s.manifest_negative_hits = static_cast<uint32_t>(*c_manifest_negative_hits_);
-  s.manifest_shared_parses = static_cast<uint32_t>(*c_manifest_shared_parses_);
-  return s;
-}
-
 int Ldl::FindModuleIndex(const std::string& key) const {
   auto it = by_key_.find(key);
   return it == by_key_.end() ? -1 : it->second;

@@ -75,35 +75,6 @@ struct LdlOptions {
   bool use_manifest = false;
 };
 
-// Legacy stats view. The single source of truth is the linker's MetricsRegistry
-// ("ldl.*" counters); this struct is materialized from it on demand so existing
-// callers keep working while new code reads the registry directly.
-struct LdlStats {
-  uint32_t modules_located = 0;
-  uint32_t publics_created = 0;   // dynamic public modules created from templates
-  uint32_t publics_rebuilt = 0;   // half-created/corrupt public modules recreated
-  uint32_t publics_attached = 0;  // existing public modules mapped
-  uint32_t privates_instantiated = 0;
-  uint32_t link_faults = 0;       // faults that triggered lazy resolution
-  uint32_t map_faults = 0;        // pointer-follow faults that mapped an SFS segment
-  uint32_t plt_faults = 0;        // function-lazy: first-call bindings through sentinels
-  uint32_t relocs_applied = 0;
-  uint32_t lock_acquisitions = 0;
-  uint32_t lock_retries = 0;      // creation-lock attempts that found it held
-  uint32_t lock_waits = 0;        // faults parked waiting for a live creator's lock
-  uint32_t unresolved_refs = 0;   // lookups that failed (left for fault-time recovery)
-  uint32_t deps_missing = 0;      // distinct module-list entries that could not be located
-  uint32_t lookups = 0;           // scoped symbol lookups requested
-  uint32_t cache_hits = 0;        // answered from a module's memoized scope cache
-  uint32_t cache_misses = 0;      // required a scope walk
-  uint32_t manifest_hits = 0;     // modules whose resolutions came from the manifest
-  uint32_t manifest_misses = 0;   // manifest records that failed verification
-  uint32_t manifest_rebuilds = 0; // manifest flushes written to disk
-  uint32_t manifest_rejected = 0; // manifests/records discarded as unusable
-  uint32_t manifest_negative_hits = 0;   // lookups answered by recorded absences
-  uint32_t manifest_shared_parses = 0;   // warm starts that reused a verified parse
-};
-
 class Ldl {
  public:
   Ldl(Machine* machine, LoadImage image, LdlOptions options);
@@ -127,8 +98,6 @@ class Ldl {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  // Legacy view, materialized from metrics() (see LdlStats).
-  LdlStats stats() const;
   const LoadImage& image() const { return image_; }
 
   // Looks up a symbol the way the *root* scope sees it (main image + root modules).

@@ -38,6 +38,7 @@ ChaosEngine& ChaosEngine::Global() {
 
 Status ChaosEngine::Configure(const std::string& spec) {
   Disable();
+  std::lock_guard<std::mutex> lock(mu_);
   if (spec.empty()) {
     return OkStatus();
   }
@@ -79,6 +80,7 @@ Status ChaosEngine::Configure(const std::string& spec) {
 }
 
 void ChaosEngine::Disable() {
+  std::lock_guard<std::mutex> lock(mu_);
   scheduled_ = false;
   drop_ = delay_ = dup_ = trunc_ = sever_ = 0;
   seed_ = 0;
@@ -118,6 +120,7 @@ ChaosAction ChaosEngine::NextSendAction() {
       return static_cast<ChaosAction>(kind);
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
   if (!scheduled_) {
     return ChaosAction::kNone;
   }

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "src/base/status.h"
@@ -46,7 +47,10 @@ class ChaosEngine {
   Status Configure(const std::string& spec);
   void Disable();
 
-  bool scheduled() const { return scheduled_; }
+  bool scheduled() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return scheduled_;
+  }
   uint64_t frames() const { return frame_.load(std::memory_order_relaxed); }
 
   // Called once per outgoing frame; returns what the wire does to it.
@@ -55,6 +59,9 @@ class ChaosEngine {
  private:
   ChaosAction ScheduledAction(uint64_t frame) const;
 
+  // Guards the schedule: a test thread reconfigures it while a server thread
+  // is still sending.
+  mutable std::mutex mu_;
   bool scheduled_ = false;
   uint32_t drop_ = 0;
   uint32_t delay_ = 0;

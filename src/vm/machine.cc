@@ -196,7 +196,8 @@ SchedStatus Machine::RunProcess(int pid, uint64_t max_steps) {
     return SchedStatus::kExited;
   }
   trace_on_ = trace_.enabled();  // cached for the whole quantum (fault hot path)
-  return DriveProcess(*proc, max_steps, /*lk=*/nullptr);
+  std::unique_lock<std::mutex> lk(kernel_mu_);
+  return DriveProcess(*proc, max_steps, lk);
 }
 
 void Machine::ChargeTicks(Process& proc, uint64_t n) {
@@ -221,10 +222,10 @@ void Machine::FlushVmCounters(Process& proc) {
 thread_local std::unique_lock<std::mutex>* tl_active_kernel_lock = nullptr;
 
 SchedStatus Machine::DriveProcess(Process& proc, uint64_t max_steps,
-                                std::unique_lock<std::mutex>* lk) {
+                                  std::unique_lock<std::mutex>& lk) {
   proc.charged_ = 0;
   std::unique_lock<std::mutex>* prev = tl_active_kernel_lock;
-  tl_active_kernel_lock = lk;
+  tl_active_kernel_lock = &lk;
   SchedStatus result = DriveProcessLoop(proc, max_steps, lk);
   tl_active_kernel_lock = prev;
   FlushVmCounters(proc);
@@ -241,7 +242,7 @@ std::shared_ptr<void> Machine::EnterNetWait() {
 }
 
 SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
-                                    std::unique_lock<std::mutex>* lk) {
+                                      std::unique_lock<std::mutex>& lk) {
   int pid = proc.pid();
   Cpu cpu(&proc.space());
   RaceObserver observer(race_.get(), pid);
@@ -280,18 +281,14 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
     uint64_t steps = 0;
     Fault fault;
     StopReason reason;
-    if (lk != nullptr) {
-      // SMP: guest code runs outside the kernel lock, in parallel with the other
-      // cores, under a shared hold of the world lock (a shootdown's unique
-      // acquisition drains us out of here before host pointers move).
-      lk->unlock();
-      world_mu_.lock_shared();
-      reason = cpu.Run(&proc.cpu(), budget, &steps, &fault);
-      world_mu_.unlock_shared();
-      lk->lock();
-    } else {
-      reason = cpu.Run(&proc.cpu(), budget, &steps, &fault);
-    }
+    // Guest code runs outside the kernel lock, in parallel with the other cores,
+    // under a shared hold of the world lock (a shootdown's unique acquisition
+    // drains us out of here before host pointers move).
+    lk.unlock();
+    world_mu_.lock_shared();
+    reason = cpu.Run(&proc.cpu(), budget, &steps, &fault);
+    world_mu_.unlock_shared();
+    lk.lock();
     proc.steps_ += steps;
     ChargeTicks(proc, steps);
     budget = budget > steps ? budget - steps : 0;
@@ -351,66 +348,16 @@ SchedStatus Machine::ReportDeadlock() {
 }
 
 SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_steps) {
-  if (params.num_cores > 1) {
-    return RunScheduledSmp(params, max_total_steps);
-  }
   trace_on_ = trace_.enabled();
   scheduler_.Configure(params.policy, params.seed);
-  scheduler_.ConfigureCores(1);
+  scheduler_.ConfigureCores(params.num_cores);
   // Catch up on processes created (or woken) outside a scheduled run.
   for (const auto& [pid, proc] : procs_) {
     if (proc->state_ == ProcState::kRunnable) {
       scheduler_.Enqueue(pid, proc->priority_);
     }
   }
-  const uint64_t quantum = params.quantum == 0 ? 4096 : params.quantum;
-  bool was_scheduled = scheduled_run_;
-  scheduled_run_ = true;
-  uint64_t spent = 0;
-  SchedStatus result = SchedStatus::kOutOfGas;
-  while (spent < max_total_steps) {
-    int pid = scheduler_.PickNext();
-    if (pid < 0) {
-      result = LiveProcessCount() == 0 ? SchedStatus::kExited : ReportDeadlock();
-      break;
-    }
-    Process* proc = FindProcess(pid);
-    if (proc == nullptr || proc->state_ == ProcState::kZombie) {
-      continue;  // exited while queued
-    }
-    SchedStatus st = DriveProcess(*proc, std::min(quantum, max_total_steps - spent),
-                                /*lk=*/nullptr);
-    spent += proc->charged_;
-    if (st == SchedStatus::kOutOfGas) {
-      scheduler_.Preempt(pid, proc->priority_);
-    }
-    // kExited removed itself; kBlocked is parked in a wait queue.
-  }
-  scheduled_run_ = was_scheduled;
-  // Budget gone but nothing left alive: that is a completed run, not an
-  // out-of-gas one — callers test "== kExited" at any core count.
-  if (result == SchedStatus::kOutOfGas && LiveProcessCount() == 0) {
-    result = SchedStatus::kExited;
-  }
-  if (race_ != nullptr && trace_on_) {
-    const auto& reports = race_->reports();
-    for (; race_reports_traced_ < reports.size(); ++race_reports_traced_) {
-      const RaceReport& r = reports[race_reports_traced_];
-      trace_.Emit(TraceKind::kRaceReport, r.ToString(), r.path, r.addr);
-    }
-  }
-  return result;
-}
-
-SchedStatus Machine::RunScheduledSmp(const SchedParams& params, uint64_t max_total_steps) {
-  trace_on_ = trace_.enabled();
-  scheduler_.Configure(params.policy, params.seed);
-  scheduler_.ConfigureCores(params.num_cores);
-  for (const auto& [pid, proc] : procs_) {
-    if (proc->state_ == ProcState::kRunnable) {
-      scheduler_.Enqueue(pid, proc->priority_);
-    }
-  }
+  const int num_cores = scheduler_.num_cores();
   bool was_scheduled = scheduled_run_;
   scheduled_run_ = true;
   smp_stop_ = false;
@@ -419,13 +366,17 @@ SchedStatus Machine::RunScheduledSmp(const SchedParams& params, uint64_t max_tot
   smp_budget_ = max_total_steps;
   smp_quantum_ = params.quantum == 0 ? 4096 : params.quantum;
   smp_result_ = SchedStatus::kOutOfGas;
-  smp_active_.store(true, std::memory_order_relaxed);
+  // A lone core never runs guest code while the kernel mutates, so it needs no
+  // shootdowns.
+  smp_active_.store(num_cores > 1, std::memory_order_relaxed);
   {
+    // Core 0 runs on the calling thread; each further core gets a host thread.
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(params.num_cores));
-    for (int c = 0; c < params.num_cores; ++c) {
+    workers.reserve(static_cast<size_t>(num_cores - 1));
+    for (int c = 1; c < num_cores; ++c) {
       workers.emplace_back([this, c] { CoreLoop(c); });
     }
+    CoreLoop(0);
     for (std::thread& t : workers) {
       t.join();
     }
@@ -433,11 +384,11 @@ SchedStatus Machine::RunScheduledSmp(const SchedParams& params, uint64_t max_tot
   smp_active_.store(false, std::memory_order_relaxed);
   scheduled_run_ = was_scheduled;
   SchedStatus result = smp_result_;
+  // Budget gone but nothing left alive: that is a completed run, not an
+  // out-of-gas one — callers test "== kExited" at any core count.
   if (result == SchedStatus::kOutOfGas && LiveProcessCount() == 0) {
     result = SchedStatus::kExited;
   }
-  // Back to the reference single-queue scheduler; queued leftovers re-home.
-  scheduler_.ConfigureCores(1);
   if (race_ != nullptr && trace_on_) {
     const auto& reports = race_->reports();
     for (; race_reports_traced_ < reports.size(); ++race_reports_traced_) {
@@ -459,7 +410,7 @@ void Machine::CoreLoop(int core) {
       smp_cv_.notify_all();
       return;
     }
-    int pid = scheduler_.PickNextOnCore(core);
+    int pid = scheduler_.PickNext(core);
     if (pid < 0) {
       if (smp_running_cores_ == 0) {
         // No queue has work and no core is running that could produce a wake:
@@ -479,7 +430,7 @@ void Machine::CoreLoop(int core) {
       continue;  // exited while queued
     }
     ++smp_running_cores_;
-    SchedStatus st = DriveProcess(*proc, std::min(smp_quantum_, smp_budget_ - smp_spent_), &lk);
+    SchedStatus st = DriveProcess(*proc, std::min(smp_quantum_, smp_budget_ - smp_spent_), lk);
     --smp_running_cores_;
     smp_spent_ += proc->charged_;
     scheduler_.CountCoreTicks(core, proc->charged_);

@@ -206,15 +206,16 @@ class Machine {
   // calling core's held kernel lock for the lifetime of the returned guard so a
   // remote page fetch stalls only the faulting core, never the whole machine;
   // the lock is re-acquired when the guard dies. Null — and a no-op — when the
-  // calling thread holds no kernel lock (single-core runs, tools, tests).
+  // calling thread is not driving a process (tools and tests calling the net
+  // layer directly).
   std::shared_ptr<void> EnterNetWait();
 
   // Creates an empty process (no mappings, pc = 0). Loaders (src/link) populate it.
   Process& CreateProcess();
   Process* FindProcess(int pid);
 
-  // Drives one process until it exits, blocks, or exhausts |max_steps|.
-  // Syscalls and faults are handled internally.
+  // Drives one process until it exits, blocks, or exhausts |max_steps|, under the
+  // kernel lock like any core. Syscalls and faults are handled internally.
   SchedStatus RunProcess(int pid, uint64_t max_steps = kDefaultBudget);
 
   // The unified Run API: dispatches ready processes a quantum at a time under
@@ -223,13 +224,13 @@ class Machine {
   // processes are never polled — they rejoin the ready queue when their wake event
   // fires (child exit, futex wake, creation-lock release).
   //
-  // With params.num_cores > 1 the machine goes SMP: that many host worker threads
-  // each drive a per-core run queue (work-stealing when dry), guest code runs in
-  // parallel outside the kernel lock, and host-pointer-invalidating SFS mutations
-  // quiesce every core first (the shootdown protocol — docs/CONCURRENCY.md).
-  // num_cores == 1 is the reference path with the exact pre-SMP dispatch order.
-  // Returns kExited when the budget ran out but no live process remains (so
-  // "did everything finish" is a single == kExited check at any core count).
+  // Each of params.num_cores cores drives its own run queue (work-stealing when
+  // dry): core 0 on the calling thread, every further core on a host thread of
+  // its own. Guest code runs outside the kernel lock; with more than one core,
+  // host-pointer-invalidating SFS mutations quiesce every core first (the
+  // shootdown protocol — docs/CONCURRENCY.md). Returns kExited when the budget
+  // ran out but no live process remains (so "did everything finish" is a single
+  // == kExited check at any core count).
   SchedStatus RunScheduled(const SchedParams& params, uint64_t max_total_steps = kDefaultBudget);
 
   Scheduler& scheduler() { return scheduler_; }
@@ -298,23 +299,22 @@ class Machine {
   // hooks back at this machine.
   void WireSfs();
 
-  // One dispatch of |proc| for up to |max_steps|. |lk| is null on the single-core
-  // path; an SMP worker passes its (held) kernel lock, which DriveProcess releases
-  // only around the guest cpu.Run chunks — syscalls, faults, and every scheduler
-  // transition happen with the lock held. The lock is held continuously from the
-  // end of a guest chunk through the next loop-top state check, so a process this
-  // core parked cannot be re-dispatched elsewhere until this call returns.
+  // One dispatch of |proc| for up to |max_steps|. |lk| is the caller's held
+  // kernel lock, which DriveProcess releases only around the guest cpu.Run
+  // chunks — syscalls, faults, and every scheduler transition happen with the
+  // lock held. The lock is held continuously from the end of a guest chunk
+  // through the next loop-top state check, so a process this core parked cannot
+  // be re-dispatched elsewhere until this call returns.
   SchedStatus DriveProcess(Process& proc, uint64_t max_steps,
-                           std::unique_lock<std::mutex>* lk);
+                           std::unique_lock<std::mutex>& lk);
   SchedStatus DriveProcessLoop(Process& proc, uint64_t max_steps,
-                               std::unique_lock<std::mutex>* lk);
-  // The SMP body of RunScheduled: spawns the workers, joins them, restores
-  // single-core mode.
-  SchedStatus RunScheduledSmp(const SchedParams& params, uint64_t max_total_steps);
-  // One SMP worker: runs on its own host thread until stop/budget/deadlock.
+                               std::unique_lock<std::mutex>& lk);
+  // One core's dispatch loop: picks from |core|'s queue until stop, budget, or
+  // deadlock.
   void CoreLoop(int core);
   // The SFS's shootdown hook: drains every guest core (unique world lock) before a
-  // host-pointer-invalidating mutation proceeds. Null guard outside SMP runs.
+  // host-pointer-invalidating mutation proceeds. Null guard outside runs of more
+  // than one core.
   SharedFs::ShootdownGuard BeginShootdown();
   // Advances the simulated clock and bills the current dispatch.
   void ChargeTicks(Process& proc, uint64_t n);
@@ -382,12 +382,12 @@ class Machine {
   uint32_t jit_threshold_ = Jit::kDefaultThreshold;
   bool trace_on_ = false;       // trace_.enabled(), cached once per quantum
 
-  // --- SMP state (docs/CONCURRENCY.md) ---
+  // --- Scheduled-run state (docs/CONCURRENCY.md) ---
   //
   // Two locks, strict order kernel_mu_ -> world_mu_(unique):
-  //   * kernel_mu_ — the big kernel lock. A worker core holds it at all times
-  //     except while its guest runs; every kernel structure above (procs_, ticks_,
-  //     scheduler_, SFS metadata, trace) is protected by it during an SMP run.
+  //   * kernel_mu_ — the big kernel lock. A core holds it at all times except
+  //     while its guest runs; every kernel structure above (procs_, ticks_,
+  //     scheduler_, SFS metadata, trace) is protected by it during a run.
   //   * world_mu_ — held *shared* by each core while its guest runs. Taking it
   //     unique is the shootdown: it drains every core out of guest code before a
   //     host pointer those cores may cache (SFS extents, TLB targets) is moved.
@@ -396,7 +396,7 @@ class Machine {
   std::mutex kernel_mu_;
   std::shared_mutex world_mu_;
   std::condition_variable smp_cv_;     // "the ready queues gained work" / "stop"
-  std::atomic<bool> smp_active_{false};  // read by BeginShootdown without the lock
+  std::atomic<bool> smp_active_{false};  // >1 core running; read by BeginShootdown
   bool smp_stop_ = false;
   int smp_running_cores_ = 0;          // cores currently inside DriveProcess
   uint64_t smp_spent_ = 0;

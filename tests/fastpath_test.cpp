@@ -571,91 +571,102 @@ TEST(FastPathDifferential, MutexedProgramStaysCleanAcross16ChaosSeedsOnFastPath)
 // (inside the sys_spawn syscall, on whichever core the parent holds) finds the
 // torn module and rebuilds it under the other cores' feet.
 TEST(FastPathSmp, LdlRebuildOnOneCoreShootsDownSiblings) {
-  HemlockWorld world;
-  world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
-  CompileOptions no_prelude;
-  no_prelude.include_prelude = false;
-  (void)world.vfs().MkdirAll("/shm/lib");
-  ASSERT_TRUE(world.CompileTo(kCounterSrc, "/shm/lib/counter.o", no_prelude).ok());
+  // At one core the same run must finish correctly with no shootdown at all:
+  // nothing runs guest code while the rebuilding core is in the kernel.
+  for (int cores : {1, 4}) {
+    SCOPED_TRACE("cores=" + std::to_string(cores));
+    HemlockWorld world;
+    world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
+    CompileOptions no_prelude;
+    no_prelude.include_prelude = false;
+    (void)world.vfs().MkdirAll("/shm/lib");
+    ASSERT_TRUE(world.CompileTo(kCounterSrc, "/shm/lib/counter.o", no_prelude).ok());
 
-  // Build the module once (this warm run also arms the code-page watch on its
-  // segment), then mark it torn with a dead creator's lock: the next attacher
-  // breaks the lease and rebuilds in place.
-  Result<RunOutcome> warm =
-      world.RunProgram(kBumpProg, {{"counter.o", ShareClass::kDynamicPublic}});
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  Result<SfsStat> st = world.sfs().Stat("/lib/counter");
-  ASSERT_TRUE(st.ok());
-  ASSERT_TRUE(world.sfs().SetCreationPending(st->ino, true).ok());
-  ASSERT_TRUE(world.sfs().LockInode(st->ino, 9999).ok());
+    // Build the module once (this warm run also arms the code-page watch on its
+    // segment), then mark it torn with a dead creator's lock: the next attacher
+    // breaks the lease and rebuilds in place.
+    Result<RunOutcome> warm =
+        world.RunProgram(kBumpProg, {{"counter.o", ShareClass::kDynamicPublic}});
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    Result<SfsStat> st = world.sfs().Stat("/lib/counter");
+    ASSERT_TRUE(st.ok());
+    ASSERT_TRUE(world.sfs().SetCreationPending(st->ino, true).ok());
+    ASSERT_TRUE(world.sfs().LockInode(st->ino, 9999).ok());
 
-  // The child links the torn module; the parents do not — their exec-time attach
-  // must leave the module alone so the rebuild happens only at spawn time.
-  ASSERT_TRUE(world
-                  .CompileTo(
-                      "extern int bump(void);\n"
-                      "int main(void) {\n"
-                      "  bump();\n"
-                      "  return 0;\n"
-                      "}\n",
-                      "/home/user/rebump.o")
-                  .ok());
-  LdsOptions child_lds;
-  child_lds.inputs.push_back({"/home/user/rebump.o", ShareClass::kStaticPrivate});
-  child_lds.inputs.push_back({"/shm/lib/counter.o", ShareClass::kDynamicPublic});
-  Result<LoadImage> child_image = world.Link(child_lds);
-  ASSERT_TRUE(child_image.ok()) << child_image.status().ToString();
-  ASSERT_TRUE(world.vfs().WriteFile("/home/user/rebump.hxe", child_image->Serialize()).ok());
+    // The child links the torn module; the parents do not — their exec-time attach
+    // must leave the module alone so the rebuild happens only at spawn time.
+    ASSERT_TRUE(world
+                    .CompileTo(
+                        "extern int bump(void);\n"
+                        "int main(void) {\n"
+                        "  bump();\n"
+                        "  return 0;\n"
+                        "}\n",
+                        "/home/user/rebump.o")
+                    .ok());
+    LdsOptions child_lds;
+    child_lds.inputs.push_back({"/home/user/rebump.o", ShareClass::kStaticPrivate});
+    child_lds.inputs.push_back({"/shm/lib/counter.o", ShareClass::kDynamicPublic});
+    Result<LoadImage> child_image = world.Link(child_lds);
+    ASSERT_TRUE(child_image.ok()) << child_image.status().ToString();
+    ASSERT_TRUE(world.vfs().WriteFile("/home/user/rebump.hxe", child_image->Serialize()).ok());
 
-  // Four parents spin (filling their own block caches on every core), then one
-  // spawns the child whose startup rebuilds the segment.
-  ASSERT_TRUE(world
-                  .CompileTo(
-                      "int main(void) {\n"
-                      "  int i;\n"
-                      "  int pid;\n"
-                      "  for (i = 0; i < 5000; i += 1) {\n"
-                      "  }\n"
-                      "  pid = sys_spawn(\"/home/user/rebump.hxe\");\n"
-                      "  if (pid <= 0) { return 90; }\n"
-                      "  return sys_waitpid(pid);\n"
-                      "}\n",
-                      "/home/user/parent.o")
-                  .ok());
-  LdsOptions parent_lds;
-  parent_lds.inputs.push_back({"/home/user/parent.o", ShareClass::kStaticPrivate});
-  Result<LoadImage> parent_image = world.Link(parent_lds);
-  ASSERT_TRUE(parent_image.ok()) << parent_image.status().ToString();
-  InstallSpawnHandler(world.machine());
-  std::vector<int> pids;
-  for (int p = 0; p < 4; ++p) {
-    Result<ExecResult> run = world.Exec(*parent_image);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    pids.push_back(run->pid);
-  }
-  SchedParams params;
-  params.num_cores = 4;
-  params.quantum = 256;
-  ASSERT_EQ(world.machine().RunScheduled(params, 100'000'000), SchedStatus::kExited);
-  for (int pid : pids) {
-    Process* proc = world.machine().FindProcess(pid);
-    ASSERT_NE(proc, nullptr);
-    // waitpid round-trips the child's status: 0 only if bump() ran correctly
-    // against the rebuilt segment.
-    EXPECT_EQ(proc->exit_status(), 0);
-  }
-  // The rebuild completed: the module is whole again.
-  st = world.sfs().Stat("/lib/counter");
-  ASSERT_TRUE(st.ok());
-  const MetricsRegistry& metrics = world.machine().metrics();
-  // The rebuild ran while other cores were live: the kernel-side writes took the
-  // shootdown path, and the code-epoch bump retired the siblings' cached blocks.
-  EXPECT_GE(metrics.Get("vm.sched.shootdowns"), 1u);
-  EXPECT_GE(metrics.Get("vm.icache.invalidations"), 1u);
-  if (world.machine().jit_enabled() && Jit::HostSupported()) {
-    // Under the JIT engine the spinning parents ran native code across the
-    // shootdown: their TLB tags were re-synced at the next entry.
-    EXPECT_GT(metrics.Get("vm.jit.compiled_blocks"), 0u);
+    // Four parents spin (filling their own block caches on every core), then one
+    // spawns the child whose startup rebuilds the segment.
+    ASSERT_TRUE(world
+                    .CompileTo(
+                        "int main(void) {\n"
+                        "  int i;\n"
+                        "  int pid;\n"
+                        "  for (i = 0; i < 5000; i += 1) {\n"
+                        "  }\n"
+                        "  pid = sys_spawn(\"/home/user/rebump.hxe\");\n"
+                        "  if (pid <= 0) { return 90; }\n"
+                        "  return sys_waitpid(pid);\n"
+                        "}\n",
+                        "/home/user/parent.o")
+                    .ok());
+    LdsOptions parent_lds;
+    parent_lds.inputs.push_back({"/home/user/parent.o", ShareClass::kStaticPrivate});
+    Result<LoadImage> parent_image = world.Link(parent_lds);
+    ASSERT_TRUE(parent_image.ok()) << parent_image.status().ToString();
+    InstallSpawnHandler(world.machine());
+    std::vector<int> pids;
+    for (int p = 0; p < 4; ++p) {
+      Result<ExecResult> run = world.Exec(*parent_image);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      pids.push_back(run->pid);
+    }
+    SchedParams params;
+    params.num_cores = cores;
+    params.quantum = 256;
+    ASSERT_EQ(world.machine().RunScheduled(params, 100'000'000), SchedStatus::kExited);
+    for (int pid : pids) {
+      Process* proc = world.machine().FindProcess(pid);
+      ASSERT_NE(proc, nullptr);
+      // waitpid round-trips the child's status: 0 only if bump() ran correctly
+      // against the rebuilt segment.
+      EXPECT_EQ(proc->exit_status(), 0);
+    }
+    // The rebuild completed: the module is whole again.
+    st = world.sfs().Stat("/lib/counter");
+    ASSERT_TRUE(st.ok());
+    const MetricsRegistry& metrics = world.machine().metrics();
+    if (cores == 1) {
+      EXPECT_EQ(metrics.Get("vm.sched.shootdowns"), 0u);
+      EXPECT_EQ(metrics.Get("vm.sched.core.0.dispatches"), metrics.Get("vm.sched.switches"));
+    } else {
+      // The rebuild ran while other cores were live: the kernel-side writes took
+      // the shootdown path.
+      EXPECT_GE(metrics.Get("vm.sched.shootdowns"), 1u);
+    }
+    // The code-epoch bump retired the other processes' cached blocks.
+    EXPECT_GE(metrics.Get("vm.icache.invalidations"), 1u);
+    if (world.machine().jit_enabled() && Jit::HostSupported()) {
+      // Under the JIT engine the spinning parents ran native code across the
+      // rebuild: their TLB tags were re-synced at the next entry.
+      EXPECT_GT(metrics.Get("vm.jit.compiled_blocks"), 0u);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -54,21 +55,21 @@ TEST(Scheduler, RoundRobinFifoWithinPriority) {
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 0);
   sched.Enqueue(3, 0);
-  EXPECT_EQ(sched.PickNext(), 1);
-  EXPECT_EQ(sched.PickNext(), 2);
-  EXPECT_EQ(sched.PickNext(), 3);
-  EXPECT_EQ(sched.PickNext(), -1);
+  EXPECT_EQ(sched.PickNext(0), 1);
+  EXPECT_EQ(sched.PickNext(0), 2);
+  EXPECT_EQ(sched.PickNext(0), 3);
+  EXPECT_EQ(sched.PickNext(0), -1);
 }
 
 TEST(Scheduler, PreemptRequeuesAtBack) {
   Scheduler sched;
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 0);
-  int first = sched.PickNext();
+  int first = sched.PickNext(0);
   EXPECT_EQ(first, 1);
   sched.Preempt(first, 0);
-  EXPECT_EQ(sched.PickNext(), 2);
-  EXPECT_EQ(sched.PickNext(), 1);
+  EXPECT_EQ(sched.PickNext(0), 2);
+  EXPECT_EQ(sched.PickNext(0), 1);
 }
 
 TEST(Scheduler, HigherPriorityRunsFirst) {
@@ -76,9 +77,9 @@ TEST(Scheduler, HigherPriorityRunsFirst) {
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 5);  // higher class preempts the queue order
   sched.Enqueue(3, 0);
-  EXPECT_EQ(sched.PickNext(), 2);
-  EXPECT_EQ(sched.PickNext(), 1);
-  EXPECT_EQ(sched.PickNext(), 3);
+  EXPECT_EQ(sched.PickNext(0), 2);
+  EXPECT_EQ(sched.PickNext(0), 1);
+  EXPECT_EQ(sched.PickNext(0), 3);
 }
 
 TEST(Scheduler, EnqueueIsIdempotent) {
@@ -86,8 +87,8 @@ TEST(Scheduler, EnqueueIsIdempotent) {
   sched.Enqueue(7, 0);
   sched.Enqueue(7, 0);
   EXPECT_EQ(sched.ReadyCount(), 1u);
-  EXPECT_EQ(sched.PickNext(), 7);
-  EXPECT_EQ(sched.PickNext(), -1);
+  EXPECT_EQ(sched.PickNext(0), 7);
+  EXPECT_EQ(sched.PickNext(0), -1);
 }
 
 TEST(Scheduler, RemoveDropsFromReadyQueue) {
@@ -96,8 +97,8 @@ TEST(Scheduler, RemoveDropsFromReadyQueue) {
   sched.Enqueue(2, 0);
   sched.Remove(1);
   EXPECT_EQ(sched.ReadyCount(), 1u);
-  EXPECT_EQ(sched.PickNext(), 2);
-  EXPECT_EQ(sched.PickNext(), -1);
+  EXPECT_EQ(sched.PickNext(0), 2);
+  EXPECT_EQ(sched.PickNext(0), -1);
 }
 
 TEST(Scheduler, FutexQueueIsFifoPerAddress) {
@@ -141,7 +142,7 @@ TEST(Scheduler, RandomPolicyIsDeterministicPerSeed) {
     sched.Configure(SchedPolicy::kRandom, seed);
     for (int pid = 1; pid <= 8; ++pid) sched.Enqueue(pid, 0);
     std::vector<int> order;
-    for (int i = 0; i < 8; ++i) order.push_back(sched.PickNext());
+    for (int i = 0; i < 8; ++i) order.push_back(sched.PickNext(0));
     return order;
   };
   EXPECT_EQ(draw_order(42), draw_order(42));
@@ -333,11 +334,11 @@ TEST(SchedulerSmp, FirstSightingPlacesRoundRobinAcrossCores) {
   EXPECT_EQ(s.CoreOf(3), 0);
   EXPECT_EQ(s.CoreOf(4), 1);
   // Each core drains its own queue FIFO.
-  EXPECT_EQ(s.PickNextOnCore(0), 1);
-  EXPECT_EQ(s.PickNextOnCore(1), 2);
-  EXPECT_EQ(s.PickNextOnCore(0), 3);
-  EXPECT_EQ(s.PickNextOnCore(1), 4);
-  EXPECT_EQ(s.PickNextOnCore(0), -1);
+  EXPECT_EQ(s.PickNext(0), 1);
+  EXPECT_EQ(s.PickNext(1), 2);
+  EXPECT_EQ(s.PickNext(0), 3);
+  EXPECT_EQ(s.PickNext(1), 4);
+  EXPECT_EQ(s.PickNext(0), -1);
 }
 
 TEST(SchedulerSmp, DryCoreStealsFromSiblingAndRehomes) {
@@ -351,7 +352,7 @@ TEST(SchedulerSmp, DryCoreStealsFromSiblingAndRehomes) {
   ASSERT_EQ(s.CoreOf(20), 1);
   // Core 3 has nothing of its own: it steals from a loaded sibling, and the
   // stolen pid is re-homed to the thief (its next wake lands on core 3).
-  int stolen = s.PickNextOnCore(3);
+  int stolen = s.PickNext(3);
   ASSERT_NE(stolen, -1);
   EXPECT_EQ(s.CoreOf(stolen), 3);
   // The victim's queue lost exactly the stolen pid; the other two still drain
@@ -359,7 +360,7 @@ TEST(SchedulerSmp, DryCoreStealsFromSiblingAndRehomes) {
   std::vector<int> rest;
   for (int c = 0; c < 4; ++c) {
     int pid;
-    while ((pid = s.PickNextOnCore(c)) != -1) {
+    while ((pid = s.PickNext(c)) != -1) {
       rest.push_back(pid);
     }
   }
@@ -376,15 +377,37 @@ TEST(SchedulerSmp, ConfigureCoresPreservesQueuedPids) {
   std::vector<int> picked;
   for (int c = 0; c < 3; ++c) {
     int pid;
-    while ((pid = s.PickNextOnCore(c)) != -1) {
+    while ((pid = s.PickNext(c)) != -1) {
       picked.push_back(pid);
     }
   }
   EXPECT_EQ(picked.size(), 6u);
-  // Back to one core: the legacy single-queue structure returns.
+  // Back to one core: core 0's queue takes everything.
   s.ConfigureCores(1);
   s.Enqueue(7, 0);
-  EXPECT_EQ(s.PickNext(), 7);
+  EXPECT_EQ(s.PickNext(0), 7);
+}
+
+TEST(SchedulerSmp, ShrinkingCoresKeepsEveryQueuedPid) {
+  // Regression: placements on cores 2-3 used to survive a shrink to two cores,
+  // so the re-enqueue indexed queues that no longer existed and half the pids
+  // were lost.
+  Scheduler s;
+  s.ConfigureCores(4);
+  for (int pid = 1; pid <= 8; ++pid) {
+    s.Enqueue(pid, 0);
+  }
+  s.ConfigureCores(2);
+  EXPECT_EQ(s.ReadyCount(), 8u);
+  std::vector<int> picked;
+  for (int c = 0; c < 2; ++c) {
+    int pid;
+    while ((pid = s.PickNext(c)) != -1) {
+      picked.push_back(pid);
+    }
+  }
+  std::sort(picked.begin(), picked.end());
+  EXPECT_EQ(picked, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(SchedulerSmp, CoreCountersAreDistinctWithoutMetrics) {

@@ -378,10 +378,10 @@ TEST(LdlBlocking, BlockedWaiterAttachesAfterHolderExits) {
   ASSERT_NE(waiter_proc, nullptr);
   EXPECT_EQ(waiter_proc->exit_status(), 8);  // modb_value() + 1
 
-  const LdlStats stats = waiter->ldl->stats();
-  EXPECT_GE(stats.lock_waits, 1u) << "waiter never parked on the creation lock";
-  EXPECT_EQ(stats.publics_rebuilt, 0u) << "waiter rebuilt a live creator's segment";
-  EXPECT_GE(stats.publics_attached, 1u);
+  const MetricsRegistry& ldl = waiter->ldl->metrics();
+  EXPECT_GE(ldl.Get("ldl.lock_waits"), 1u) << "waiter never parked on the creation lock";
+  EXPECT_EQ(ldl.Get("ldl.publics_rebuilt"), 0u) << "waiter rebuilt a live creator's segment";
+  EXPECT_GE(ldl.Get("ldl.publics_attached"), 1u);
 }
 
 // --- the rwho deployment end-to-end (locked variant) ---

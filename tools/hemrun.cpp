@@ -617,36 +617,35 @@ int main(int argc, char** argv) {
   }
 
   if (stats) {
-    LdlStats s = run->ldl->stats();
+    auto row = [](const MetricsRegistry& m, const char* name) {
+      return static_cast<unsigned long long>(m.Get(name));
+    };
+    const MetricsRegistry& ldl = run->ldl->metrics();
     std::fprintf(stderr,
                  "[hemrun] lds: %u modules, %u trampolines, %u pending; "
-                 "ldl: %u located, %u created, %u attached, %u link faults, "
-                 "%u map faults, %u relocs applied\n",
+                 "ldl: %llu located, %llu created, %llu attached, %llu link faults, "
+                 "%llu map faults, %llu relocs applied\n",
                  report.modules_linked, report.trampolines, report.pending_relocs,
-                 s.modules_located, s.publics_created, s.publics_attached, s.link_faults,
-                 s.map_faults, s.relocs_applied);
+                 row(ldl, "ldl.modules_located"), row(ldl, "ldl.publics_created"),
+                 row(ldl, "ldl.publics_attached"), row(ldl, "ldl.link_faults"),
+                 row(ldl, "ldl.map_faults"), row(ldl, "ldl.relocs_applied"));
     if (manifest) {
       std::fprintf(stderr,
-                   "[hemrun] manifest: %u hits, %u misses, %u rebuilds, %u rejected\n",
-                   s.manifest_hits, s.manifest_misses, s.manifest_rebuilds,
-                   s.manifest_rejected);
+                   "[hemrun] manifest: %llu hits, %llu misses, %llu rebuilds, %llu rejected\n",
+                   row(ldl, "ldl.manifest.hits"), row(ldl, "ldl.manifest.misses"),
+                   row(ldl, "ldl.manifest.rebuilds"), row(ldl, "ldl.manifest.rejected"));
     }
     // Resource-pressure counters: a run that brushed the partition's limits shows
     // it here even when every individual syscall recovered.
-    MetricsSnapshot snap = world.machine().metrics().Snapshot();
+    const MetricsRegistry& vm = world.machine().metrics();
     std::fprintf(stderr, "[hemrun] sfs: %llu enospc, %llu inode_exhausted\n",
-                 static_cast<unsigned long long>(snap.count("sfs.enospc") ? snap.at("sfs.enospc") : 0),
-                 static_cast<unsigned long long>(
-                     snap.count("sfs.inode_exhausted") ? snap.at("sfs.inode_exhausted") : 0));
-    auto jrow = [&snap](const char* name) -> unsigned long long {
-      return snap.count(name) ? static_cast<unsigned long long>(snap.at(name)) : 0;
-    };
+                 row(vm, "sfs.enospc"), row(vm, "sfs.inode_exhausted"));
     std::fprintf(stderr,
                  "[hemrun] jit: %llu compiled, %llu chained, %llu deopts, "
                  "%llu bailouts, %llu arena bytes\n",
-                 jrow("vm.jit.compiled_blocks"), jrow("vm.jit.chained"),
-                 jrow("vm.jit.deopts"), jrow("vm.jit.bailouts"),
-                 jrow("vm.jit.arena_bytes"));
+                 row(vm, "vm.jit.compiled_blocks"), row(vm, "vm.jit.chained"),
+                 row(vm, "vm.jit.deopts"), row(vm, "vm.jit.bailouts"),
+                 row(vm, "vm.jit.arena_bytes"));
   }
   if (metrics) {
     MetricsSnapshot merged = world.machine().metrics().Snapshot();
