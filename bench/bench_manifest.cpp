@@ -8,7 +8,7 @@
 // Cold: fresh templates, every public module created and resolved from scratch
 // (and the manifest written). Warm: the cold run's partition is rebooted into a
 // fresh world and the same program runs again. CI gates warm <= 10% of cold via
-// `bench_compare.py --manifest-warm` on the counters this benchmark emits:
+// `bench_compare.py`'s manifest_warm row on the counters this benchmark emits:
 // cold_ns, warm_ns, manifest_hits.
 #include <benchmark/benchmark.h>
 

@@ -7,9 +7,10 @@
 //                  fetched over a loopback socket (the headline iteration time);
 //   * cached_ns  — the same client re-reading after the pages are resident.
 //
-// CI gates cached within 20% of local via `bench_compare.py --remote` on the
-// counters this benchmark emits: once the pages are home, the coherence layer
-// may only cost the residency check, not another trip through the socket.
+// CI gates cached within 20% of local via the remote_cached row of
+// `bench_compare.py`, on the counters this benchmark emits: once the pages are
+// home, the coherence layer may only cost the residency check, not another trip
+// through the socket.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

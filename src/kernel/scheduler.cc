@@ -54,44 +54,23 @@ Result<SchedParams> ParseSchedSpec(const std::string& spec) {
                 "unknown scheduler spec '" + spec + "' (want rr|random[:seed])");
 }
 
-Scheduler::Scheduler() {
+Scheduler::Scheduler(MetricsRegistry* metrics)
+    : metrics_(metrics),
+      c_switches_(metrics->Counter("vm.sched.switches")),
+      c_preemptions_(metrics->Counter("vm.sched.preemptions")),
+      c_blocks_(metrics->Counter("vm.sched.blocks")),
+      c_wakes_(metrics->Counter("vm.sched.wakes")),
+      c_futex_waits_(metrics->Counter("vm.sched.futex_waits")),
+      c_deadlocks_(metrics->Counter("vm.sched.deadlocks")),
+      c_steals_(metrics->Counter("vm.sched.steals")) {
   cores_.resize(1);
   BindCoreCounters(0, &cores_[0]);
 }
 
-void Scheduler::SetMetrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  c_switches_ = metrics->Counter("vm.sched.switches");
-  c_preemptions_ = metrics->Counter("vm.sched.preemptions");
-  c_blocks_ = metrics->Counter("vm.sched.blocks");
-  c_wakes_ = metrics->Counter("vm.sched.wakes");
-  c_futex_waits_ = metrics->Counter("vm.sched.futex_waits");
-  c_deadlocks_ = metrics->Counter("vm.sched.deadlocks");
-  c_steals_ = metrics->Counter("vm.sched.steals");
-  // Metrics arrived after ConfigureCores: rebind the per-core counters to the
-  // registry and migrate whatever the fallback cells accumulated meanwhile.
-  for (size_t c = 0; c < cores_.size(); ++c) {
-    CoreQueue& core = cores_[c];
-    BindCoreCounters(static_cast<int>(c), &core);
-    *core.dispatches += core.local_dispatches;
-    *core.steals += core.local_steals;
-    *core.ticks += core.local_ticks;
-    core.local_dispatches = core.local_steals = core.local_ticks = 0;
-  }
-}
-
 void Scheduler::BindCoreCounters(int core, CoreQueue* q) {
-  if (metrics_ != nullptr) {
-    q->dispatches = metrics_->Counter(StrFormat("vm.sched.core.%d.dispatches", core));
-    q->steals = metrics_->Counter(StrFormat("vm.sched.core.%d.steals", core));
-    q->ticks = metrics_->Counter(StrFormat("vm.sched.core.%d.ticks", core));
-  } else {
-    // No registry yet: each core counts in its own cells (distinct storage —
-    // never the shared scratch), and SetMetrics migrates them later.
-    q->dispatches = &q->local_dispatches;
-    q->steals = &q->local_steals;
-    q->ticks = &q->local_ticks;
-  }
+  q->dispatches = metrics_->Counter(StrFormat("vm.sched.core.%d.dispatches", core));
+  q->steals = metrics_->Counter(StrFormat("vm.sched.core.%d.steals", core));
+  q->ticks = metrics_->Counter(StrFormat("vm.sched.core.%d.ticks", core));
 }
 
 void Scheduler::Configure(SchedPolicy policy, uint64_t seed) {

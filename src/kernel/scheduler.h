@@ -61,13 +61,12 @@ Result<SchedParams> ParseSchedSpec(const std::string& spec);
 
 class Scheduler {
  public:
-  Scheduler();
+  // Registers the "vm.sched.*" counters in |metrics|, which must outlive the
+  // scheduler.
+  explicit Scheduler(MetricsRegistry* metrics);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  // Registers the "vm.sched.*" counters. Call once, before any transition.
-  void SetMetrics(MetricsRegistry* metrics);
 
   // Selects the policy and reseeds the chaos RNG. Ready/wait queues are preserved
   // (a re-run of the same machine continues with whatever is still queued).
@@ -152,20 +151,12 @@ class Scheduler {
   // One run queue per core: priority (descending) -> FIFO of pids.
   struct CoreQueue {
     ReadyQueue ready;
-    // Per-core fallback cells, used until SetMetrics registers the real
-    // "vm.sched.core.<n>.*" counters. One cell per counter *per core* — the old
-    // shared |scratch_| fallback silently aggregated every core into one cell,
-    // so per-core numbers were garbage whenever metrics arrived late (or never).
-    // SetMetrics migrates accumulated fallback values into the registry.
-    uint64_t local_dispatches = 0;
-    uint64_t local_steals = 0;
-    uint64_t local_ticks = 0;
+    // This core's "vm.sched.core.<n>.*" counters.
     uint64_t* dispatches = nullptr;
     uint64_t* steals = nullptr;
     uint64_t* ticks = nullptr;
   };
-  // Points |core|'s counter handles at the registry (when available) or at the
-  // core's own fallback cells — never at shared storage.
+  // Points |core|'s counter handles at its "vm.sched.core.<n>.*" counters.
   void BindCoreCounters(int core, CoreQueue* q);
   int num_cores_ = 1;
   std::vector<CoreQueue> cores_;
@@ -176,17 +167,15 @@ class Scheduler {
   std::map<uint32_t, std::deque<int>> futex_waiters_;
   std::set<int> other_waiters_;
 
-  // vm.sched.* counter handles (null until SetMetrics; transitions then uncounted,
-  // which only standalone unit tests do).
-  MetricsRegistry* metrics_ = nullptr;
-  uint64_t scratch_ = 0;
-  uint64_t* c_switches_ = &scratch_;
-  uint64_t* c_preemptions_ = &scratch_;
-  uint64_t* c_blocks_ = &scratch_;
-  uint64_t* c_wakes_ = &scratch_;
-  uint64_t* c_futex_waits_ = &scratch_;
-  uint64_t* c_deadlocks_ = &scratch_;
-  uint64_t* c_steals_ = &scratch_;
+  // vm.sched.* counter handles, registered by the constructor.
+  MetricsRegistry* metrics_;
+  uint64_t* c_switches_;
+  uint64_t* c_preemptions_;
+  uint64_t* c_blocks_;
+  uint64_t* c_wakes_;
+  uint64_t* c_futex_waits_;
+  uint64_t* c_deadlocks_;
+  uint64_t* c_steals_;
 };
 
 }  // namespace hemlock

@@ -15,8 +15,7 @@
 //     tests that need one surgical event rather than a climate.
 //
 // The engine is process-global like the fault registry (transports live in
-// leaf code with no Machine handle); tools configure it from `--net-chaos` or
-// the HEMLOCK_NET_CHAOS environment variable.
+// leaf code with no Machine handle); tools configure it from `--net-chaos`.
 #ifndef SRC_NET_CHAOS_H_
 #define SRC_NET_CHAOS_H_
 

@@ -79,7 +79,6 @@ Machine::Machine() : vfs_(std::make_unique<Vfs>()) {
   if (jit_env != nullptr && (jit_env[0] == '\0' || jit_env[0] == '0')) {
     jit_enabled_ = false;
   }
-  scheduler_.SetMetrics(&metrics_);
   WireSfs();
   // The newest machine claims the process-global fault registry's observability:
   // injected faults show up in this machine's metrics, and delay faults advance

@@ -372,7 +372,7 @@ class Machine {
   uint64_t syscall_cost_ = 200;
   uint64_t fault_cost_ = 2000;
   std::vector<std::function<void(Process&)>> exit_hooks_;
-  Scheduler scheduler_;
+  Scheduler scheduler_{&metrics_};
   std::unique_ptr<RaceDetector> race_;
   SpawnHandler spawn_handler_;
   bool scheduled_run_ = false;  // inside RunScheduled: sys_yield ends the quantum

@@ -51,7 +51,8 @@ TEST(ParseSchedSpec, RejectsGarbage) {
 // --- Scheduler queue mechanics (no machine) ---
 
 TEST(Scheduler, RoundRobinFifoWithinPriority) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 0);
   sched.Enqueue(3, 0);
@@ -62,7 +63,8 @@ TEST(Scheduler, RoundRobinFifoWithinPriority) {
 }
 
 TEST(Scheduler, PreemptRequeuesAtBack) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 0);
   int first = sched.PickNext(0);
@@ -73,7 +75,8 @@ TEST(Scheduler, PreemptRequeuesAtBack) {
 }
 
 TEST(Scheduler, HigherPriorityRunsFirst) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 5);  // higher class preempts the queue order
   sched.Enqueue(3, 0);
@@ -83,7 +86,8 @@ TEST(Scheduler, HigherPriorityRunsFirst) {
 }
 
 TEST(Scheduler, EnqueueIsIdempotent) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.Enqueue(7, 0);
   sched.Enqueue(7, 0);
   EXPECT_EQ(sched.ReadyCount(), 1u);
@@ -92,7 +96,8 @@ TEST(Scheduler, EnqueueIsIdempotent) {
 }
 
 TEST(Scheduler, RemoveDropsFromReadyQueue) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.Enqueue(1, 0);
   sched.Enqueue(2, 0);
   sched.Remove(1);
@@ -102,7 +107,8 @@ TEST(Scheduler, RemoveDropsFromReadyQueue) {
 }
 
 TEST(Scheduler, FutexQueueIsFifoPerAddress) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.BlockOnFutex(1, 0x30000040);
   sched.BlockOnFutex(2, 0x30000040);
   sched.BlockOnFutex(3, 0x30000080);
@@ -120,7 +126,8 @@ TEST(Scheduler, FutexQueueIsFifoPerAddress) {
 }
 
 TEST(Scheduler, CancelFutexWaitRemovesWaiter) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.BlockOnFutex(1, 0x30000040);
   sched.CancelFutexWait(1);
   EXPECT_EQ(sched.FutexWaiterCount(), 0u);
@@ -128,7 +135,8 @@ TEST(Scheduler, CancelFutexWaitRemovesWaiter) {
 }
 
 TEST(Scheduler, DescribeWaitersNamesTheAddress) {
-  Scheduler sched;
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
   sched.BlockOnFutex(4, 0x30000040);
   std::vector<std::string> lines = sched.DescribeWaiters();
   ASSERT_EQ(lines.size(), 1u);
@@ -138,7 +146,8 @@ TEST(Scheduler, DescribeWaitersNamesTheAddress) {
 
 TEST(Scheduler, RandomPolicyIsDeterministicPerSeed) {
   auto draw_order = [](uint64_t seed) {
-    Scheduler sched;
+    MetricsRegistry metrics;
+  Scheduler sched(&metrics);
     sched.Configure(SchedPolicy::kRandom, seed);
     for (int pid = 1; pid <= 8; ++pid) sched.Enqueue(pid, 0);
     std::vector<int> order;
@@ -324,7 +333,8 @@ TEST(RunScheduled, ChaosScheduleIsReproducible) {
 // --- SMP: per-core run queues ---
 
 TEST(SchedulerSmp, FirstSightingPlacesRoundRobinAcrossCores) {
-  Scheduler s;
+  MetricsRegistry metrics;
+  Scheduler s(&metrics);
   s.ConfigureCores(2);
   for (int pid = 1; pid <= 4; ++pid) {
     s.Enqueue(pid, 0);
@@ -342,7 +352,8 @@ TEST(SchedulerSmp, FirstSightingPlacesRoundRobinAcrossCores) {
 }
 
 TEST(SchedulerSmp, DryCoreStealsFromSiblingAndRehomes) {
-  Scheduler s;
+  MetricsRegistry metrics;
+  Scheduler s(&metrics);
   s.ConfigureCores(4);
   // Round-robin placement: 10 -> core 0, 20 -> core 1, 30 -> core 2; core 3 dry.
   for (int pid : {10, 20, 30}) {
@@ -368,7 +379,8 @@ TEST(SchedulerSmp, DryCoreStealsFromSiblingAndRehomes) {
 }
 
 TEST(SchedulerSmp, ConfigureCoresPreservesQueuedPids) {
-  Scheduler s;
+  MetricsRegistry metrics;
+  Scheduler s(&metrics);
   for (int pid = 1; pid <= 6; ++pid) {
     s.Enqueue(pid, 0);
   }
@@ -392,7 +404,8 @@ TEST(SchedulerSmp, ShrinkingCoresKeepsEveryQueuedPid) {
   // Regression: placements on cores 2-3 used to survive a shrink to two cores,
   // so the re-enqueue indexed queues that no longer existed and half the pids
   // were lost.
-  Scheduler s;
+  MetricsRegistry metrics;
+  Scheduler s(&metrics);
   s.ConfigureCores(4);
   for (int pid = 1; pid <= 8; ++pid) {
     s.Enqueue(pid, 0);
@@ -410,34 +423,11 @@ TEST(SchedulerSmp, ShrinkingCoresKeepsEveryQueuedPid) {
   EXPECT_EQ(picked, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
-TEST(SchedulerSmp, CoreCountersAreDistinctWithoutMetrics) {
-  // Regression: without a registry, every per-core counter used to alias one
-  // shared scratch cell — ticks charged to core 0 showed up on core 3 too. Each
-  // core must count in its own storage from ConfigureCores on.
-  Scheduler s;
-  s.ConfigureCores(4);
-  s.CountCoreTicks(0, 5);
-  s.CountCoreTicks(1, 7);
-  s.CountCoreTicks(3, 11);
-  // Late metrics registration migrates the fallback cells into the registry; the
-  // per-core split proves the cells were distinct all along.
-  MetricsRegistry metrics;
-  s.SetMetrics(&metrics);
-  EXPECT_EQ(metrics.Get("vm.sched.core.0.ticks"), 5u);
-  EXPECT_EQ(metrics.Get("vm.sched.core.1.ticks"), 7u);
-  EXPECT_EQ(metrics.Get("vm.sched.core.2.ticks"), 0u);
-  EXPECT_EQ(metrics.Get("vm.sched.core.3.ticks"), 11u);
-  // And only once: migration must not double-count on later activity.
-  s.CountCoreTicks(0, 1);
-  EXPECT_EQ(metrics.Get("vm.sched.core.0.ticks"), 6u);
-}
-
 TEST(SchedulerSmp, CoreCountersRegisterEagerlyWithMetrics) {
   // With the registry present before ConfigureCores, the per-core counters exist
   // (at zero) immediately — nothing waits for the first dispatch to register.
   MetricsRegistry metrics;
-  Scheduler s;
-  s.SetMetrics(&metrics);
+  Scheduler s(&metrics);
   s.ConfigureCores(2);
   EXPECT_NE(metrics.Counter("vm.sched.core.0.dispatches"),
             metrics.Counter("vm.sched.core.1.dispatches"));

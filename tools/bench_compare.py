@@ -1,69 +1,40 @@
 #!/usr/bin/env python3
-"""Compare a bench_interp JSON run against the committed baseline.
+"""Gate bench JSON runs against one table of floors, ceilings and tolerances.
 
-Wall-clock numbers are machine-dependent, so the gate checks two things that are
-not:
-  * the deterministic VM counters (tlb_*/icache_* averages per run) must stay
-    within --tolerance of the baseline — a blown hit rate or an invalidation storm
-    is a correctness-adjacent regression even when the box is fast enough to hide
-    it;
-  * the fast-over-slow speedup ratios (engines measured in the same process on
-    the same machine) must stay above their floors and within --tolerance of the
-    baseline's ratios: the block-cache interpreter at --min-speedup (3x) and the
-    template-JIT tier at --min-jit-speedup (6x). The JIT gate enforces itself
-    only when the run actually compiled blocks (jit_compiled > 0) — a host that
-    cannot run generated code falls back to the block cache, and gating the
-    fallback at 6x would punish the architecture, not the change.
+Usage: bench_compare.py BASELINE.json BENCH.json...
 
-Usage: bench_compare.py BASELINE.json CURRENT.json [--tolerance 0.20]
-                                                   [--min-speedup 3.0]
-                                                   [--min-jit-speedup 6.0]
-       bench_compare.py --smp-scaling CONTENTION.json [--min-smp-scaling 2.5]
-       bench_compare.py --manifest-warm MANIFEST.json [--max-warm-ratio 0.10]
-       bench_compare.py --remote REMOTE.json [--max-cached-overhead 0.20]
+Wall-clock numbers depend on the machine, so no gate reads one directly. Each
+compares a ratio of two measurements taken in one process, or a deterministic
+per-run counter. GATES below is the whole policy: ratio rows, whose cpus field
+is the CPU-count relaxation, and a counter-tolerance row.
 
-The second form gates the SMP cores-vs-throughput curve exported by
-bench_contention's BM_SmpScaling rows: the cores=4 instruction rate must be at
-least --min-smp-scaling times the cores=1 rate (raised from 2.0 to 2.5
-once the JIT tier shrank per-block dispatch overhead). The gate reads the host CPU
-count from the JSON context and relaxes itself when the box cannot physically
-show the scaling (halved floor on 2-3 CPUs, recorded-but-not-gated on 1).
+  Ratio     NUM, or NUM over DEN, must stay at or above a floor (or at or below
+            a ceiling); NUM and DEN each name a (benchmark, field).
+            needs  a counter of NUM's row that must be > 0, or the gate fails:
+                   the run never exercised what the ratio measures.
+            when   a counter of NUM's row that must be > 0 for the gate to
+                   apply: at 0 the host cannot run the path, and the ratio is
+                   recorded but not gated.
+            cpus   the CPU-count relaxation: on a host with fewer CPUs than
+                   this, the floor halves, and on 1 CPU the ratio is recorded
+                   but not gated.
+            A floor on a ratio the bench records itself (no DEN) also rises to
+            the baseline's value less TOLERANCE.
+  Counters  every deterministic counter that BASELINE.json records stays within
+            TOLERANCE of it.
 
-The third form gates stable linking's warm-start win from bench_manifest's
-BM_ManifestWarmStart row: warm-start resolution time must be at most
---max-warm-ratio of cold, and the warm run must actually have installed
-manifest resolutions (manifest_hits > 0).
+The benchmark rows of every BENCH file are pooled by name ("/real_time" and
+"/manual_time" suffixes dropped). A gate whose row is in none of them fails.
 
-The fourth form gates distributed shared segments from bench_remote's
-BM_RemoteSegmentAccess row: once pages are resident, re-reading a mounted
-segment must cost at most (1 + --max-cached-overhead) times the plain local
-attach, and the cold pass must actually have fetched pages over the wire
-(pages_fetched > 0).
-
-Exit codes: 0 all gates pass, 1 regression, 2 input unreadable.
+Exit codes: 0 every gate passes, 1 a regression, 2 an input unreadable.
 """
 
 import argparse
+import collections
 import json
 import sys
 
-
-def read_json(path):
-    """Reads |path| as JSON; exits 2 with a clear message when unreadable.
-
-    Unreadable input (missing file, truncated JSON) is an infrastructure
-    problem, not a measured regression — keep the exit codes distinct so CI
-    logs tell the two apart at a glance.
-    """
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as e:
-        print(f"error: cannot read {path}: {e.strerror or e}", file=sys.stderr)
-        sys.exit(2)
-    except json.JSONDecodeError as e:
-        print(f"error: {path} is not valid JSON: {e}", file=sys.stderr)
-        sys.exit(2)
+TOLERANCE = 0.20
 
 # Counters whose values are properties of the workload, not the machine.
 # (jit_arena_bytes is deliberately absent: emitted-code size shifts with every
@@ -81,222 +52,141 @@ DETERMINISTIC_COUNTERS = (
     "jit_bailouts",
 )
 
+Ratio = collections.namedtuple(
+    "Ratio", "name num den floor ceiling needs when cpus",
+    defaults=(None, None, None, None, None, None))
+Counters = collections.namedtuple("Counters", "name counters")
 
-def load_benchmarks(path):
-    return {b["name"]: b for b in read_json(path).get("benchmarks", [])}
+GATES = (
+    # The block-cache interpreter over the reference interpreter (bench_interp).
+    Ratio("interp_speedup", ("BM_InterpSpeedup", "speedup"), floor=3.0),
+    # The JIT tier over the reference. A host that cannot run generated code
+    # falls back to the block cache, which has its own gate above.
+    Ratio("jit_speedup", ("BM_JitSpeedup", "speedup"), floor=6.0,
+          when="jit_compiled"),
+    # Guest instructions per second at cores=4 over cores=1 (bench_contention).
+    Ratio("smp_scaling", ("BM_SmpScaling/4", "items_per_second"),
+          den=("BM_SmpScaling/1", "items_per_second"), floor=2.5, cpus=4),
+    # Stable linking: warm-start resolution time over cold (bench_manifest).
+    Ratio("manifest_warm", ("BM_ManifestWarmStart", "warm_ns"),
+          den=("BM_ManifestWarmStart", "cold_ns"), ceiling=0.10,
+          needs="manifest_hits"),
+    # Re-reading a resident remote segment over a local attach (bench_remote).
+    Ratio("remote_cached", ("BM_RemoteSegmentAccess", "cached_ns"),
+          den=("BM_RemoteSegmentAccess", "local_ns"), ceiling=1.20,
+          needs="pages_fetched"),
+    Counters("counters", DETERMINISTIC_COUNTERS),
+)
 
 
-def within(old, new, tolerance):
-    if old == 0:
-        return new == 0
-    return abs(new - old) <= tolerance * abs(old)
+def read_json(path):
+    """Reads |path| as JSON; exits 2 with a clear message when unreadable.
+
+    Unreadable input (missing file, truncated JSON) is an infrastructure
+    problem, not a measured regression; the distinct exit code tells the two
+    apart in CI logs.
+    """
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        print(f"error: cannot read {path}: {e.strerror or e}", file=sys.stderr)
+        sys.exit(2)
+    except json.JSONDecodeError as e:
+        print(f"error: {path} is not valid JSON: {e}", file=sys.stderr)
+        sys.exit(2)
 
 
-def check_smp_scaling(path, min_scaling):
-    """Gates the BM_SmpScaling cores-vs-throughput curve in |path|."""
-    data = read_json(path)
-    num_cpus = data.get("context", {}).get("num_cpus", 1)
-    benches = {b["name"]: b for b in data.get("benchmarks", [])}
+def pool_rows(paths):
+    """Benchmark name -> row over every file, each row tagged with host_cpus."""
+    rows = {}
+    for path in paths:
+        data = read_json(path)
+        cpus = data.get("context", {}).get("num_cpus", 1)
+        for b in data.get("benchmarks", []):
+            name = b["name"].removesuffix("/manual_time").removesuffix("/real_time")
+            rows[name] = dict(b, host_cpus=cpus)
+    return rows
 
-    def rate(cores):
-        for name, b in benches.items():
-            if name.startswith(f"BM_SmpScaling/{cores}"):
-                return b.get("items_per_second")
-        return None
 
-    one, four = rate(1), rate(4)
-    # Tell the two failure shapes apart: an absent series means the bench did not
-    # run (or exported under another name); a zero cores=1 rate means it ran but
-    # measured nothing to scale against (throttled host, broken counter).
-    missing = [f"cores={c}" for c, r in ((1, one), (4, four)) if r is None]
+def report(verdict, gate, message):
+    print(f"{verdict:4} {gate.name}: {message}")
+    return [f"{gate.name}: {message}"] if verdict == "FAIL" else []
+
+
+def check_ratio(gate, rows, base):
+    operands = [gate.num] + ([gate.den] if gate.den else [])
+    missing = [f"{b}.{f}" for b, f in operands if rows.get(b, {}).get(f) is None]
     if missing:
-        print(f"FAIL BM_SmpScaling: {' and '.join(missing)} series missing "
-              f"from {path}", file=sys.stderr)
-        return 1
-    if one <= 0:
-        print(f"FAIL BM_SmpScaling: cores=1 throughput is {one} in {path}; "
-              "nothing to scale against (throttled host or broken run?)",
-              file=sys.stderr)
-        return 1
-    ratio = four / one
-    if num_cpus >= 4:
-        floor = min_scaling
-    elif num_cpus >= 2:
-        floor = min_scaling / 2  # the host has half the cores the guest asked for
-    else:
-        print(f"skip BM_SmpScaling: host has {num_cpus} cpu(s); curve recorded "
-              f"(cores=4 / cores=1 = {ratio:.2f}x) but not gated")
-        return 0
-    ok = ratio >= floor
-    print(f"{'ok  ' if ok else 'FAIL'} BM_SmpScaling: cores=4 {four:.4g} insn/s "
-          f"vs cores=1 {one:.4g} insn/s -> {ratio:.2f}x "
-          f"(floor {floor:.2f}x, host cpus {num_cpus})")
-    if not ok:
-        print(f"\nSMP scaling {ratio:.2f}x below floor {floor:.2f}x",
-              file=sys.stderr)
-        return 1
-    return 0
+        return report("FAIL", gate, f"{' and '.join(missing)} missing from every input")
+    row = rows[gate.num[0]]
+    value = row[gate.num[1]]
+    if gate.den:
+        den = rows[gate.den[0]][gate.den[1]]
+        if den <= 0:
+            return report("FAIL", gate, f"{gate.den[0]}.{gate.den[1]} is {den}; "
+                          "nothing to compare against (throttled host or broken run?)")
+        value /= den
+    if gate.needs and row.get(gate.needs, 0) <= 0:
+        return report("FAIL", gate, f"{gate.needs}={row.get(gate.needs, 0)}: "
+                      "the run never exercised what this gate measures")
+    if gate.when and row.get(gate.when, 0) <= 0:
+        return report("skip", gate, f"{gate.when}=0 on this host; "
+                      f"{value:.2f}x recorded, not gated")
+    if gate.ceiling is not None:
+        ok = value <= gate.ceiling
+        return report("ok" if ok else "FAIL", gate, f"{value:.2f}x "
+                      f"{'within' if ok else 'exceeds'} ceiling {gate.ceiling:.2f}x")
+    floor, cpus = gate.floor, row["host_cpus"]
+    if gate.cpus and cpus < gate.cpus:
+        if cpus < 2:
+            return report("skip", gate, f"host has {cpus} cpu(s); "
+                          f"{value:.2f}x recorded, not gated")
+        floor /= 2  # the host has at most half the cores the bench asks for
+    base_value = base.get(gate.num[0], {}).get(gate.num[1])
+    if gate.den is None and base_value is not None:
+        floor = max(floor, base_value * (1.0 - TOLERANCE))
+    ok = value >= floor
+    return report("ok" if ok else "FAIL", gate, f"{value:.2f}x "
+                  f"{'at or above' if ok else 'below'} floor {floor:.2f}x "
+                  f"(host cpus {cpus})")
 
 
-def check_manifest_warm(path, max_ratio):
-    """Gates stable linking's warm-over-cold ratio from bench_manifest."""
-    # UseManualTime appends "/manual_time" to the registered name; accept both.
-    benches = {b["name"].split("/")[0]: b
-               for b in read_json(path).get("benchmarks", [])}
-    row = benches.get("BM_ManifestWarmStart")
-    if row is None:
-        print(f"FAIL BM_ManifestWarmStart: row missing from {path}",
-              file=sys.stderr)
-        return 1
-    cold, warm = row.get("cold_ns"), row.get("warm_ns")
-    if cold is None or warm is None:
-        print(f"FAIL BM_ManifestWarmStart: cold_ns/warm_ns missing from {path}",
-              file=sys.stderr)
-        return 1
-    if cold <= 0:
-        print(f"FAIL BM_ManifestWarmStart: cold_ns is {cold}; nothing to "
-              "compare against (broken run?)", file=sys.stderr)
-        return 1
-    hits = row.get("manifest_hits", 0)
-    if hits <= 0:
-        print("FAIL BM_ManifestWarmStart: the warm run installed no manifest "
-              f"resolutions (manifest_hits={hits}) — it was not warm at all",
-              file=sys.stderr)
-        return 1
-    ratio = warm / cold
-    ok = ratio <= max_ratio
-    print(f"{'ok  ' if ok else 'FAIL'} BM_ManifestWarmStart: warm {warm:.4g} ns "
-          f"vs cold {cold:.4g} ns -> {100 * ratio:.1f}% "
-          f"(ceiling {100 * max_ratio:.0f}%, manifest_hits {hits})")
-    if not ok:
-        print(f"\nwarm start at {100 * ratio:.1f}% of cold exceeds the "
-              f"{100 * max_ratio:.0f}% ceiling", file=sys.stderr)
-        return 1
-    return 0
-
-
-def check_remote(path, max_overhead):
-    """Gates bench_remote's cached-over-local ratio."""
-    # UseManualTime appends "/manual_time" to the registered name; accept both.
-    benches = {b["name"].split("/")[0]: b
-               for b in read_json(path).get("benchmarks", [])}
-    row = benches.get("BM_RemoteSegmentAccess")
-    if row is None:
-        print(f"FAIL BM_RemoteSegmentAccess: row missing from {path}",
-              file=sys.stderr)
-        return 1
-    local, cold, cached = (row.get("local_ns"), row.get("cold_ns"),
-                           row.get("cached_ns"))
-    if local is None or cold is None or cached is None:
-        print("FAIL BM_RemoteSegmentAccess: local_ns/cold_ns/cached_ns missing "
-              f"from {path}", file=sys.stderr)
-        return 1
-    if local <= 0:
-        print(f"FAIL BM_RemoteSegmentAccess: local_ns is {local}; nothing to "
-              "compare against (broken run?)", file=sys.stderr)
-        return 1
-    fetched = row.get("pages_fetched", 0)
-    if fetched <= 0:
-        print("FAIL BM_RemoteSegmentAccess: the cold pass fetched no pages "
-              f"(pages_fetched={fetched}) — it never went over the wire",
-              file=sys.stderr)
-        return 1
-    ratio = cached / local
-    ceiling = 1.0 + max_overhead
-    ok = ratio <= ceiling
-    print(f"{'ok  ' if ok else 'FAIL'} BM_RemoteSegmentAccess: cached "
-          f"{cached:.4g} ns vs local {local:.4g} ns -> {ratio:.2f}x "
-          f"(ceiling {ceiling:.2f}x; cold {cold:.4g} ns, "
-          f"{fetched:.0f} pages fetched)")
-    if not ok:
-        print(f"\ncached re-access at {ratio:.2f}x of local exceeds the "
-              f"{ceiling:.2f}x ceiling", file=sys.stderr)
-        return 1
-    return 0
+def check_counters(gate, rows, base):
+    failures = []
+    for name, b in sorted(base.items()):
+        if name not in rows:
+            failures += report("FAIL", gate, f"{name} missing from every input")
+            continue
+        for counter in gate.counters:
+            if counter not in b:
+                continue
+            old, new = b[counter], rows[name].get(counter, 0.0)
+            ok = abs(new - old) <= TOLERANCE * abs(old) if old else new == 0
+            failures += report("ok" if ok else "FAIL", gate,
+                               f"{name}.{counter} baseline={old:.1f} current={new:.1f}")
+    return failures
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", nargs="?")
-    parser.add_argument("current", nargs="?")
-    parser.add_argument("--tolerance", type=float, default=0.20)
-    parser.add_argument("--min-speedup", type=float, default=3.0)
-    parser.add_argument("--min-jit-speedup", type=float, default=6.0)
-    parser.add_argument("--smp-scaling", metavar="CONTENTION_JSON",
-                        help="gate the BM_SmpScaling curve in this file instead "
-                             "of comparing against a baseline")
-    parser.add_argument("--min-smp-scaling", type=float, default=2.5)
-    parser.add_argument("--manifest-warm", metavar="MANIFEST_JSON",
-                        help="gate bench_manifest's warm-over-cold ratio in "
-                             "this file instead of comparing against a baseline")
-    parser.add_argument("--max-warm-ratio", type=float, default=0.10)
-    parser.add_argument("--remote", metavar="REMOTE_JSON",
-                        help="gate bench_remote's cached-over-local ratio in "
-                             "this file instead of comparing against a baseline")
-    parser.add_argument("--max-cached-overhead", type=float, default=0.20)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("baseline")
+    parser.add_argument("bench", nargs="+")
     args = parser.parse_args()
-
-    if args.smp_scaling:
-        return check_smp_scaling(args.smp_scaling, args.min_smp_scaling)
-    if args.manifest_warm:
-        return check_manifest_warm(args.manifest_warm, args.max_warm_ratio)
-    if args.remote:
-        return check_remote(args.remote, args.max_cached_overhead)
-    if args.baseline is None or args.current is None:
-        parser.error("baseline and current are required unless --smp-scaling is given")
-
-    base = load_benchmarks(args.baseline)
-    cur = load_benchmarks(args.current)
+    base = {b["name"]: b for b in read_json(args.baseline).get("benchmarks", [])}
+    rows = pool_rows(args.bench)
     failures = []
-
-    for name, b in sorted(base.items()):
-        c = cur.get(name)
-        if c is None:
-            failures.append(f"{name}: missing from current run")
-            continue
-        for counter in DETERMINISTIC_COUNTERS:
-            if counter not in b:
-                continue
-            old, new = b[counter], c.get(counter, 0.0)
-            ok = within(old, new, args.tolerance)
-            print(f"{'ok  ' if ok else 'FAIL'} {name}.{counter}: "
-                  f"baseline={old:.1f} current={new:.1f}")
-            if not ok:
-                failures.append(f"{name}.{counter}: {old:.1f} -> {new:.1f}")
-
-    def gate_speedup(name, min_floor, require_jit):
-        bench = cur.get(name)
-        if bench is None or "speedup" not in bench:
-            failures.append(f"{name}.speedup: missing from current run")
-            return
-        if require_jit and bench.get("jit_compiled", 0) <= 0:
-            # The tier never engaged (non-x86-64 host or hardened mmap): the run
-            # fell back to the block cache, which has its own gate. Record, don't
-            # gate — but only for the JIT row; the interpreter has no such out.
-            print(f"skip {name}.speedup: no blocks compiled on this host "
-                  f"(ratio recorded at {bench['speedup']:.2f}x, not gated)")
-            return
-        speedup = bench["speedup"]
-        base_speedup = base.get(name, {}).get("speedup")
-        floor = min_floor
-        if base_speedup is not None:
-            floor = max(floor, base_speedup * (1.0 - args.tolerance))
-        ok = speedup >= floor
-        print(f"{'ok  ' if ok else 'FAIL'} {name}.speedup: "
-              f"current={speedup:.2f}x floor={floor:.2f}x "
-              f"(baseline={base_speedup if base_speedup is not None else 'n/a'})")
-        if not ok:
-            failures.append(f"{name} speedup {speedup:.2f}x below floor {floor:.2f}x")
-
-    gate_speedup("BM_InterpSpeedup", args.min_speedup, require_jit=False)
-    gate_speedup("BM_JitSpeedup", args.min_jit_speedup, require_jit=True)
-
+    for gate in GATES:
+        check = check_ratio if isinstance(gate, Ratio) else check_counters
+        failures += check(gate, rows, base)
+    sys.stdout.flush()
     if failures:
         print(f"\n{len(failures)} regression(s):", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print("\nall comparisons within tolerance")
+    print("\nevery gate passes")
     return 0
 
 

@@ -21,13 +21,10 @@
 //                              reconnects walk the list, so a warm standby
 //                              takes over transparently
 //   --net-retries <n>          RPC retry budget before the client degrades
-//                              (default 4; env HEMLOCK_NET_RETRIES)
-//   --net-timeout-ms <ms>      per-recv socket deadline (default 30000; was a
-//                              hardcoded 30 s; env HEMLOCK_NET_TIMEOUT_MS)
-//   --net-backoff-ms <ms>      base of the exponential retry backoff
-//                              (default 10; env HEMLOCK_NET_BACKOFF_MS)
+//                              (default 4)
+//   --net-timeout-ms <ms>      per-recv socket deadline (default 30000)
+//   --net-backoff-ms <ms>      base of the exponential retry backoff (default 10)
 //   --net-chaos <spec>         seeded chaos transport, e.g. "drop=7,dup=13:42"
-//                              (env HEMLOCK_NET_CHAOS)
 //   --env K=V                  set an environment variable (e.g. LD_LIBRARY_PATH)
 //   --eager                    eager ldl ablation (resolve everything at startup)
 //   --manifest                 persist ldl resolutions to /shm/.ldl.manifest so a
@@ -126,13 +123,6 @@ std::string BaseNoExt(const std::string& host_path) {
   return StripExtension(PathBasename(host_path));
 }
 
-// Environment fallback for the --net-* flags, so CI legs can steer every
-// invocation in a script without threading flags through each one.
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  return env != nullptr ? std::atoll(env) : fallback;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: hemrun [--state f | --connect host:port[,host:port...]]\n"
@@ -159,13 +149,7 @@ int main(int argc, char** argv) {
   std::string state_path;
   std::string connect_spec;
   NetClientOptions net_options;
-  net_options.retries = static_cast<int>(EnvInt64("HEMLOCK_NET_RETRIES", net_options.retries));
-  net_options.timeout_ms = EnvInt64("HEMLOCK_NET_TIMEOUT_MS", net_options.timeout_ms);
-  net_options.backoff_ms = EnvInt64("HEMLOCK_NET_BACKOFF_MS", net_options.backoff_ms);
   std::string chaos_spec;
-  if (const char* env = std::getenv("HEMLOCK_NET_CHAOS"); env != nullptr) {
-    chaos_spec = env;
-  }
   std::string emit_dir;
   std::string fault_spec;
   std::map<std::string, std::string> env;

@@ -26,7 +26,6 @@
 //                              hardcoded 10 s before this flag existed)
 //   --faults <spec>            arm fault injection, same spec language as hemrun
 //   --net-chaos <spec>         seeded chaos transport, e.g. "drop=7,dup=13:42"
-//                              (HEMLOCK_NET_CHAOS is the env fallback)
 //   --seed <n>                 RNG seed for probabilistic fault modes
 //   --stats-every <n>          print the metrics snapshot every n poll rounds
 //
@@ -86,9 +85,6 @@ int main(int argc, char** argv) {
   int64_t recv_timeout_ms = 10'000;
   std::string fault_spec;
   std::string chaos_spec;
-  if (const char* env = std::getenv("HEMLOCK_NET_CHAOS"); env != nullptr) {
-    chaos_spec = env;
-  }
   uint64_t seed = 0;
   uint64_t stats_every = 0;
 
