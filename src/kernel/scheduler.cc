@@ -126,11 +126,16 @@ void Scheduler::Preempt(int pid, int priority) {
 }
 
 void Scheduler::EraseFrom(ReadyQueue* q, int pid) {
-  for (auto it = q->begin(); it != q->end();) {
-    auto& deque = it->second;
+  for (auto& [prio, deque] : *q) {
     deque.erase(std::remove(deque.begin(), deque.end(), pid), deque.end());
-    it = deque.empty() ? q->erase(it) : std::next(it);
   }
+}
+
+std::deque<int>* Scheduler::TopClass(ReadyQueue* q) {
+  for (auto& [prio, deque] : *q) {
+    if (!deque.empty()) return &deque;
+  }
+  return nullptr;
 }
 
 size_t Scheduler::CountOf(const ReadyQueue& q) {
@@ -149,7 +154,8 @@ void Scheduler::Remove(int pid) {
 }
 
 int Scheduler::PopFrom(ReadyQueue* q) {
-  if (q->empty()) return -1;
+  std::deque<int>* top = TopClass(q);
+  if (top == nullptr) return -1;
   if (policy_ == SchedPolicy::kRandom) {
     // Uniform pick over every pid in |q|, ignoring priority. Collect in queue
     // iteration order (deterministic) so the pick is a pure function of the seed.
@@ -159,10 +165,8 @@ int Scheduler::PopFrom(ReadyQueue* q) {
     EraseFrom(q, pid);
     return pid;
   }
-  auto qit = q->begin();  // highest priority class
-  int pid = qit->second.front();
-  qit->second.pop_front();
-  if (qit->second.empty()) q->erase(qit);
+  int pid = top->front();
+  top->pop_front();
   return pid;
 }
 
@@ -184,11 +188,9 @@ int Scheduler::PickNext(int core) {
       }
     }
     if (victim < 0) return -1;
-    ReadyQueue& vq = cores_[static_cast<size_t>(victim)].ready;
-    auto qit = vq.begin();
-    pid = qit->second.back();
-    qit->second.pop_back();
-    if (qit->second.empty()) vq.erase(qit);
+    std::deque<int>* top = TopClass(&cores_[static_cast<size_t>(victim)].ready);
+    pid = top->back();
+    top->pop_back();
     affinity_[pid] = core;  // stolen work re-homes to the thief
     ++*c_steals_;
     ++*own.steals;
@@ -212,6 +214,7 @@ void Scheduler::BlockOnFutex(int pid, uint32_t addr) {
   ++*c_blocks_;
   ++*c_futex_waits_;
   futex_waiters_[addr].push_back(pid);
+  ++waiter_slots_[WaiterSlot(addr)];
 }
 
 std::vector<int> Scheduler::TakeFutexWaiters(uint32_t addr, uint32_t max) {
@@ -224,6 +227,7 @@ std::vector<int> Scheduler::TakeFutexWaiters(uint32_t addr, uint32_t max) {
     q.pop_front();
   }
   if (q.empty()) futex_waiters_.erase(it);
+  waiter_slots_[WaiterSlot(addr)] -= static_cast<uint32_t>(woken.size());
   *c_wakes_ += woken.size();
   return woken;
 }
@@ -231,7 +235,9 @@ std::vector<int> Scheduler::TakeFutexWaiters(uint32_t addr, uint32_t max) {
 void Scheduler::CancelFutexWait(int pid) {
   for (auto it = futex_waiters_.begin(); it != futex_waiters_.end();) {
     auto& q = it->second;
-    q.erase(std::remove(q.begin(), q.end(), pid), q.end());
+    auto gone = std::remove(q.begin(), q.end(), pid);
+    waiter_slots_[WaiterSlot(it->first)] -= static_cast<uint32_t>(q.end() - gone);
+    q.erase(gone, q.end());
     it = q.empty() ? futex_waiters_.erase(it) : std::next(it);
   }
 }

@@ -21,7 +21,9 @@
 // The Machine drives every state transition (enqueue on runnable, block on wait,
 // remove on exit) and is responsible for keeping the two views consistent. Every
 // scheduler call is made with the Machine's kernel lock held — the scheduler
-// itself takes no locks.
+// itself takes no locks. The calls that change a futex queue (BlockOnFutex,
+// TakeFutexWaiters, CancelFutexWait, Remove) also run under the Machine's
+// sync-word lock, so MayHaveFutexWaiters may be asked under that lock alone.
 //
 // Observability: every transition bumps a "vm.sched.*" counter in the machine's
 // registry (switches, preemptions, blocks, wakes, futex waits/wakes, deadlocks,
@@ -109,6 +111,12 @@ class Scheduler {
   std::vector<int> TakeFutexWaiters(uint32_t addr, uint32_t max);
   // Removes |pid| from any futex queue it waits on (exit while blocked).
   void CancelFutexWait(int pid);
+  // False only when no process is parked on |addr|. Backed by a waiter count per
+  // hashed address that the three calls above keep, so addresses sharing a slot
+  // can make it answer true for an empty queue, never false for a full one.
+  bool MayHaveFutexWaiters(uint32_t addr) const {
+    return waiter_slots_[WaiterSlot(addr)] != 0;
+  }
 
   // A process blocked on something that is not a futex (waitpid). The scheduler
   // only needs the count for deadlock detection; the Machine keeps the detail.
@@ -138,6 +146,9 @@ class Scheduler {
   // priority class, or a seeded uniform pick over all of |q| for kRandom.
   int PopFrom(ReadyQueue* q);
   static void EraseFrom(ReadyQueue* q, int pid);
+  // The highest priority class of |q| holding a pid; null when |q| is empty.
+  // Classes stay in the map once emptied, so a re-queue allocates nothing.
+  static std::deque<int>* TopClass(ReadyQueue* q);
   static size_t CountOf(const ReadyQueue& q);
   // The ready queue a new enqueue of |pid| should land on.
   ReadyQueue* HomeQueue(int pid);
@@ -165,6 +176,10 @@ class Scheduler {
 
   // Futex wait queues: address -> FIFO of pids.
   std::map<uint32_t, std::deque<int>> futex_waiters_;
+  // Parked-waiter counts behind MayHaveFutexWaiters, one per hashed word address.
+  static constexpr size_t kWaiterSlots = 64;
+  static size_t WaiterSlot(uint32_t addr) { return (addr >> 2) % kWaiterSlots; }
+  uint32_t waiter_slots_[kWaiterSlots] = {};
   std::set<int> other_waiters_;
 
   // vm.sched.* counter handles, registered by the constructor.

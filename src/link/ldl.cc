@@ -23,7 +23,7 @@ namespace {
 // verification wins, which is exactly the shape a --procs loop produces.
 struct SharedManifestParse {
   std::mutex mu;
-  const Machine* machine = nullptr;
+  uint64_t machine = 0;  // Machine::serial(): a dead machine's address may be reused
   uint64_t bytes_hash = 0;
   uint64_t image_hash = 0;
   ResolutionManifest manifest;
@@ -1100,7 +1100,7 @@ void Ldl::LoadManifest(Process& proc) {
   {
     SharedManifestParse& cache = SharedParse();
     std::lock_guard<std::mutex> lock(cache.mu);
-    if (cache.machine == machine_ && cache.bytes_hash == bytes_hash &&
+    if (cache.machine == machine_->serial() && cache.bytes_hash == bytes_hash &&
         cache.image_hash == image_hash_) {
       manifest_ = cache.manifest;
       warm_ = cache.warm;
@@ -1164,7 +1164,7 @@ void Ldl::LoadManifest(Process& proc) {
   warm_parsed_ = std::move(parsed_modules);
   SharedManifestParse& cache = SharedParse();
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.machine = machine_;
+  cache.machine = machine_->serial();
   cache.bytes_hash = bytes_hash;
   cache.image_hash = image_hash_;
   cache.manifest = manifest_;

@@ -150,19 +150,12 @@ uint8_t* AddressSpace::ResolveSlow(uint32_t addr, uint32_t page, AccessKind acce
     }
   }
   uint32_t in_page = addr - page;
-  uint8_t* host_page = nullptr;
-  if (e.is_public) {
-    uint8_t* base = sfs_->DataPtr(e.ino);
-    if (base == nullptr || sfs_->ExtentBytes(e.ino) < e.file_off + kPageSize) {
-      // The file was truncated or unlinked behind the mapping.
-      fault->addr = addr;
-      fault->access = access;
-      fault->kind = FaultKind::kUnmapped;
-      return nullptr;
-    }
-    host_page = base + e.file_off;
-  } else {
-    host_page = e.backing->data() + e.backing_off;
+  uint8_t* host_page = HostPage(e);
+  if (host_page == nullptr) {
+    fault->addr = addr;
+    fault->access = access;
+    fault->kind = FaultKind::kUnmapped;
+    return nullptr;
   }
   // Fill the TLB line. The prot is cached too: a later access that hits but lacks
   // permission still faults (the hit-path check above), so Protect + epoch bump is
@@ -192,6 +185,31 @@ void AddressSpace::SyncTlbTags() const {
       t.wtag = kTlbNoTag;
     }
   }
+}
+
+uint8_t* AddressSpace::HostPage(const PageEntry& e) const {
+  if (!e.is_public) {
+    return e.backing->data() + e.backing_off;
+  }
+  uint8_t* base = sfs_->DataPtr(e.ino);
+  if (base == nullptr || sfs_->ExtentBytes(e.ino) < e.file_off + kPageSize) {
+    return nullptr;  // the file was truncated or unlinked behind the mapping
+  }
+  return base + e.file_off;
+}
+
+bool AddressSpace::WordResolves(uint32_t addr) const {
+  if ((addr & 3) != 0) {
+    return false;
+  }
+  uint32_t page = PageFloor(addr);
+  const TlbEntry& t = tlb_[(page >> kPageBits) & (kTlbEntries - 1)];
+  if (t.page == page && t.epoch == TranslationEpoch()) {
+    return HasProt(t.prot, Prot::kReadWrite);
+  }
+  auto it = pages_.find(page);
+  return it != pages_.end() && HasProt(it->second.prot, Prot::kReadWrite) &&
+         HostPage(it->second) != nullptr;
 }
 
 void AddressSpace::BumpMapGen() {

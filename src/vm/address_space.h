@@ -158,6 +158,12 @@ class AddressSpace {
   // Drops the tags of entries whose epoch is not TranslationEpoch(); returns at
   // once when the epoch has not moved since the last call.
   void SyncTlbTags() const;
+  // True when a Load32 and a kernel write of the word at |addr| would both
+  // succeed without a fault: aligned, and mapped readable and writable over
+  // bytes that are present. Asks the TLB, then the page map, and bumps no
+  // counter and fills no line, so a caller that falls back leaves the access to
+  // be counted once, by the path that makes it.
+  bool WordResolves(uint32_t addr) const;
   // The TLB array for the JIT's inlined probe (mutable cache, hence const).
   TlbEntry* tlb_for_jit() const { return tlb_; }
 
@@ -180,6 +186,9 @@ class AddressSpace {
   // Map walk behind the TLB (the original Resolve body); fills the TLB on success.
   uint8_t* ResolveSlow(uint32_t addr, uint32_t page, AccessKind access, bool check_prot,
                        Fault* fault) const;
+  // The host address of |e|'s first byte; null when a public page's file no
+  // longer covers it.
+  uint8_t* HostPage(const PageEntry& e) const;
   // A write retired in an exec-protected page: retire decoded blocks over it.
   void NoteExecStore(uint32_t addr) const;
   void BumpMapGen();

@@ -83,6 +83,16 @@ extern "C" uint32_t HemjitStore8(JitContext* ctx, uint32_t addr, uint32_t value)
   return ctx->space->CodeEpoch() != ctx->code_epoch ? 2 : 0;
 }
 
+// The SYSCALL template's call-out: 1 to take the syscall exit, else the hook
+// served the call in place — 0, or 2 when its write (a sys_cas into a code
+// page) bumped CodeEpoch, so the successor must be looked up afresh.
+extern "C" uint32_t HemjitSyscall(JitContext* ctx) {
+  if (ctx->syscall_hook == nullptr || !ctx->syscall_hook(ctx->syscall_arg)) {
+    return 1;
+  }
+  return ctx->space->CodeEpoch() != ctx->code_epoch ? 2 : 0;
+}
+
 namespace {
 
 // Pinned registers (all callee-saved, so helper calls preserve them):
@@ -143,6 +153,7 @@ struct Asm {
 constexpr uint8_t kCcB = 0x82;   // unsigned <
 constexpr uint8_t kCcE = 0x84;   // ==
 constexpr uint8_t kCcNe = 0x85;  // !=
+constexpr uint8_t kCcBe = 0x86;  // unsigned <=
 constexpr uint8_t kCcLe = 0x8E;  // signed <=
 constexpr uint8_t kCcG = 0x8F;   // signed >
 
@@ -393,7 +404,18 @@ bool EmitInstr(BlockAsm& b, const Instr& in, uint32_t i, uint32_t pc,
           return true;
         }
         case Funct::kSyscall: {
-          a.Jmp(b.Stub(kJitExitSyscall, pc + 4, 0));
+          // Offer the call to the in-place hook while the fuel can pay its
+          // budget step and still leave one; a served call chains on.
+          int exit = b.Stub(kJitExitSyscall, pc + 4, 0);
+          a.Bytes({0x49, 0x83, 0xFD, 0x01});     // cmp r13, 1
+          a.Jcc(kCcBe, exit);
+          EmitHelperCall(a, reinterpret_cast<const void*>(&HemjitSyscall));
+          a.Bytes({0x83, 0xF8, 0x01});           // cmp eax, 1
+          a.Jcc(kCcE, exit);                     // 1: declined
+          a.Bytes({0x49, 0xFF, 0xCD});           // dec r13 (the syscall's budget step)
+          a.Bytes({0x85, 0xC0});                 // test eax, eax
+          a.Jcc(kCcNe, b.Stub(kJitExitEnd, pc + 4, 0));  // 2: code changed, re-dispatch
+          b.ChainSlot(pc + 4);
           return true;
         }
         case Funct::kBreak: {
@@ -686,6 +708,8 @@ JitRun Jit::TryRun(const DecodedBlock& block, AddressSpace* space, CpuState* st,
   ctx.fuel = fuel;
   ctx.code_epoch = epoch;
   ctx.space = space;
+  ctx.syscall_hook = syscall_hook_;
+  ctx.syscall_arg = syscall_arg_;
   entry_thunk_(&ctx, arena_ + it->second);
   *steps_out = fuel - ctx.fuel;
   *tlb_hits_ += ctx.tlb_hits;

@@ -9,7 +9,9 @@
 // the interpreter tiers. Block-ending jumps are emitted as patchable jmp slots
 // and direct-linked to already-compiled successors, so hot loops run entirely in
 // host code; syscall/break/fault exits go through out-of-line stubs that record
-// the architectural pc and hand control back to the C++ kernel paths.
+// the architectural pc and hand control back to the C++ kernel paths. A syscall
+// first offers itself to the machine's in-place hook (sys_cas, waiter-free
+// sys_futex_wake) and only exits when the hook declines.
 //
 // Correctness leans on the same two invariants the block cache already proved:
 //   * CodeEpoch(): any event that can change decoded code (map changes, stores
@@ -49,6 +51,11 @@ namespace hemlock {
 
 struct CpuState;
 
+// Serves the SYSCALL just retired without leaving native code — true when it
+// did (its $v0/$v1 are written), false to take the kJitExitSyscall exit. Must
+// not change any state when it declines.
+using JitSyscallHook = bool (*)(void* arg);
+
 // The register/exit context shared between the dispatcher and generated code.
 // Field offsets are hard-coded in the emitter (static_asserted in jit.cc).
 struct JitContext {
@@ -63,13 +70,15 @@ struct JitContext {
   uint32_t mem_value = 0;         // 56: load-helper result
   uint32_t pad_ = 0;              // 60
   Fault fault = {};               // 64: filled by helpers on a guest fault
+  JitSyscallHook syscall_hook = nullptr;  // serves a SYSCALL in place (HemjitSyscall)
+  void* syscall_arg = nullptr;            // its argument
 };
 
 // Why generated code handed control back (JitContext::exit_reason).
 enum JitExit : uint32_t {
   kJitExitFuel = 0,     // block entry found fuel < block length (chained entry)
   kJitExitEnd = 1,      // block retired; exit_pc is the next pc (no compiled successor)
-  kJitExitSyscall = 2,  // SYSCALL retired; exit_pc is already past it
+  kJitExitSyscall = 2,  // SYSCALL retired, not served in place; exit_pc is past it
   kJitExitBreak = 3,    // BREAK retired; likewise
   kJitExitFault = 4,    // memory fault; exit_pc at the faulting instruction
   kJitExitDivZero = 5,  // division by zero; exit_pc at the trapping instruction
@@ -102,6 +111,16 @@ class Jit {
 
   // Promotion threshold: a block compiles on its |threshold|-th dispatch.
   void set_threshold(uint32_t threshold) { threshold_ = threshold == 0 ? 1 : threshold; }
+
+  // The hook every compiled SYSCALL offers itself to before exiting. A served
+  // call costs one step of fuel on top of the instruction's (the budget step a
+  // kernel-path syscall costs in the dispatch loop) and chains to pc+4. It is
+  // only offered while at least two steps of fuel remain, so the quantum never
+  // ends inside a served call.
+  void set_syscall_hook(JitSyscallHook hook, void* arg) {
+    syscall_hook_ = hook;
+    syscall_arg_ = arg;
+  }
 
   // Wires the vm.jit.* counters plus the shared vm.tlb.hits cell (the inline
   // probe's hits are folded into the same row the interpreter's probe bumps).
@@ -137,6 +156,8 @@ class Jit {
   bool arena_full_ = false;
 
   uint32_t threshold_ = kDefaultThreshold;
+  JitSyscallHook syscall_hook_ = nullptr;
+  void* syscall_arg_ = nullptr;
   uint64_t epoch_ = ~0ull;  // CodeEpoch the translations are valid for
 
   std::unordered_map<uint32_t, size_t> code_map_;     // guest pc -> entry offset

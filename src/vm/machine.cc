@@ -31,6 +31,11 @@ class RaceObserver : public CpuObserver {
   int pid_;
 };
 
+// A sync syscall's word: aligned and inside the shared region.
+bool IsSyncWord(uint32_t addr) { return InSfsRegion(addr) && (addr & 3u) == 0; }
+
+std::atomic<uint64_t> next_machine_serial{1};
+
 }  // namespace
 
 Process::Process(int pid, int parent, SharedFs* sfs)
@@ -54,11 +59,14 @@ void Process::ChainFaultHandler(FaultHandler handler) {
   fault_handlers_.push_back(std::move(handler));
 }
 
-Machine::Machine() : vfs_(std::make_unique<Vfs>()) {
+Machine::Machine()
+    : serial_(next_machine_serial.fetch_add(1, std::memory_order_relaxed)),
+      vfs_(std::make_unique<Vfs>()) {
   m_faults_delivered_ = metrics_.Counter("vm.faults_delivered");
   m_faults_resolved_ = metrics_.Counter("vm.faults_resolved");
   m_faults_fatal_ = metrics_.Counter("vm.faults_fatal");
   m_syscalls_ = metrics_.Counter("vm.syscalls");
+  m_syscalls_in_place_ = metrics_.Counter("vm.syscalls.in_place");
   m_tlb_hits_ = metrics_.Counter("vm.tlb.hits");
   m_tlb_misses_ = metrics_.Counter("vm.tlb.misses");
   m_tlb_flushes_ = metrics_.Counter("vm.tlb.flushes");
@@ -151,9 +159,11 @@ void Machine::WireProcessVm(Process& proc) {
   // folds them into the vm.* registry rows at each dispatch end.
   proc.space_->WireVmCounters(&proc.vm_cells_[0], &proc.vm_cells_[1], &proc.vm_cells_[2]);
   proc.exec_cache_.WireCounters(&proc.vm_cells_[3], &proc.vm_cells_[4], &proc.vm_cells_[5]);
+  proc.machine_ = this;
   if (jit_enabled_ && Jit::HostSupported()) {
     proc.jit_ = std::make_unique<Jit>();
     proc.jit_->set_threshold(jit_threshold_);
+    proc.jit_->set_syscall_hook(&Machine::InPlaceHook, &proc);
     // The last tap is the shared vm.tlb.hits cell: the inline probe's hits land
     // in the same row the interpreter's probe bumps.
     proc.jit_->WireCounters(&proc.vm_cells_[6], &proc.vm_cells_[7], &proc.vm_cells_[8],
@@ -258,6 +268,9 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
       cpu.set_jit(proc.jit_.get());
     }
   }
+  // The same two observers keep every syscall on the kernel path, where their
+  // hooks are (the JIT, which serves calls in place too, is off with them).
+  const bool in_place = race_ == nullptr && !trace_on_;
   uint64_t budget = max_steps;
   while (budget > 0) {
     if (proc.state_ == ProcState::kZombie) {
@@ -282,14 +295,34 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
     StopReason reason;
     // Guest code runs outside the kernel lock, in parallel with the other cores,
     // under a shared hold of the world lock (a shootdown's unique acquisition
-    // drains us out of here before host pointers move).
+    // drains us out of here before host pointers move). A syscall the
+    // interpreter tiers stop on is served right here when it can be, like the
+    // JIT's in-place calls: while the budget can pay its step and keep one.
     lk.unlock();
     world_mu_.lock_shared();
-    reason = cpu.Run(&proc.cpu(), budget, &steps, &fault);
+    while (true) {
+      uint64_t chunk = 0;
+      reason = cpu.Run(&proc.cpu(), budget - steps, &chunk, &fault);
+      steps += chunk;
+      if (reason != StopReason::kSyscall || !in_place || budget - steps < 2 ||
+          !SyscallInPlace(proc)) {
+        break;
+      }
+      ++steps;  // the syscall's budget step
+    }
     world_mu_.unlock_shared();
     lk.lock();
-    proc.steps_ += steps;
-    ChargeTicks(proc, steps);
+    // Bill the calls served in place like kernel-path ones, now that the
+    // machine-wide cells are ours again. Each put a budget step into |steps|
+    // that is not an instruction.
+    uint64_t served = proc.in_place_syscalls_;
+    proc.in_place_syscalls_ = 0;
+    proc.syscall_count_ += served;
+    total_syscalls_ += served;
+    *m_syscalls_ += served;
+    *m_syscalls_in_place_ += served;
+    proc.steps_ += steps - served;
+    ChargeTicks(proc, steps - served + served * syscall_cost_);
     budget = budget > steps ? budget - steps : 0;
     switch (reason) {
       case StopReason::kSteps:
@@ -361,6 +394,7 @@ SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_
   scheduled_run_ = true;
   smp_stop_ = false;
   smp_running_cores_ = 0;
+  smp_idle_cores_ = 0;
   smp_spent_ = 0;
   smp_budget_ = max_total_steps;
   smp_quantum_ = params.quantum == 0 ? 4096 : params.quantum;
@@ -421,7 +455,9 @@ void Machine::CoreLoop(int core) {
       }
       // A sibling is still running and may enqueue work (futex wake, fork). The
       // timeout is a backstop against a missed notify, not the wake mechanism.
+      ++smp_idle_cores_;
       smp_cv_.wait_for(lk, std::chrono::milliseconds(1));
+      --smp_idle_cores_;
       continue;
     }
     Process* proc = FindProcess(pid);
@@ -436,8 +472,8 @@ void Machine::CoreLoop(int core) {
     if (st == SchedStatus::kOutOfGas) {
       scheduler_.Preempt(pid, proc->priority_);
     }
-    if (scheduler_.ReadyCount() > 0) {
-      smp_cv_.notify_all();  // this dispatch may have made siblings' work ready
+    if (scheduler_.ReadyCount() > 0 && smp_idle_cores_ > 0) {
+      smp_cv_.notify_all();  // this dispatch may have made work for a parked core
     }
   }
 }
@@ -461,7 +497,10 @@ void Machine::ExitProcess(Process& proc, int status) {
   // Flush now, not just at dispatch end: a process killed from outside any run
   // would otherwise take its counter cells to the grave at reap time.
   FlushVmCounters(proc);
-  scheduler_.Remove(proc.pid());
+  {
+    std::lock_guard<std::mutex> sync(sync_mu_);  // may leave a futex queue
+    scheduler_.Remove(proc.pid());
+  }
   // Lock release runs after the state flip so the unlock hook's wake-ups see a
   // dead holder; each released creation lock wakes its blocked attachers.
   sfs().ReleaseLocksOf(proc.pid());
@@ -497,11 +536,16 @@ void Machine::BlockProcessOnAddr(Process& proc, uint32_t addr) {
   proc.state_ = ProcState::kWaiting;
   proc.wait_kind_ = WaitKind::kAddr;
   proc.wait_addr_ = addr;
+  std::lock_guard<std::mutex> sync(sync_mu_);
   scheduler_.BlockOnFutex(proc.pid(), addr);
 }
 
 uint32_t Machine::WakeWaiters(uint32_t addr, uint32_t max) {
-  std::vector<int> pids = scheduler_.TakeFutexWaiters(addr, max);
+  std::vector<int> pids;
+  {
+    std::lock_guard<std::mutex> sync(sync_mu_);
+    pids = scheduler_.TakeFutexWaiters(addr, max);
+  }
   uint32_t woken = 0;
   for (int pid : pids) {
     Process* p = FindProcess(pid);
@@ -527,35 +571,103 @@ uint32_t Machine::WakeWaiters(uint32_t addr, uint32_t max) {
   return woken;
 }
 
-int Machine::LoadSyncWord(Process& proc, uint32_t addr, uint32_t* value) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    Fault fault;
-    if (proc.space().Load32(addr, value, &fault)) {
-      return 0;
-    }
-    if (attempt > 0) {
+bool Machine::SyncCas(Process& proc, uint32_t addr, uint32_t expect, uint32_t desired,
+                      uint32_t* old, Fault* fault) {
+  std::lock_guard<std::mutex> sync(sync_mu_);
+  if (!proc.space().Load32(addr, old, fault)) {
+    return false;
+  }
+  if (*old == expect) {
+    // Cannot fail: the load just resolved the page, and a kernel write skips
+    // the protection check.
+    proc.space().WriteBytes(addr, reinterpret_cast<const uint8_t*>(&desired), 4);
+  }
+  return true;
+}
+
+bool Machine::SyncFutexPark(Process& proc, uint32_t addr, uint32_t expect, bool* parked,
+                            Fault* fault) {
+  std::lock_guard<std::mutex> sync(sync_mu_);
+  uint32_t current = 0;
+  if (!proc.space().Load32(addr, &current, fault)) {
+    return false;
+  }
+  *parked = current == expect;
+  if (*parked) {
+    proc.state_ = ProcState::kWaiting;
+    proc.wait_kind_ = WaitKind::kFutex;
+    proc.wait_addr_ = addr;
+    scheduler_.BlockOnFutex(proc.pid(), addr);
+  }
+  return true;
+}
+
+template <typename Op>
+int Machine::KernelSyncOp(Process& proc, Op op) {
+  Fault fault;
+  if (op(&fault)) {
+    return 0;
+  }
+  // Run the native handler chain only (the lazy linker). The simulated-program
+  // SIGSEGV handler is never entered from inside a syscall.
+  bool resolved = false;
+  for (FaultHandler& handler : proc.fault_handlers_) {
+    if (handler(*this, proc, fault)) {
+      resolved = true;
       break;
-    }
-    // Run the native handler chain only (the lazy linker). The simulated-program
-    // SIGSEGV handler is never entered from inside a syscall.
-    bool resolved = false;
-    for (FaultHandler& handler : proc.fault_handlers_) {
-      if (handler(*this, proc, fault)) {
-        resolved = true;
-        break;
-      }
-    }
-    if (!resolved) {
-      break;
-    }
-    if (proc.state_ == ProcState::kWaiting) {
-      // The handler parked us on another process's creation lock. Rewind the pc
-      // onto the SYSCALL instruction so the whole call re-executes on wake.
-      proc.cpu_.pc -= kInstrBytes;
-      return 1;
     }
   }
-  return -1;
+  if (!resolved) {
+    return -1;
+  }
+  if (proc.state_ == ProcState::kWaiting) {
+    // The handler parked us on another process's creation lock. Rewind the pc
+    // onto the SYSCALL instruction so the whole call re-executes on wake.
+    proc.cpu_.pc -= kInstrBytes;
+    return 1;
+  }
+  return op(&fault) ? 0 : -1;
+}
+
+bool Machine::SyscallInPlace(Process& proc) {
+  auto& regs = proc.cpu_.regs;
+  uint32_t addr = regs[kRegA0];
+  uint32_t ret = 0;
+  if (!IsSyncWord(addr)) {
+    return false;
+  }
+  switch (static_cast<Sys>(regs[kRegV0])) {
+    case Sys::kCas: {
+      // Any fault (lazy link, map fault, remote page, write-protect) needs the
+      // kernel path's handlers, so a word that would fault is left to it.
+      Fault fault;
+      if (!proc.space().WordResolves(addr) ||
+          !SyncCas(proc, addr, regs[kRegA1], regs[kRegA2], &ret, &fault)) {
+        return false;
+      }
+      break;
+    }
+    case Sys::kFutexWake: {
+      // No waiter means nothing to wake: the call returns 0 woken. Waking a
+      // parked process (or finding only a slot-mate's) needs the kernel lock.
+      std::lock_guard<std::mutex> sync(sync_mu_);
+      if (scheduler_.MayHaveFutexWaiters(addr)) {
+        return false;
+      }
+      break;
+    }
+    default:
+      return false;
+  }
+  regs[kRegV0] = ret;
+  regs[kRegV1] = 0;
+  ++proc.in_place_syscalls_;
+  return true;
+}
+
+bool Machine::InPlaceHook(void* arg) {
+  Process* proc = static_cast<Process*>(arg);
+  return proc->machine_->SyscallInPlace(*proc);
 }
 
 bool Machine::DeliverFault(Process& proc, const Fault& fault) {
@@ -988,15 +1100,17 @@ void Machine::DoSyscall(Process& proc) {
     }
     case Sys::kFutexWait: {
       // a0 = shared addr, a1 = expected value. Blocks only while *addr == a1; the
-      // value check and the enqueue are one atomic step (no interleaving inside a
-      // syscall), so the futex lost-wakeup window does not exist here.
-      if (!InSfsRegion(a0) || (a0 & 3u) != 0) {
+      // value check and the park are one step under sync_mu_, and so is an
+      // in-place wake's look for waiters, so the futex lost-wakeup window does
+      // not exist here.
+      if (!IsSyncWord(a0)) {
         err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
         ret = static_cast<uint32_t>(-1);
         break;
       }
-      uint32_t current = 0;
-      int got = LoadSyncWord(proc, a0, &current);
+      bool parked = false;
+      int got = KernelSyncOp(
+          proc, [&](Fault* f) { return SyncFutexPark(proc, a0, a1, &parked, f); });
       if (got == 1) {
         return;  // blocked inside the load; syscall re-executes on wake
       }
@@ -1005,19 +1119,15 @@ void Machine::DoSyscall(Process& proc) {
         ret = static_cast<uint32_t>(-1);
         break;
       }
-      if (current != a1) {
+      if (!parked) {
         err = static_cast<uint32_t>(ErrorCode::kWouldBlock);
         ret = static_cast<uint32_t>(-1);
         break;
       }
-      proc.state_ = ProcState::kWaiting;
-      proc.wait_kind_ = WaitKind::kFutex;
-      proc.wait_addr_ = a0;
-      scheduler_.BlockOnFutex(proc.pid(), a0);
       return;  // v0/v1 are filled by the wake
     }
     case Sys::kFutexWake: {
-      if (!InSfsRegion(a0) || (a0 & 3u) != 0) {
+      if (!IsSyncWord(a0)) {
         err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
         ret = static_cast<uint32_t>(-1);
         break;
@@ -1029,15 +1139,17 @@ void Machine::DoSyscall(Process& proc) {
       break;
     }
     case Sys::kCas: {
-      // Kernel-atomic compare-and-swap on a shared word: HRISC has no atomic
-      // instructions, so atomicity comes from the kernel crossing itself.
-      if (!InSfsRegion(a0) || (a0 & 3u) != 0) {
+      // Compare-and-swap on a shared word: HRISC has no atomic instructions, so
+      // atomicity comes from sync_mu_, which every kernel access to a sync word
+      // holds (in place or not).
+      if (!IsSyncWord(a0)) {
         err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
         ret = static_cast<uint32_t>(-1);
         break;
       }
-      uint32_t current = 0;
-      int got = LoadSyncWord(proc, a0, &current);
+      uint32_t old = 0;
+      int got = KernelSyncOp(
+          proc, [&](Fault* f) { return SyncCas(proc, a0, a1, a2, &old, f); });
       if (got == 1) {
         return;
       }
@@ -1046,20 +1158,14 @@ void Machine::DoSyscall(Process& proc) {
         ret = static_cast<uint32_t>(-1);
         break;
       }
-      if (current == a1) {
-        Status ws = proc.space().WriteBytes(a0, reinterpret_cast<uint8_t*>(&a2), 4);
-        if (!ws.ok()) {
-          err = static_cast<uint32_t>(ws.code());
-          ret = static_cast<uint32_t>(-1);
-          break;
-        }
-        if (race_) {
+      if (race_) {
+        if (old == a1) {
           race_->OnAcqRel(proc.pid(), a0);
+        } else {
+          race_->OnAcquire(proc.pid(), a0);
         }
-      } else if (race_) {
-        race_->OnAcquire(proc.pid(), a0);
       }
-      ret = current;
+      ret = old;
       break;
     }
     case Sys::kSpawn: {

@@ -152,6 +152,10 @@ class Process {
   uint64_t fault_count_ = 0;
   uint64_t resolved_fault_count_ = 0;
   uint64_t syscall_count_ = 0;
+  // Syscalls served in place (Machine::SyscallInPlace) since the dispatch loop
+  // last billed them; each also took a budget step counted in the chunk's steps.
+  uint64_t in_place_syscalls_ = 0;
+  Machine* machine_ = nullptr;  // for the JIT's in-place syscall hook
   // Ticks charged during the current DriveProcess dispatch (steps + syscall and
   // fault costs); the scheduler loops read it after each quantum.
   uint64_t charged_ = 0;
@@ -188,6 +192,10 @@ class Machine {
 
   Vfs& vfs() { return *vfs_; }
   SharedFs& sfs() { return vfs_->sfs(); }
+
+  // A number no other Machine of this host process has had or will have: a
+  // cache key that, unlike the Machine's address, is never reused after it dies.
+  uint64_t serial() const { return serial_; }
 
   // Machine-wide observability: kernel-side counters ("vm.*", "sfs.*") and the
   // structured event ring. Per-process linker counters live in each Ldl's own
@@ -301,10 +309,11 @@ class Machine {
 
   // One dispatch of |proc| for up to |max_steps|. |lk| is the caller's held
   // kernel lock, which DriveProcess releases only around the guest cpu.Run
-  // chunks — syscalls, faults, and every scheduler transition happen with the
-  // lock held. The lock is held continuously from the end of a guest chunk
-  // through the next loop-top state check, so a process this core parked cannot
-  // be re-dispatched elsewhere until this call returns.
+  // chunks — syscalls (bar those served in place), faults, and every scheduler
+  // transition happen with the lock held. The lock is held continuously from
+  // the end of a guest chunk through the next loop-top state check, so a
+  // process this core parked cannot be re-dispatched elsewhere until this call
+  // returns.
   SchedStatus DriveProcess(Process& proc, uint64_t max_steps,
                            std::unique_lock<std::mutex>& lk);
   SchedStatus DriveProcessLoop(Process& proc, uint64_t max_steps,
@@ -327,22 +336,40 @@ class Machine {
   SchedStatus ReportDeadlock();
 
   void DoSyscall(Process& proc);
+  // Serves the syscall |proc| just retired on the calling core, holding only
+  // world_mu_ (shared) and sync_mu_: sys_cas on a word that resolves without a
+  // fault, and sys_futex_wake when no process waits on the word. Returns false, having
+  // changed nothing, for anything else — the caller then takes the kernel path.
+  // The billing (counters, ticks) waits for the dispatch loop's next kernel lock.
+  bool SyscallInPlace(Process& proc);
+  // The JIT's syscall hook (Jit::set_syscall_hook); |arg| is the Process.
+  static bool InPlaceHook(void* arg);
+  // The sync-word ops, each one step under sync_mu_. False (nothing changed,
+  // |fault| filled) when the word faults.
+  //   SyncCas: sys_cas's read-compare-write; the old value lands in |*old|.
+  //   SyncFutexPark: sys_futex_wait's value check and, on a match, the park
+  //   (|*parked| says which).
+  bool SyncCas(Process& proc, uint32_t addr, uint32_t expect, uint32_t desired, uint32_t* old,
+               Fault* fault);
+  bool SyncFutexPark(Process& proc, uint32_t addr, uint32_t expect, bool* parked, Fault* fault);
+  // Runs a sync-word op for a kernel-path syscall. On a fault it runs the native
+  // handler chain (the kernel's copy_from_user moment) and retries once. Returns
+  // 0 done, -1 unresolved fault; 1 when the handler *blocked* the process — the
+  // pc has been rewound so the whole syscall re-executes after the wake.
+  template <typename Op>
+  int KernelSyncOp(Process& proc, Op op);
   // Returns true if the fault was resolved and the instruction should retry.
   bool DeliverFault(Process& proc, const Fault& fault);
   void ExitProcess(Process& proc, int status);
   void FlushFd(Process& proc, FileDesc& fd);
   // Reaps a zombie |child| of |proc| (fills $v0/$v1, erases the process).
   void ReapChild(Process& proc, int child_pid);
-  // Loads the shared word at |addr| for a sync syscall, running native fault
-  // handlers on a miss (the kernel's copy_from_user moment). Returns 0 on success,
-  // -1 on error; 1 when the fault handler *blocked* the process — the pc has been
-  // rewound so the whole syscall re-executes after the wake.
-  int LoadSyncWord(Process& proc, uint32_t addr, uint32_t* value);
 
   // Syscall helpers.
   uint32_t SysOpen(Process& proc, const std::string& path, uint32_t flags, uint32_t* err);
   uint32_t SysOpenByAddr(Process& proc, uint32_t addr, uint32_t flags, uint32_t* err);
 
+  const uint64_t serial_;
   std::unique_ptr<Vfs> vfs_;
   MetricsRegistry metrics_;
   TraceBuffer trace_;
@@ -351,6 +378,7 @@ class Machine {
   uint64_t* m_faults_resolved_ = nullptr;
   uint64_t* m_faults_fatal_ = nullptr;
   uint64_t* m_syscalls_ = nullptr;
+  uint64_t* m_syscalls_in_place_ = nullptr;
   // Fast-path counters, shared by every process's TLB and block cache.
   uint64_t* m_tlb_hits_ = nullptr;
   uint64_t* m_tlb_misses_ = nullptr;
@@ -384,21 +412,29 @@ class Machine {
 
   // --- Scheduled-run state (docs/CONCURRENCY.md) ---
   //
-  // Two locks, strict order kernel_mu_ -> world_mu_(unique):
+  // Three locks, in the orders kernel_mu_ -> world_mu_(unique),
+  // kernel_mu_ -> sync_mu_ and world_mu_(shared) -> sync_mu_:
   //   * kernel_mu_ — the big kernel lock. A core holds it at all times except
   //     while its guest runs; every kernel structure above (procs_, ticks_,
   //     scheduler_, SFS metadata, trace) is protected by it during a run.
-  //   * world_mu_ — held *shared* by each core while its guest runs. Taking it
-  //     unique is the shootdown: it drains every core out of guest code before a
-  //     host pointer those cores may cache (SFS extents, TLB targets) is moved.
-  //     A core never takes kernel_mu_ while holding world_mu_ shared, so the
-  //     shootdown (kernel lock held, world unique wanted) cannot deadlock.
+  //   * world_mu_ — held *shared* by each core while its guest runs, and while
+  //     it serves a syscall in place. Taking it unique is the shootdown: it
+  //     drains every core out of guest code before a host pointer those cores
+  //     may cache (SFS extents, TLB targets) is moved. A core never takes
+  //     kernel_mu_ while holding world_mu_ shared, so the shootdown (kernel lock
+  //     held, world unique wanted) cannot deadlock.
+  //   * sync_mu_ — a leaf: every kernel read or write of a sync word (sys_cas,
+  //     sys_futex_wait's check-and-park) and every change to a futex queue runs
+  //     under it, so an in-place sys_futex_wake that finds no waiter under it
+  //     cannot miss a park. Nothing is acquired while it is held.
   std::mutex kernel_mu_;
   std::shared_mutex world_mu_;
+  std::mutex sync_mu_;
   std::condition_variable smp_cv_;     // "the ready queues gained work" / "stop"
   std::atomic<bool> smp_active_{false};  // >1 core running; read by BeginShootdown
   bool smp_stop_ = false;
   int smp_running_cores_ = 0;          // cores currently inside DriveProcess
+  int smp_idle_cores_ = 0;             // cores parked on smp_cv_ (the only ones to notify)
   uint64_t smp_spent_ = 0;
   uint64_t smp_budget_ = 0;
   uint64_t smp_quantum_ = 4096;

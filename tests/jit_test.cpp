@@ -141,6 +141,78 @@ TEST_F(JitCpuTest, QuantumEdgeStillCutsAtTheExactInstruction) {
   EXPECT_EQ(st.regs[kRegT2], 3u);
 }
 
+// A stand-in for the machine's in-place hook: serves every call it is offered
+// (answering 42 in $v0) or declines them all.
+struct HookProbe {
+  CpuState* st = nullptr;
+  bool serve = true;
+  int offered = 0;
+  static bool Hook(void* arg) {
+    HookProbe* probe = static_cast<HookProbe*>(arg);
+    ++probe->offered;
+    if (!probe->serve) {
+      return false;
+    }
+    probe->st->regs[kRegV0] = 42;
+    return true;
+  }
+};
+
+TEST_F(JitCpuTest, ServedSyscallChainsOnAndTakesItsBudgetStep) {
+  //   0x00 addi t0, zero, 1
+  //   0x04 syscall          <- served: chains to 0x08
+  //   0x08 addi t0, t0, 1
+  //   0x0C syscall          <- served
+  //   0x10 break
+  InstallCode({
+      EncodeI(Op::kAddi, kRegT0, kRegZero, 1),
+      EncodeSyscall(),
+      EncodeI(Op::kAddi, kRegT0, kRegT0, 1),
+      EncodeSyscall(),
+      EncodeBreak(),
+  });
+  Cpu cpu(&space_);
+  cpu.set_exec_cache(&cache_);
+  cpu.set_jit(&jit_);
+  CpuState st;
+  HookProbe probe;
+  probe.st = &st;
+  jit_.set_syscall_hook(&HookProbe::Hook, &probe);
+  uint64_t steps = 0;
+  Fault fault;
+  // The first pass compiles each block as it reaches it; the second runs the
+  // syscalls' chain slots patched straight into their successors.
+  for (int pass = 0; pass < 2; ++pass) {
+    st = CpuState{};
+    probe.offered = 0;
+    EXPECT_EQ(cpu.Run(&st, 100000, &steps, &fault), StopReason::kBreak) << "pass " << pass;
+    EXPECT_EQ(probe.offered, 2);
+    EXPECT_EQ(st.regs[kRegV0], 42u);
+    EXPECT_EQ(st.regs[kRegT0], 2u);
+    EXPECT_EQ(st.pc, 0x14u);
+    EXPECT_EQ(steps, 5u + 2u) << "five instructions plus one budget step per served call";
+  }
+  EXPECT_GE(chained_, 2u);
+
+  // Declined: the syscall exits exactly as without a hook.
+  st = CpuState{};
+  probe.serve = false;
+  probe.offered = 0;
+  EXPECT_EQ(cpu.Run(&st, 100000, &steps, &fault), StopReason::kSyscall);
+  EXPECT_EQ(probe.offered, 1);
+  EXPECT_EQ(st.pc, 8u);
+  EXPECT_EQ(steps, 2u);
+
+  // Fuel that the budget step would use up: not offered, the kernel path ends
+  // the quantum where it always has.
+  st = CpuState{};
+  probe.serve = true;
+  probe.offered = 0;
+  EXPECT_EQ(cpu.Run(&st, 3, &steps, &fault), StopReason::kSyscall);
+  EXPECT_EQ(probe.offered, 0);
+  EXPECT_EQ(steps, 2u);
+}
+
 TEST_F(JitCpuTest, FaultingLoadLeavesPcAtTheInstruction) {
   std::vector<uint32_t> words = {
       EncodeI(Op::kAddi, kRegT0, kRegZero, 1),

@@ -85,6 +85,20 @@ TEST(Scheduler, HigherPriorityRunsFirst) {
   EXPECT_EQ(sched.PickNext(0), 3);
 }
 
+TEST(Scheduler, EmptiedPriorityClassIsSkipped) {
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
+  sched.Enqueue(1, 5);
+  EXPECT_EQ(sched.PickNext(0), 1);  // class 5 is empty now, but stays
+  sched.Enqueue(2, 0);
+  sched.Enqueue(3, 0);
+  EXPECT_EQ(sched.PickNext(0), 2);
+  sched.Enqueue(4, 5);  // the kept class fills again and still runs first
+  EXPECT_EQ(sched.PickNext(0), 4);
+  EXPECT_EQ(sched.PickNext(0), 3);
+  EXPECT_EQ(sched.PickNext(0), -1);
+}
+
 TEST(Scheduler, EnqueueIsIdempotent) {
   MetricsRegistry metrics;
   Scheduler sched(&metrics);
@@ -132,6 +146,24 @@ TEST(Scheduler, CancelFutexWaitRemovesWaiter) {
   sched.CancelFutexWait(1);
   EXPECT_EQ(sched.FutexWaiterCount(), 0u);
   EXPECT_TRUE(sched.TakeFutexWaiters(0x30000040, 10).empty());
+}
+
+TEST(Scheduler, MayHaveFutexWaitersTracksEveryQueueChange) {
+  MetricsRegistry metrics;
+  Scheduler sched(&metrics);
+  EXPECT_FALSE(sched.MayHaveFutexWaiters(0x30000040));
+  sched.BlockOnFutex(1, 0x30000040);
+  sched.BlockOnFutex(2, 0x30000040);
+  sched.BlockOnFutex(3, 0x30000044);
+  EXPECT_TRUE(sched.MayHaveFutexWaiters(0x30000040));
+  EXPECT_TRUE(sched.MayHaveFutexWaiters(0x30000044));
+  ASSERT_EQ(sched.TakeFutexWaiters(0x30000040, 1).size(), 1u);
+  EXPECT_TRUE(sched.MayHaveFutexWaiters(0x30000040)) << "pid 2 still waits";
+  sched.Remove(2);
+  EXPECT_FALSE(sched.MayHaveFutexWaiters(0x30000040));
+  EXPECT_TRUE(sched.MayHaveFutexWaiters(0x30000044));
+  sched.CancelFutexWait(3);
+  EXPECT_FALSE(sched.MayHaveFutexWaiters(0x30000044));
 }
 
 TEST(Scheduler, DescribeWaitersNamesTheAddress) {
@@ -376,6 +408,21 @@ TEST(SchedulerSmp, DryCoreStealsFromSiblingAndRehomes) {
     }
   }
   EXPECT_EQ(rest.size(), 2u);
+}
+
+TEST(SchedulerSmp, StealSkipsTheVictimsEmptiedClass) {
+  MetricsRegistry metrics;
+  Scheduler s(&metrics);
+  s.ConfigureCores(2);
+  s.Enqueue(10, 5);  // core 0
+  s.Enqueue(20, 0);  // core 1
+  s.Enqueue(30, 0);  // core 0
+  ASSERT_EQ(s.PickNext(0), 10);  // core 0's class 5 is empty now
+  ASSERT_EQ(s.PickNext(1), 20);
+  // Core 1 is dry; core 0 holds pid 30 below its emptied top class.
+  EXPECT_EQ(s.PickNext(1), 30);
+  EXPECT_EQ(s.CoreOf(30), 1);
+  EXPECT_EQ(s.PickNext(0), -1);
 }
 
 TEST(SchedulerSmp, ConfigureCoresPreservesQueuedPids) {

@@ -59,7 +59,7 @@ TEST(SysCas, CompareAndSwapSemantics) {
 
 // --- hem_mutex under chaos schedules ---
 
-// Two processes each add 50 to a shared counter under the mutex; any lost update
+// Each process adds 50 to a shared counter under the mutex; any lost update
 // breaks the exact count. The final read is taken *under the lock* (reading after
 // the loop without it would itself be a data race).
 std::string MutexCounterSource() {
@@ -78,41 +78,120 @@ std::string MutexCounterSource() {
          "  hem_mutex_lock(&lock);\n"
          "  final = counter;\n"
          "  hem_mutex_unlock(&lock);\n"
-         "  return final % 101;\n"
+         "  return final;\n"
          "}\n";
 }
 
-TEST(HemMutex, NoLostUpdatesAcross16ChaosSeeds) {
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    HemlockWorld world;
+// One scheduled run of |procs| copies of the mutex counter program.
+struct MutexRun {
+  SchedStatus status = SchedStatus::kOutOfGas;
+  std::vector<int> exit_statuses;  // in exec order
+  std::string stdout_text;         // every process's, in exec order
+  MetricsSnapshot metrics;
+};
+
+MutexRun RunMutexCounter(const SchedParams& params, int procs, uint32_t jit_threshold = 0,
+                         bool traced = false) {
+  MutexRun run;
+  HemlockWorld world;
+  CompileOptions no_prelude;
+  no_prelude.include_prelude = false;
+  LoadImage image;
+  [&] {
     ASSERT_TRUE(InstallHemSync(world).ok());
-    CompileOptions no_prelude;
-    no_prelude.include_prelude = false;
     ASSERT_TRUE(world
                     .CompileTo("int lock = 0;\nint counter = 0;\n",
                                "/shm/lib/mtx_db.o", no_prelude)
                     .ok());
     ASSERT_TRUE(world.CompileTo(MutexCounterSource(), "/home/user/mtx.o").ok());
-    Result<LoadImage> image =
+    Result<LoadImage> linked =
         LinkWith(world, "/home/user/mtx.o", {"/shm/lib/mtx_db.o", "/shm/lib/hemsync.o"});
-    ASSERT_TRUE(image.ok()) << image.status().ToString();
-    Result<ExecResult> a = world.Exec(*image);
-    Result<ExecResult> b = world.Exec(*image);
-    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(linked.ok()) << linked.status().ToString();
+    image = *linked;
+  }();
+  if (::testing::Test::HasFatalFailure()) {
+    return run;
+  }
+  if (jit_threshold != 0) {
+    world.machine().set_jit_threshold(jit_threshold);
+  }
+  world.machine().trace().set_enabled(traced);
+  std::vector<int> pids;
+  for (int i = 0; i < procs; ++i) {
+    Result<ExecResult> exec = world.Exec(image);
+    EXPECT_TRUE(exec.ok());
+    if (!exec.ok()) {
+      return run;
+    }
+    pids.push_back(exec->pid);
+  }
+  run.status = world.machine().RunScheduled(params, 200'000'000);
+  for (int pid : pids) {
+    Process* proc = world.machine().FindProcess(pid);
+    run.exit_statuses.push_back(proc == nullptr ? -1 : proc->exit_status());
+    run.stdout_text += proc == nullptr ? "" : proc->stdout_text();
+  }
+  run.metrics = world.machine().metrics().Snapshot();
+  run.metrics["vm.ticks"] = world.machine().ticks();
+  return run;
+}
 
-    SchedParams params;
-    params.policy = SchedPolicy::kRandom;
-    params.seed = seed;
-    params.quantum = 64;
-    ASSERT_EQ(world.machine().RunScheduled(params, 200'000'000), SchedStatus::kExited)
-        << "seed " << seed;
-    // Whichever process finishes last sees the full count: 100 % 101 == 100.
-    Process* last = world.machine().FindProcess(b->pid);
-    ASSERT_NE(last, nullptr);
-    Process* first = world.machine().FindProcess(a->pid);
-    ASSERT_NE(first, nullptr);
-    int max_status = std::max(first->exit_status(), last->exit_status());
-    EXPECT_EQ(max_status, 100) << "lost updates under seed " << seed;
+TEST(HemMutex, NoLostUpdatesAcross16ChaosSeeds) {
+  // One core, and four cores with every block compiled: the SMP run catches a
+  // lost update, or a lost wakeup (a hang or a deadlock), between sync calls
+  // served in place on one core and the kernel path on another.
+  struct Input {
+    int cores;
+    int procs;
+    uint32_t jit_threshold;
+  };
+  for (const Input& in : {Input{1, 2, 0}, Input{4, 4, 1}}) {
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+      SchedParams params;
+      params.policy = SchedPolicy::kRandom;
+      params.seed = seed;
+      params.quantum = 64;
+      params.num_cores = in.cores;
+      MutexRun run = RunMutexCounter(params, in.procs, in.jit_threshold);
+      ASSERT_EQ(run.status, SchedStatus::kExited) << in.cores << " cores, seed " << seed;
+      // Whichever process finishes last sees the full count.
+      int max_status = *std::max_element(run.exit_statuses.begin(), run.exit_statuses.end());
+      EXPECT_EQ(max_status, in.procs * 50)
+          << "lost updates at " << in.cores << " cores, seed " << seed;
+    }
+  }
+}
+
+// Tracing keeps every sync call on the kernel path (the JIT and the in-place
+// path are both off with it); without it most are served in place. Observing
+// must not move what is observed: the guest and every count that describes its
+// run are the same either way.
+TEST(HemMutex, InPlaceSyncCallsMatchTheKernelPath) {
+  // Threshold 1 compiles every block, so the JIT's syscall template serves the
+  // calls; at the default most are served by the dispatch loop.
+  for (uint32_t threshold : {0u, 1u}) {
+    for (uint64_t seed : {3u, 11u}) {
+      SchedParams params;
+      params.policy = SchedPolicy::kRandom;
+      params.seed = seed;
+      params.quantum = 64;
+      MutexRun in_place = RunMutexCounter(params, 2, threshold);
+      MutexRun kernel = RunMutexCounter(params, 2, threshold, /*traced=*/true);
+      std::string where = "threshold " + std::to_string(threshold) + ", seed " +
+                          std::to_string(seed);
+      ASSERT_EQ(in_place.status, SchedStatus::kExited) << where;
+      ASSERT_EQ(kernel.status, SchedStatus::kExited) << where;
+      EXPECT_EQ(in_place.exit_statuses, kernel.exit_statuses) << where;
+      EXPECT_EQ(in_place.stdout_text, kernel.stdout_text) << where;
+      for (const char* counter : {"vm.syscalls", "vm.ticks", "vm.sched.switches",
+                                  "vm.sched.preemptions", "vm.sched.futex_waits",
+                                  "vm.sched.wakes"}) {
+        EXPECT_EQ(in_place.metrics[counter], kernel.metrics[counter]) << counter << ", " << where;
+      }
+      EXPECT_GT(in_place.metrics["vm.sched.futex_waits"], 0u) << "no contention, " << where;
+      EXPECT_GT(in_place.metrics["vm.syscalls.in_place"], 0u) << where;
+      EXPECT_EQ(kernel.metrics["vm.syscalls.in_place"], 0u) << where;
+    }
   }
 }
 
