@@ -175,7 +175,7 @@ void BM_SimRwho(benchmark::State& state, bool shared) {
   state.counters["sim_query_ticks"] = static_cast<double>(query_ticks);
   state.counters["sim_update_ticks"] = static_cast<double>(update_ticks);
   state.counters["sim_query_syscalls_amortized"] =
-      static_cast<double>(world.machine().total_syscalls());
+      static_cast<double>(world.machine().metrics().Get("vm.syscalls"));
 }
 
 struct Registrar {

@@ -181,7 +181,7 @@ int main() {
       RunAndShow(world, *rwho, "rwho") != 12) {
     return 1;
   }
-  std::printf("rwho_sim OK (database: /shm/lib/rwhodb, %u faults resolved machine-wide)\n",
-              static_cast<unsigned>(world.machine().total_faults()));
+  std::printf("rwho_sim OK (database: /shm/lib/rwhodb, %u faults delivered machine-wide)\n",
+              static_cast<unsigned>(world.machine().metrics().Get("vm.faults_delivered")));
   return 0;
 }

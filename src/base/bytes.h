@@ -123,10 +123,14 @@ class ByteReader {
     return b;
   }
 
-  // Copies |n| raw bytes into |out|.
+  // Copies |n| raw bytes into |out|. A zero-length read copies nothing, so |out|
+  // (and the source) may be null then — an empty vector's data().
   Status ReadRaw(uint8_t* out, size_t n) {
     if (pos_ + n > size_) {
       return Truncated();
+    }
+    if (n == 0) {
+      return OkStatus();
     }
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;

@@ -13,6 +13,7 @@
 #ifndef SRC_ISA_ISA_H_
 #define SRC_ISA_ISA_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -106,39 +107,67 @@ enum class Funct : uint8_t {
   kSltu = 0x2B,
 };
 
-// Syscall numbers recognized by the simulated kernel (placed in $v0).
-// Args in $a0..$a3; result in $v0; error code (ErrorCode as int, 0 = OK) in $v1.
+// The syscall table: every call the simulated kernel serves, listed once as
+// X(Name, number, HemC intrinsic, args, sync). The guest puts the number in $v0 and
+// the args in $a0..$a2; the result comes back in $v0 with an ErrorCode in $v1
+// (0 = OK; an unknown number gets -1 and kUnimplemented). Codegen compiles a call
+// to the intrinsic into a SYSCALL; Machine expands the rows into its handler table
+// (src/vm/machine.cc), so a row without a kernel handler does not compile. |sync|
+// marks the calls whose $a0 must be an aligned shared-region word, checked once
+// before any handler runs. AddrToPath and OpenByAddr are the paper's new calls
+// (§2); Cas is the kernel's compare-and-swap, since HRISC has no atomics (like
+// Linux's kuser cmpxchg helper on ARMv5); Signal is the paper's wrapped signal().
+#define HEMLOCK_SYSCALLS(X)                                                              \
+  X(Exit, 1, "sys_exit", 1, false)         /* status */                                  \
+  X(Write, 2, "sys_write", 3, false)       /* fd, buf, len -> bytes written */           \
+  X(Read, 3, "sys_read", 3, false)         /* fd, buf, len -> bytes read */              \
+  X(Open, 4, "sys_open", 2, false)         /* path, flags -> fd */                       \
+  X(Close, 5, "sys_close", 1, false)       /* fd */                                      \
+  X(Fork, 6, "sys_fork", 0, false)         /* -> child pid (0 in the child) */           \
+  X(WaitPid, 7, "sys_waitpid", 1, false)   /* pid -> exit status */                      \
+  X(GetPid, 8, "sys_getpid", 0, false)     /* -> pid */                                  \
+  X(Sbrk, 9, "sys_sbrk", 1, false)         /* delta -> old break */                      \
+  X(Unlink, 10, "sys_unlink", 1, false)    /* path */                                    \
+  X(Stat, 11, "sys_stat", 2, false)        /* path, out {inode, size, addr} */           \
+  X(AddrToPath, 12, "sys_addr_to_path", 3, false) /* addr, buf, len -> path length */    \
+  X(OpenByAddr, 13, "sys_open_by_addr", 2, false) /* addr, flags -> fd */                \
+  X(Yield, 14, "sys_yield", 0, false)                                                    \
+  X(Time, 15, "sys_time", 0, false)        /* -> simulated tick count */                 \
+  X(LockFile, 16, "sys_lockf", 2, false)   /* fd, 1 lock / 0 unlock (paper §4) */        \
+  X(Signal, 17, "sys_signal", 1, false)    /* handler (0 = reset) -> previous one */     \
+  X(FutexWait, 18, "sys_futex_wait", 2, true) /* addr, expected: block while equal */    \
+  X(FutexWake, 19, "sys_futex_wake", 2, true) /* addr, max -> number woken */            \
+  X(Cas, 20, "sys_cas", 3, true)           /* addr, expected, desired -> old value */    \
+  X(Spawn, 21, "sys_spawn", 1, false)      /* image path -> child pid (rwho launcher) */ \
+  X(SetPrio, 22, "sys_setprio", 1, false)  /* priority (higher runs first under rr) */
+
 enum class Sys : uint32_t {
-  kExit = 1,         // a0 = status
-  kWrite = 2,        // a0 = fd, a1 = buf, a2 = len -> bytes written
-  kRead = 3,         // a0 = fd, a1 = buf, a2 = len -> bytes read
-  kOpen = 4,         // a0 = path (NUL-terminated), a1 = flags -> fd
-  kClose = 5,        // a0 = fd
-  kFork = 6,         // -> child pid (0 in child)
-  kWaitPid = 7,      // a0 = pid -> exit status
-  kGetPid = 8,       // -> pid
-  kSbrk = 9,         // a0 = delta -> old break
-  kUnlink = 10,      // a0 = path
-  kStat = 11,        // a0 = path, a1 = out struct {inode, size, addr}
-  kAddrToPath = 12,  // NEW (paper §2): a0 = addr, a1 = buf, a2 = len -> path length
-  kOpenByAddr = 13,  // NEW (paper §2): a0 = addr, a1 = flags -> fd
-  kYield = 14,
-  kTime = 15,        // -> simulated tick count
-  kLockFile = 16,    // a0 = fd, a1 = (0 unlock, 1 lock): ldl's creation lock (paper §4)
-  kSignal = 17,      // a0 = handler address (0 = reset): the paper's wrapped signal()
-                     // call — the handler runs when Hemlock's own fault handler cannot
-                     // resolve a SIGSEGV; -> previous handler address
-  kFutexWait = 18,   // a0 = shared addr, a1 = expected value: block while *addr == a1
-                     // (returns kWouldBlock immediately when *addr != a1)
-  kFutexWake = 19,   // a0 = shared addr, a1 = max waiters -> number woken
-  kCas = 20,         // a0 = shared addr, a1 = expected, a2 = desired -> old value.
-                     // Kernel-atomic compare-and-swap: HRISC has no atomic
-                     // instructions (R3000 heritage), so the kernel provides the
-                     // primitive, like Linux's kuser cmpxchg helper on ARMv5.
-  kSpawn = 21,       // a0 = image path in the VFS -> child pid; the paper's rwho
-                     // launcher starts its daemon and clients with this
-  kSetPrio = 22,     // a0 = priority (higher runs first under the rr policy)
+#define HEMLOCK_SYS_ENUMERATOR(name, number, intrinsic, nargs, sync) k##name = number,
+  HEMLOCK_SYSCALLS(HEMLOCK_SYS_ENUMERATOR)
+#undef HEMLOCK_SYS_ENUMERATOR
 };
+
+// The rows as data, for the code generator.
+struct SyscallInfo {
+  Sys number;
+  const char* intrinsic;  // the HemC name that compiles to this call
+  int nargs;              // in $a0..$a2
+};
+
+inline constexpr SyscallInfo kSyscalls[] = {
+#define HEMLOCK_SYS_INFO(name, number, intrinsic, nargs, sync) {Sys::k##name, intrinsic, nargs},
+  HEMLOCK_SYSCALLS(HEMLOCK_SYS_INFO)
+#undef HEMLOCK_SYS_INFO
+};
+
+// One past the largest syscall number: the length of a table indexed by number.
+inline constexpr uint32_t kSysLimit = [] {
+  uint32_t limit = 0;
+  for (const SyscallInfo& sys : kSyscalls) {
+    limit = std::max(limit, static_cast<uint32_t>(sys.number) + 1);
+  }
+  return limit;
+}();
 
 // Returning from a simulated SIGSEGV handler: the handler's return jumps here, a
 // reserved unmapped address the kernel recognizes, restoring the interrupted context

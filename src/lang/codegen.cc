@@ -11,43 +11,13 @@ namespace hemlock {
 
 namespace {
 
-// Syscall intrinsics. A call to one of these names (when no user function shadows it)
-// compiles to an inline syscall sequence rather than a JAL.
-struct Intrinsic {
-  const char* name;
-  Sys number;
-  int arg_count;
-};
-
-constexpr Intrinsic kIntrinsics[] = {
-    {"sys_exit", Sys::kExit, 1},
-    {"sys_write", Sys::kWrite, 3},
-    {"sys_read", Sys::kRead, 3},
-    {"sys_open", Sys::kOpen, 2},
-    {"sys_close", Sys::kClose, 1},
-    {"sys_fork", Sys::kFork, 0},
-    {"sys_waitpid", Sys::kWaitPid, 1},
-    {"sys_getpid", Sys::kGetPid, 0},
-    {"sys_sbrk", Sys::kSbrk, 1},
-    {"sys_unlink", Sys::kUnlink, 1},
-    {"sys_stat", Sys::kStat, 2},
-    {"sys_addr_to_path", Sys::kAddrToPath, 3},
-    {"sys_open_by_addr", Sys::kOpenByAddr, 2},
-    {"sys_yield", Sys::kYield, 0},
-    {"sys_time", Sys::kTime, 0},
-    {"sys_lockf", Sys::kLockFile, 2},
-    {"sys_signal", Sys::kSignal, 1},
-    {"sys_futex_wait", Sys::kFutexWait, 2},
-    {"sys_futex_wake", Sys::kFutexWake, 2},
-    {"sys_cas", Sys::kCas, 3},
-    {"sys_spawn", Sys::kSpawn, 1},
-    {"sys_setprio", Sys::kSetPrio, 1},
-};
-
-const Intrinsic* FindIntrinsic(const std::string& name) {
-  for (const Intrinsic& in : kIntrinsics) {
-    if (name == in.name) {
-      return &in;
+// Syscall intrinsics (the table in src/isa/isa.h). A call to one of these names
+// (when no user function shadows it) compiles to an inline syscall sequence rather
+// than a JAL.
+const SyscallInfo* FindIntrinsic(const std::string& name) {
+  for (const SyscallInfo& sys : kSyscalls) {
+    if (name == sys.intrinsic) {
+      return &sys;
     }
   }
   return nullptr;
@@ -938,7 +908,7 @@ class CodeGen {
       auto it = globals_.find(name);
       bool is_user_func = it != globals_.end() && it->second.is_function;
       if (!is_user_func && FindLocal(name) == nullptr) {
-        const Intrinsic* intr = FindIntrinsic(name);
+        const SyscallInfo* intr = FindIntrinsic(name);
         if (intr != nullptr) {
           return GenIntrinsicCall(e, *intr);
         }
@@ -976,9 +946,9 @@ class CodeGen {
     return MakeInt();
   }
 
-  Result<TypeRef> GenIntrinsicCall(const Expr& e, const Intrinsic& intr) {
-    if (static_cast<int>(e.args.size()) != intr.arg_count) {
-      return Error(e.line, StrFormat("%s expects %d arguments", intr.name, intr.arg_count));
+  Result<TypeRef> GenIntrinsicCall(const Expr& e, const SyscallInfo& intr) {
+    if (static_cast<int>(e.args.size()) != intr.nargs) {
+      return Error(e.line, StrFormat("%s expects %d arguments", intr.intrinsic, intr.nargs));
     }
     for (size_t i = e.args.size(); i > 0; --i) {
       ASSIGN_OR_RETURN(TypeRef at, GenExpr(*e.args[i - 1]));
@@ -986,7 +956,7 @@ class CodeGen {
       EmitPush(kRegV0);
     }
     static constexpr uint8_t kArgRegs[] = {kRegA0, kRegA1, kRegA2, kRegA3};
-    for (int i = 0; i < intr.arg_count; ++i) {
+    for (int i = 0; i < intr.nargs; ++i) {
       EmitPop(kArgRegs[i]);
     }
     EmitLoadImm(kRegV0, static_cast<uint32_t>(intr.number));

@@ -33,8 +33,8 @@
 // interpreter tiers. The dispatcher declines to enter a block longer than the
 // remaining budget, letting the interpreter cut it at the budget edge.
 //
-// The tier disables itself when observers need per-access callbacks (race
-// detector, tracing) and on non-x86-64 hosts; see Machine::DriveProcessLoop for
+// The tier disables itself when an observer needs per-access callbacks (the race
+// detector) and on non-x86-64 hosts; see Machine::DriveProcessLoop for
 // the gating and docs/PERFORMANCE.md for the design.
 #ifndef SRC_VM_JIT_H_
 #define SRC_VM_JIT_H_

@@ -1,10 +1,12 @@
 #include "src/vm/machine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "src/base/faults.h"
 #include "src/base/layout.h"
@@ -37,6 +39,15 @@ bool IsSyncWord(uint32_t addr) { return InSfsRegion(addr) && (addr & 3u) == 0; }
 std::atomic<uint64_t> next_machine_serial{1};
 
 }  // namespace
+
+const Machine::SysResult Machine::kKeepRegs{0, 0, /*keep_regs=*/true};
+
+struct Machine::SysEntry {
+  SysResult (Machine::*kernel)(Process&, uint32_t, uint32_t, uint32_t);
+  // Null: the call always takes the kernel path.
+  std::optional<uint32_t> (Machine::*in_place)(Process&, uint32_t, uint32_t, uint32_t);
+  bool sync_word;  // $a0 must be a sync word
+};
 
 Process::Process(int pid, int parent, SharedFs* sfs)
     : pid_(pid), parent_(parent), space_(std::make_unique<AddressSpace>(sfs)) {
@@ -204,7 +215,6 @@ SchedStatus Machine::RunProcess(int pid, uint64_t max_steps) {
   if (proc == nullptr || proc->state_ == ProcState::kZombie) {
     return SchedStatus::kExited;
   }
-  trace_on_ = trace_.enabled();  // cached for the whole quantum (fault hot path)
   std::unique_lock<std::mutex> lk(kernel_mu_);
   return DriveProcess(*proc, max_steps, lk);
 }
@@ -255,22 +265,21 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
   int pid = proc.pid();
   Cpu cpu(&proc.space());
   RaceObserver observer(race_.get(), pid);
-  if (race_ != nullptr) {
+  // The race detector wants a callback per guest access, which template code
+  // does not make, and sees sync calls only on the kernel path: with it on, the
+  // JIT and in-place calls stand down (self-disable contract;
+  // docs/PERFORMANCE.md). Tracing needs neither — every trace event comes from
+  // the kernel path.
+  const bool observed = race_ != nullptr;
+  if (observed) {
     cpu.set_observer(&observer);
   }
   if (!slow_interp_) {
     cpu.set_exec_cache(&proc.exec_cache_);
-    // The JIT tier needs the unobserved fast loop: the race detector wants a
-    // callback per access and tracing wants per-event hooks, neither of which
-    // template code emits — fall back to the dual dispatch loops when either
-    // is on (self-disable contract; docs/PERFORMANCE.md).
-    if (proc.jit_ != nullptr && race_ == nullptr && !trace_on_) {
+    if (proc.jit_ != nullptr && !observed) {
       cpu.set_jit(proc.jit_.get());
     }
   }
-  // The same two observers keep every syscall on the kernel path, where their
-  // hooks are (the JIT, which serves calls in place too, is off with them).
-  const bool in_place = race_ == nullptr && !trace_on_;
   uint64_t budget = max_steps;
   while (budget > 0) {
     if (proc.state_ == ProcState::kZombie) {
@@ -304,7 +313,7 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
       uint64_t chunk = 0;
       reason = cpu.Run(&proc.cpu(), budget - steps, &chunk, &fault);
       steps += chunk;
-      if (reason != StopReason::kSyscall || !in_place || budget - steps < 2 ||
+      if (reason != StopReason::kSyscall || observed || budget - steps < 2 ||
           !SyscallInPlace(proc)) {
         break;
       }
@@ -315,14 +324,11 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
     // Bill the calls served in place like kernel-path ones, now that the
     // machine-wide cells are ours again. Each put a budget step into |steps|
     // that is not an instruction.
-    uint64_t served = proc.in_place_syscalls_;
-    proc.in_place_syscalls_ = 0;
-    proc.syscall_count_ += served;
-    total_syscalls_ += served;
-    *m_syscalls_ += served;
+    uint64_t served = std::exchange(proc.in_place_syscalls_, 0);
+    BillSyscalls(proc, served);
     *m_syscalls_in_place_ += served;
     proc.steps_ += steps - served;
-    ChargeTicks(proc, steps - served + served * syscall_cost_);
+    ChargeTicks(proc, steps - served);
     budget = budget > steps ? budget - steps : 0;
     switch (reason) {
       case StopReason::kSteps:
@@ -372,7 +378,7 @@ SchedStatus Machine::ReportDeadlock() {
   for (const std::string& line : waiters) {
     HLOG(Warning) << "  " << line;
   }
-  if (trace_on_) {
+  if (trace_.enabled()) {
     trace_.Emit(TraceKind::kDeadlock, StrFormat("%zu blocked", waiters.size()), "",
                 0, static_cast<uint32_t>(waiters.size()));
   }
@@ -380,7 +386,6 @@ SchedStatus Machine::ReportDeadlock() {
 }
 
 SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_steps) {
-  trace_on_ = trace_.enabled();
   scheduler_.Configure(params.policy, params.seed);
   scheduler_.ConfigureCores(params.num_cores);
   // Catch up on processes created (or woken) outside a scheduled run.
@@ -422,7 +427,7 @@ SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_
   if (result == SchedStatus::kOutOfGas && LiveProcessCount() == 0) {
     result = SchedStatus::kExited;
   }
-  if (race_ != nullptr && trace_on_) {
+  if (race_ != nullptr && trace_.enabled()) {
     const auto& reports = race_->reports();
     for (; race_reports_traced_ < reports.size(); ++race_reports_traced_) {
       const RaceReport& r = reports[race_reports_traced_];
@@ -603,10 +608,10 @@ bool Machine::SyncFutexPark(Process& proc, uint32_t addr, uint32_t expect, bool*
 }
 
 template <typename Op>
-int Machine::KernelSyncOp(Process& proc, Op op) {
+std::optional<Machine::SysResult> Machine::KernelSyncOp(Process& proc, Op op) {
   Fault fault;
   if (op(&fault)) {
-    return 0;
+    return std::nullopt;
   }
   // Run the native handler chain only (the lazy linker). The simulated-program
   // SIGSEGV handler is never entered from inside a syscall.
@@ -618,48 +623,33 @@ int Machine::KernelSyncOp(Process& proc, Op op) {
     }
   }
   if (!resolved) {
-    return -1;
+    return Fail(ErrorCode::kFault);
   }
   if (proc.state_ == ProcState::kWaiting) {
     // The handler parked us on another process's creation lock. Rewind the pc
     // onto the SYSCALL instruction so the whole call re-executes on wake.
     proc.cpu_.pc -= kInstrBytes;
-    return 1;
+    return kKeepRegs;
   }
-  return op(&fault) ? 0 : -1;
+  if (op(&fault)) {
+    return std::nullopt;
+  }
+  return Fail(ErrorCode::kFault);
 }
 
 bool Machine::SyscallInPlace(Process& proc) {
   auto& regs = proc.cpu_.regs;
-  uint32_t addr = regs[kRegA0];
-  uint32_t ret = 0;
-  if (!IsSyncWord(addr)) {
+  ErrorCode err = ErrorCode::kOk;
+  const SysEntry* sys = LookupSyscall(regs[kRegV0], regs[kRegA0], &err);
+  if (sys == nullptr || sys->in_place == nullptr) {
     return false;
   }
-  switch (static_cast<Sys>(regs[kRegV0])) {
-    case Sys::kCas: {
-      // Any fault (lazy link, map fault, remote page, write-protect) needs the
-      // kernel path's handlers, so a word that would fault is left to it.
-      Fault fault;
-      if (!proc.space().WordResolves(addr) ||
-          !SyncCas(proc, addr, regs[kRegA1], regs[kRegA2], &ret, &fault)) {
-        return false;
-      }
-      break;
-    }
-    case Sys::kFutexWake: {
-      // No waiter means nothing to wake: the call returns 0 woken. Waking a
-      // parked process (or finding only a slot-mate's) needs the kernel lock.
-      std::lock_guard<std::mutex> sync(sync_mu_);
-      if (scheduler_.MayHaveFutexWaiters(addr)) {
-        return false;
-      }
-      break;
-    }
-    default:
-      return false;
+  std::optional<uint32_t> ret =
+      (this->*sys->in_place)(proc, regs[kRegA0], regs[kRegA1], regs[kRegA2]);
+  if (!ret) {
+    return false;
   }
-  regs[kRegV0] = ret;
+  regs[kRegV0] = *ret;
   regs[kRegV1] = 0;
   ++proc.in_place_syscalls_;
   return true;
@@ -671,8 +661,6 @@ bool Machine::InPlaceHook(void* arg) {
 }
 
 bool Machine::DeliverFault(Process& proc, const Fault& fault) {
-  ++proc.fault_count_;
-  ++total_faults_;
   ++*m_faults_delivered_;
   ChargeTicks(proc, fault_cost_);
 
@@ -681,16 +669,14 @@ bool Machine::DeliverFault(Process& proc, const Fault& fault) {
   if (proc.in_user_handler_ && fault.addr == kSigReturnAddr) {
     proc.cpu_ = proc.saved_context_;
     proc.in_user_handler_ = false;
-    ++proc.resolved_fault_count_;
     ++*m_faults_resolved_;
-    if (trace_on_) trace_.Emit(TraceKind::kFaultHandled, "sigreturn", "", fault.addr);
+    if (trace_.enabled()) trace_.Emit(TraceKind::kFaultHandled, "sigreturn", "", fault.addr);
     return true;
   }
 
   for (FaultHandler& handler : proc.fault_handlers_) {
     if (handler(*this, proc, fault)) {
-      ++proc.resolved_fault_count_;
-      ++*m_faults_resolved_;
+        ++*m_faults_resolved_;
       return true;
     }
   }
@@ -714,13 +700,12 @@ bool Machine::DeliverFault(Process& proc, const Fault& fault) {
     regs[kRegRa] = kSigReturnAddr;
     regs[kRegSp] = sp;
     proc.cpu_.pc = proc.user_segv_handler_;
-    ++proc.resolved_fault_count_;
     ++*m_faults_resolved_;
-    if (trace_on_) trace_.Emit(TraceKind::kFaultHandled, "user", "", fault.addr);
+    if (trace_.enabled()) trace_.Emit(TraceKind::kFaultHandled, "user", "", fault.addr);
     return true;
   }
   ++*m_faults_fatal_;
-  if (trace_on_) trace_.Emit(TraceKind::kFaultHandled, "fatal", "", fault.addr);
+  if (trace_.enabled()) trace_.Emit(TraceKind::kFaultHandled, "fatal", "", fault.addr);
   return false;
 }
 
@@ -734,13 +719,122 @@ void Machine::FlushFd(Process& proc, FileDesc& fd) {
   }
 }
 
-uint32_t Machine::SysOpen(Process& proc, const std::string& raw_path, uint32_t flags,
-                          uint32_t* err) {
+Machine::SysResult Machine::Fail(ErrorCode code) {
+  return {static_cast<uint32_t>(-1), static_cast<uint32_t>(code)};
+}
+
+const Machine::SysEntry* Machine::LookupSyscall(uint32_t number, uint32_t a0, ErrorCode* err) {
+  // Indexed by syscall number. Each row of the table names its kernel handler,
+  // so a row without one does not compile; the calls that may run in place add
+  // a second.
+  static constexpr auto kTable = [] {
+    std::array<SysEntry, kSysLimit> table{};
+#define HEMLOCK_SYS_HANDLER(name, n, intrinsic, nargs, sync) \
+  table[n] = {&Machine::Sys##name, nullptr, sync};
+    HEMLOCK_SYSCALLS(HEMLOCK_SYS_HANDLER)
+#undef HEMLOCK_SYS_HANDLER
+    table[static_cast<uint32_t>(Sys::kFutexWake)].in_place = &Machine::FutexWakeInPlace;
+    table[static_cast<uint32_t>(Sys::kCas)].in_place = &Machine::CasInPlace;
+    return table;
+  }();
+  if (number >= kTable.size() || kTable[number].kernel == nullptr) {
+    *err = ErrorCode::kUnimplemented;
+    return nullptr;
+  }
+  if (kTable[number].sync_word && !IsSyncWord(a0)) {
+    *err = ErrorCode::kInvalidArgument;
+    return nullptr;
+  }
+  return &kTable[number];
+}
+
+void Machine::BillSyscalls(Process& proc, uint64_t n) {
+  *m_syscalls_ += n;
+  ChargeTicks(proc, n * syscall_cost_);
+}
+
+void Machine::DoSyscall(Process& proc) {
+  BillSyscalls(proc, 1);
+  auto& regs = proc.cpu_.regs;
+  ErrorCode err = ErrorCode::kOk;
+  const SysEntry* sys = LookupSyscall(regs[kRegV0], regs[kRegA0], &err);
+  SysResult result = sys == nullptr
+                         ? Fail(err)
+                         : (this->*sys->kernel)(proc, regs[kRegA0], regs[kRegA1], regs[kRegA2]);
+  if (!result.keep_regs) {
+    regs[kRegV0] = result.ret;
+    regs[kRegV1] = result.err;
+  }
+}
+
+Machine::SysResult Machine::SysExit(Process& proc, uint32_t status, uint32_t, uint32_t) {
+  ExitProcess(proc, static_cast<int>(status));
+  return kKeepRegs;
+}
+
+Machine::SysResult Machine::SysWrite(Process& proc, uint32_t fd, uint32_t buf_addr, uint32_t len) {
+  if (fd >= proc.fds_.size() || proc.fds_[fd].kind == FileDesc::Kind::kClosed) {
+    return Fail(ErrorCode::kInvalidArgument);
+  }
+  std::vector<uint8_t> buf(len);
+  Status st = proc.space().ReadBytes(buf_addr, buf.data(), len);
+  if (!st.ok()) {
+    return Fail(st.code());
+  }
+  FileDesc& desc = proc.fds_[fd];
+  if (desc.kind == FileDesc::Kind::kStdio) {
+    proc.stdout_text_.append(reinterpret_cast<const char*>(buf.data()), buf.size());
+  } else if (desc.kind == FileDesc::Kind::kSfs) {
+    Status ws = sfs().WriteAt(desc.ino, desc.offset, buf.data(), len);
+    if (!ws.ok()) {
+      return Fail(ws.code());
+    }
+    desc.offset += len;
+  } else {
+    if (desc.buf.size() < desc.offset + len) {
+      desc.buf.resize(desc.offset + len);
+    }
+    std::copy(buf.begin(), buf.end(), desc.buf.begin() + desc.offset);
+    desc.offset += len;
+    desc.dirty = true;
+  }
+  return {len};
+}
+
+Machine::SysResult Machine::SysRead(Process& proc, uint32_t fd, uint32_t buf_addr, uint32_t len) {
+  if (fd >= proc.fds_.size() || proc.fds_[fd].kind == FileDesc::Kind::kClosed) {
+    return Fail(ErrorCode::kInvalidArgument);
+  }
+  FileDesc& desc = proc.fds_[fd];
+  std::vector<uint8_t> buf(len);
+  uint32_t n = 0;
+  if (desc.kind == FileDesc::Kind::kSfs) {
+    Result<uint32_t> r = sfs().ReadAt(desc.ino, desc.offset, buf.data(), len);
+    if (!r.ok()) {
+      return Fail(r.status().code());
+    }
+    n = *r;
+  } else if (desc.kind == FileDesc::Kind::kMem) {
+    if (desc.offset < desc.buf.size()) {
+      n = std::min<uint32_t>(len, static_cast<uint32_t>(desc.buf.size()) - desc.offset);
+      std::copy_n(desc.buf.begin() + desc.offset, n, buf.begin());
+    }
+  }
+  desc.offset += n;
+  if (n > 0) {
+    Status st = proc.space().WriteBytes(buf_addr, buf.data(), n);
+    if (!st.ok()) {
+      return Fail(st.code());
+    }
+  }
+  return {n};
+}
+
+Machine::SysResult Machine::OpenPath(Process& proc, const std::string& raw_path, uint32_t flags) {
   std::string path = NormalizePath(JoinPath(proc.cwd(), raw_path));
   Result<std::string> resolved = vfs_->Resolve(path);
   if (!resolved.ok()) {
-    *err = static_cast<uint32_t>(resolved.status().code());
-    return static_cast<uint32_t>(-1);
+    return Fail(resolved.status().code());
   }
   path = *resolved;
   FileDesc fd;
@@ -751,14 +845,12 @@ uint32_t Machine::SysOpen(Process& proc, const std::string& raw_path, uint32_t f
       ino = sfs().Create(rel);
     }
     if (!ino.ok()) {
-      *err = static_cast<uint32_t>(ino.status().code());
-      return static_cast<uint32_t>(-1);
+      return Fail(ino.status().code());
     }
     if ((flags & kOpenTrunc) != 0) {
       Status st = sfs().Truncate(*ino, 0);
       if (!st.ok()) {
-        *err = static_cast<uint32_t>(st.code());
-        return static_cast<uint32_t>(-1);
+        return Fail(st.code());
       }
     }
     fd.kind = FileDesc::Kind::kSfs;
@@ -766,16 +858,14 @@ uint32_t Machine::SysOpen(Process& proc, const std::string& raw_path, uint32_t f
   } else {
     bool exists = vfs_->Exists(path);
     if (!exists && (flags & kOpenCreate) == 0) {
-      *err = static_cast<uint32_t>(ErrorCode::kNotFound);
-      return static_cast<uint32_t>(-1);
+      return Fail(ErrorCode::kNotFound);
     }
     fd.kind = FileDesc::Kind::kMem;
     fd.path = path;
     if (exists && (flags & kOpenTrunc) == 0) {
       Result<std::vector<uint8_t>> data = vfs_->ReadFile(path);
       if (!data.ok()) {
-        *err = static_cast<uint32_t>(data.status().code());
-        return static_cast<uint32_t>(-1);
+        return Fail(data.status().code());
       }
       fd.buf = std::move(*data);
     }
@@ -788,431 +878,279 @@ uint32_t Machine::SysOpen(Process& proc, const std::string& raw_path, uint32_t f
   for (size_t i = 3; i < proc.fds_.size(); ++i) {
     if (proc.fds_[i].kind == FileDesc::Kind::kClosed) {
       proc.fds_[i] = std::move(fd);
-      *err = 0;
-      return static_cast<uint32_t>(i);
+      return {static_cast<uint32_t>(i)};
     }
   }
   proc.fds_.push_back(std::move(fd));
-  *err = 0;
-  return static_cast<uint32_t>(proc.fds_.size() - 1);
+  return {static_cast<uint32_t>(proc.fds_.size() - 1)};
 }
 
-uint32_t Machine::SysOpenByAddr(Process& proc, uint32_t addr, uint32_t flags, uint32_t* err) {
+Machine::SysResult Machine::SysOpen(Process& proc, uint32_t path_addr, uint32_t flags, uint32_t) {
+  Result<std::string> path = proc.space().ReadCString(path_addr);
+  if (!path.ok()) {
+    return Fail(path.status().code());
+  }
+  return OpenPath(proc, *path, flags);
+}
+
+Machine::SysResult Machine::SysClose(Process& proc, uint32_t fd, uint32_t, uint32_t) {
+  if (fd >= proc.fds_.size() || proc.fds_[fd].kind == FileDesc::Kind::kClosed) {
+    return Fail(ErrorCode::kInvalidArgument);
+  }
+  FlushFd(proc, proc.fds_[fd]);
+  proc.fds_[fd] = FileDesc{};
+  return {};
+}
+
+Machine::SysResult Machine::SysFork(Process& proc, uint32_t, uint32_t, uint32_t) {
+  int child_pid = next_pid_++;
+  auto child = std::make_unique<Process>(child_pid, proc.pid(), &sfs());
+  // Fork copies the parent's counter wiring, which points at the *parent's*
+  // private cells — re-aim every tap at the child's own. The child also gets
+  // a fresh (empty) code arena; translations are per-process like the TLB.
+  child->space_ = proc.space().Fork();
+  WireProcessVm(*child);
+  child->cpu_ = proc.cpu();
+  child->brk_ = proc.brk_;
+  child->env_ = proc.env_;
+  child->cwd_ = proc.cwd_;
+  child->fds_ = proc.fds_;
+  child->fault_handlers_ = proc.fault_handlers_;
+  child->user_segv_handler_ = proc.user_segv_handler_;
+  child->in_user_handler_ = proc.in_user_handler_;
+  child->saved_context_ = proc.saved_context_;
+  child->priority_ = proc.priority_;
+  // Child returns 0 from the fork syscall.
+  child->cpu_.regs[kRegV0] = 0;
+  child->cpu_.regs[kRegV1] = 0;
+  procs_[child_pid] = std::move(child);
+  scheduler_.Enqueue(child_pid, proc.priority_);
+  if (race_) {
+    race_->OnProcessStart(child_pid, proc.pid());
+  }
+  return {static_cast<uint32_t>(child_pid)};
+}
+
+Machine::SysResult Machine::SysWaitPid(Process& proc, uint32_t pid, uint32_t, uint32_t) {
+  Process* child = FindProcess(static_cast<int>(pid));
+  if (child == nullptr || child->parent_ != proc.pid()) {
+    return Fail(ErrorCode::kNotFound);
+  }
+  if (child->state_ == ProcState::kZombie) {
+    ReapChild(proc, child->pid());
+  } else {
+    proc.state_ = ProcState::kWaiting;
+    proc.wait_kind_ = WaitKind::kChild;
+    proc.wait_target_ = child->pid();
+    scheduler_.NoteBlocked(proc.pid());  // v0/v1 are filled when the child is reaped
+  }
+  return kKeepRegs;
+}
+
+Machine::SysResult Machine::SysGetPid(Process& proc, uint32_t, uint32_t, uint32_t) {
+  return {static_cast<uint32_t>(proc.pid())};
+}
+
+Machine::SysResult Machine::SysSbrk(Process& proc, uint32_t delta, uint32_t, uint32_t) {
+  uint32_t old_brk = proc.brk_;
+  uint32_t new_brk = old_brk + delta;  // a negative delta wraps: the brk shrinks
+  if (new_brk < kDataBase || new_brk > kDataLimit) {
+    return Fail(ErrorCode::kOutOfRange);
+  }
+  if (PageCeil(new_brk) > PageCeil(old_brk)) {
+    uint32_t map_base = PageCeil(old_brk);
+    uint32_t len = PageCeil(new_brk) - map_base;
+    auto backing = std::make_shared<std::vector<uint8_t>>(len, 0);
+    Status st = proc.space().MapPrivate(map_base, len, Prot::kReadWrite, backing, 0);
+    if (!st.ok()) {
+      return Fail(st.code());
+    }
+  }
+  proc.brk_ = new_brk;
+  return {old_brk};
+}
+
+Machine::SysResult Machine::SysUnlink(Process& proc, uint32_t path_addr, uint32_t, uint32_t) {
+  Result<std::string> path = proc.space().ReadCString(path_addr);
+  if (!path.ok()) {
+    return Fail(path.status().code());
+  }
+  Status st = vfs_->Unlink(NormalizePath(JoinPath(proc.cwd(), *path)));
+  return st.ok() ? SysResult{} : Fail(st.code());
+}
+
+Machine::SysResult Machine::SysStat(Process& proc, uint32_t path_addr, uint32_t out_addr,
+                                    uint32_t) {
+  Result<std::string> path = proc.space().ReadCString(path_addr);
+  if (!path.ok()) {
+    return Fail(path.status().code());
+  }
+  std::string full = NormalizePath(JoinPath(proc.cwd(), *path));
+  uint32_t out[3] = {0, 0, 0};  // ino, size, addr
+  if (Vfs::OnSharedPartition(full)) {
+    Result<SfsStat> st = sfs().Stat(Vfs::SfsRelative(full));
+    if (!st.ok()) {
+      return Fail(st.status().code());
+    }
+    out[0] = st->ino;
+    out[1] = st->size;
+    out[2] = st->addr;
+  } else {
+    Result<uint32_t> size = vfs_->memfs().FileSize(full);
+    if (!size.ok()) {
+      return Fail(size.status().code());
+    }
+    out[1] = *size;
+  }
+  Status ws = proc.space().WriteBytes(out_addr, reinterpret_cast<uint8_t*>(out), sizeof(out));
+  return ws.ok() ? SysResult{} : Fail(ws.code());
+}
+
+Machine::SysResult Machine::SysAddrToPath(Process& proc, uint32_t addr, uint32_t buf_addr,
+                                          uint32_t len) {
+  // The paper's new kernel call: translate a shared-region address to a path.
   Result<std::string> rel = sfs().AddrToPath(addr);
   if (!rel.ok()) {
-    *err = static_cast<uint32_t>(rel.status().code());
-    return static_cast<uint32_t>(-1);
+    return Fail(rel.status().code());
   }
-  return SysOpen(proc, std::string(kSfsMount) + *rel, flags, err);
+  std::string full = std::string(kSfsMount) + *rel;
+  uint32_t n = std::min<uint32_t>(len > 0 ? len - 1 : 0, static_cast<uint32_t>(full.size()));
+  std::vector<uint8_t> buf(n + 1, 0);
+  std::memcpy(buf.data(), full.data(), n);
+  Status ws = proc.space().WriteBytes(buf_addr, buf.data(), n + 1);
+  if (!ws.ok()) {
+    return Fail(ws.code());
+  }
+  return {static_cast<uint32_t>(full.size())};
 }
 
-void Machine::DoSyscall(Process& proc) {
-  ++proc.syscall_count_;
-  ++total_syscalls_;
-  ++*m_syscalls_;
-  ChargeTicks(proc, syscall_cost_);
-  auto& regs = proc.cpu().regs;
-  uint32_t num = regs[kRegV0];
-  uint32_t a0 = regs[kRegA0];
-  uint32_t a1 = regs[kRegA1];
-  uint32_t a2 = regs[kRegA2];
-  uint32_t ret = 0;
-  uint32_t err = 0;
-
-  switch (static_cast<Sys>(num)) {
-    case Sys::kExit:
-      ExitProcess(proc, static_cast<int>(a0));
-      return;
-    case Sys::kWrite: {
-      uint32_t fd = a0;
-      if (fd >= proc.fds_.size() || proc.fds_[fd].kind == FileDesc::Kind::kClosed) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      std::vector<uint8_t> buf(a2);
-      Status st = proc.space().ReadBytes(a1, buf.data(), a2);
-      if (!st.ok()) {
-        err = static_cast<uint32_t>(st.code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      FileDesc& desc = proc.fds_[fd];
-      if (desc.kind == FileDesc::Kind::kStdio) {
-        proc.stdout_text_.append(reinterpret_cast<const char*>(buf.data()), buf.size());
-        ret = a2;
-      } else if (desc.kind == FileDesc::Kind::kSfs) {
-        Status ws = sfs().WriteAt(desc.ino, desc.offset, buf.data(), a2);
-        if (!ws.ok()) {
-          err = static_cast<uint32_t>(ws.code());
-          ret = static_cast<uint32_t>(-1);
-        } else {
-          desc.offset += a2;
-          ret = a2;
-        }
-      } else {
-        if (desc.buf.size() < desc.offset + a2) {
-          desc.buf.resize(desc.offset + a2);
-        }
-        std::memcpy(desc.buf.data() + desc.offset, buf.data(), a2);
-        desc.offset += a2;
-        desc.dirty = true;
-        ret = a2;
-      }
-      break;
-    }
-    case Sys::kRead: {
-      uint32_t fd = a0;
-      if (fd >= proc.fds_.size() || proc.fds_[fd].kind == FileDesc::Kind::kClosed) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      FileDesc& desc = proc.fds_[fd];
-      std::vector<uint8_t> buf(a2);
-      uint32_t n = 0;
-      if (desc.kind == FileDesc::Kind::kSfs) {
-        Result<uint32_t> r = sfs().ReadAt(desc.ino, desc.offset, buf.data(), a2);
-        if (!r.ok()) {
-          err = static_cast<uint32_t>(r.status().code());
-          ret = static_cast<uint32_t>(-1);
-          break;
-        }
-        n = *r;
-      } else if (desc.kind == FileDesc::Kind::kMem) {
-        if (desc.offset < desc.buf.size()) {
-          n = std::min<uint32_t>(a2, static_cast<uint32_t>(desc.buf.size()) - desc.offset);
-          std::memcpy(buf.data(), desc.buf.data() + desc.offset, n);
-        }
-      }
-      desc.offset += n;
-      if (n > 0) {
-        Status st = proc.space().WriteBytes(a1, buf.data(), n);
-        if (!st.ok()) {
-          err = static_cast<uint32_t>(st.code());
-          ret = static_cast<uint32_t>(-1);
-          break;
-        }
-      }
-      ret = n;
-      break;
-    }
-    case Sys::kOpen: {
-      Result<std::string> path = proc.space().ReadCString(a0);
-      if (!path.ok()) {
-        err = static_cast<uint32_t>(path.status().code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      ret = SysOpen(proc, *path, a1, &err);
-      break;
-    }
-    case Sys::kClose: {
-      uint32_t fd = a0;
-      if (fd >= proc.fds_.size() || proc.fds_[fd].kind == FileDesc::Kind::kClosed) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      FlushFd(proc, proc.fds_[fd]);
-      proc.fds_[fd] = FileDesc{};
-      break;
-    }
-    case Sys::kFork: {
-      int child_pid = next_pid_++;
-      auto child = std::make_unique<Process>(child_pid, proc.pid(), &sfs());
-      // Fork copies the parent's counter wiring, which points at the *parent's*
-      // private cells — re-aim every tap at the child's own. The child also gets
-      // a fresh (empty) code arena; translations are per-process like the TLB.
-      child->space_ = proc.space().Fork();
-      WireProcessVm(*child);
-      child->cpu_ = proc.cpu();
-      child->brk_ = proc.brk_;
-      child->env_ = proc.env_;
-      child->cwd_ = proc.cwd_;
-      child->fds_ = proc.fds_;
-      child->fault_handlers_ = proc.fault_handlers_;
-      child->user_segv_handler_ = proc.user_segv_handler_;
-      child->in_user_handler_ = proc.in_user_handler_;
-      child->saved_context_ = proc.saved_context_;
-      child->priority_ = proc.priority_;
-      // Child returns 0 from the fork syscall.
-      child->cpu_.regs[kRegV0] = 0;
-      child->cpu_.regs[kRegV1] = 0;
-      procs_[child_pid] = std::move(child);
-      scheduler_.Enqueue(child_pid, proc.priority_);
-      if (race_) {
-        race_->OnProcessStart(child_pid, proc.pid());
-      }
-      ret = static_cast<uint32_t>(child_pid);
-      break;
-    }
-    case Sys::kWaitPid: {
-      Process* child = FindProcess(static_cast<int>(a0));
-      if (child == nullptr || child->parent_ != proc.pid()) {
-        err = static_cast<uint32_t>(ErrorCode::kNotFound);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      if (child->state_ == ProcState::kZombie) {
-        ret = static_cast<uint32_t>(child->exit_status_);
-        if (race_) {
-          race_->OnReap(proc.pid(), static_cast<int>(a0));
-        }
-        procs_.erase(static_cast<int>(a0));
-      } else {
-        proc.state_ = ProcState::kWaiting;
-        proc.wait_kind_ = WaitKind::kChild;
-        proc.wait_target_ = static_cast<int>(a0);
-        scheduler_.NoteBlocked(proc.pid());
-        // v0/v1 are filled when the child is reaped.
-        return;
-      }
-      break;
-    }
-    case Sys::kGetPid:
-      ret = static_cast<uint32_t>(proc.pid());
-      break;
-    case Sys::kSbrk: {
-      int32_t delta = static_cast<int32_t>(a0);
-      uint32_t old_brk = proc.brk_;
-      uint32_t new_brk = old_brk + static_cast<uint32_t>(delta);
-      if (new_brk < kDataBase || new_brk > kDataLimit) {
-        err = static_cast<uint32_t>(ErrorCode::kOutOfRange);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      if (PageCeil(new_brk) > PageCeil(old_brk)) {
-        uint32_t map_base = PageCeil(old_brk);
-        uint32_t len = PageCeil(new_brk) - map_base;
-        auto backing = std::make_shared<std::vector<uint8_t>>(len, 0);
-        Status st = proc.space().MapPrivate(map_base, len, Prot::kReadWrite, backing, 0);
-        if (!st.ok()) {
-          err = static_cast<uint32_t>(st.code());
-          ret = static_cast<uint32_t>(-1);
-          break;
-        }
-      }
-      proc.brk_ = new_brk;
-      ret = old_brk;
-      break;
-    }
-    case Sys::kUnlink: {
-      Result<std::string> path = proc.space().ReadCString(a0);
-      if (!path.ok()) {
-        err = static_cast<uint32_t>(path.status().code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      Status st = vfs_->Unlink(NormalizePath(JoinPath(proc.cwd(), *path)));
-      if (!st.ok()) {
-        err = static_cast<uint32_t>(st.code());
-        ret = static_cast<uint32_t>(-1);
-      }
-      break;
-    }
-    case Sys::kStat: {
-      Result<std::string> path = proc.space().ReadCString(a0);
-      if (!path.ok()) {
-        err = static_cast<uint32_t>(path.status().code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      std::string full = NormalizePath(JoinPath(proc.cwd(), *path));
-      uint32_t out[3] = {0, 0, 0};  // ino, size, addr
-      if (Vfs::OnSharedPartition(full)) {
-        Result<SfsStat> st = sfs().Stat(Vfs::SfsRelative(full));
-        if (!st.ok()) {
-          err = static_cast<uint32_t>(st.status().code());
-          ret = static_cast<uint32_t>(-1);
-          break;
-        }
-        out[0] = st->ino;
-        out[1] = st->size;
-        out[2] = st->addr;
-      } else {
-        Result<uint32_t> size = vfs_->memfs().FileSize(full);
-        if (!size.ok()) {
-          err = static_cast<uint32_t>(size.status().code());
-          ret = static_cast<uint32_t>(-1);
-          break;
-        }
-        out[1] = *size;
-      }
-      Status ws = proc.space().WriteBytes(a1, reinterpret_cast<uint8_t*>(out), sizeof(out));
-      if (!ws.ok()) {
-        err = static_cast<uint32_t>(ws.code());
-        ret = static_cast<uint32_t>(-1);
-      }
-      break;
-    }
-    case Sys::kAddrToPath: {
-      // The paper's new kernel call: translate a shared-region address to a path.
-      Result<std::string> rel = sfs().AddrToPath(a0);
-      if (!rel.ok()) {
-        err = static_cast<uint32_t>(rel.status().code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      std::string full = std::string(kSfsMount) + *rel;
-      uint32_t n = std::min<uint32_t>(a2 > 0 ? a2 - 1 : 0, static_cast<uint32_t>(full.size()));
-      std::vector<uint8_t> buf(n + 1, 0);
-      std::memcpy(buf.data(), full.data(), n);
-      Status ws = proc.space().WriteBytes(a1, buf.data(), n + 1);
-      if (!ws.ok()) {
-        err = static_cast<uint32_t>(ws.code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      ret = static_cast<uint32_t>(full.size());
-      break;
-    }
-    case Sys::kOpenByAddr:
-      ret = SysOpenByAddr(proc, a0, a1, &err);
-      break;
-    case Sys::kYield:
-      proc.yielded_ = true;
-      break;
-    case Sys::kTime:
-      ret = static_cast<uint32_t>(ticks_);
-      break;
-    case Sys::kSignal: {
-      // The paper's wrapped signal(): install a program SIGSEGV handler to run when
-      // Hemlock's own handler cannot resolve a fault. Returns the previous handler.
-      ret = proc.user_segv_handler_;
-      proc.user_segv_handler_ = a0;
-      break;
-    }
-    case Sys::kLockFile: {
-      uint32_t fd = a0;
-      if (fd >= proc.fds_.size() || proc.fds_[fd].kind != FileDesc::Kind::kSfs) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      Status st = a1 != 0 ? sfs().LockInode(proc.fds_[fd].ino, proc.pid())
-                          : sfs().UnlockInode(proc.fds_[fd].ino, proc.pid());
-      if (!st.ok()) {
-        err = static_cast<uint32_t>(st.code());
-        ret = static_cast<uint32_t>(-1);
-      }
-      break;
-    }
-    case Sys::kFutexWait: {
-      // a0 = shared addr, a1 = expected value. Blocks only while *addr == a1; the
-      // value check and the park are one step under sync_mu_, and so is an
-      // in-place wake's look for waiters, so the futex lost-wakeup window does
-      // not exist here.
-      if (!IsSyncWord(a0)) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      bool parked = false;
-      int got = KernelSyncOp(
-          proc, [&](Fault* f) { return SyncFutexPark(proc, a0, a1, &parked, f); });
-      if (got == 1) {
-        return;  // blocked inside the load; syscall re-executes on wake
-      }
-      if (got != 0) {
-        err = static_cast<uint32_t>(ErrorCode::kFault);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      if (!parked) {
-        err = static_cast<uint32_t>(ErrorCode::kWouldBlock);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      return;  // v0/v1 are filled by the wake
-    }
-    case Sys::kFutexWake: {
-      if (!IsSyncWord(a0)) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      if (race_) {
-        race_->OnRelease(proc.pid(), a0);
-      }
-      ret = WakeWaiters(a0, a1);
-      break;
-    }
-    case Sys::kCas: {
-      // Compare-and-swap on a shared word: HRISC has no atomic instructions, so
-      // atomicity comes from sync_mu_, which every kernel access to a sync word
-      // holds (in place or not).
-      if (!IsSyncWord(a0)) {
-        err = static_cast<uint32_t>(ErrorCode::kInvalidArgument);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      uint32_t old = 0;
-      int got = KernelSyncOp(
-          proc, [&](Fault* f) { return SyncCas(proc, a0, a1, a2, &old, f); });
-      if (got == 1) {
-        return;
-      }
-      if (got != 0) {
-        err = static_cast<uint32_t>(ErrorCode::kFault);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      if (race_) {
-        if (old == a1) {
-          race_->OnAcqRel(proc.pid(), a0);
-        } else {
-          race_->OnAcquire(proc.pid(), a0);
-        }
-      }
-      ret = old;
-      break;
-    }
-    case Sys::kSpawn: {
-      Result<std::string> path = proc.space().ReadCString(a0);
-      if (!path.ok()) {
-        err = static_cast<uint32_t>(path.status().code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      if (!spawn_handler_) {
-        err = static_cast<uint32_t>(ErrorCode::kUnimplemented);
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      Result<int> child_pid =
-          spawn_handler_(*this, NormalizePath(JoinPath(proc.cwd(), *path)));
-      if (!child_pid.ok()) {
-        err = static_cast<uint32_t>(child_pid.status().code());
-        ret = static_cast<uint32_t>(-1);
-        break;
-      }
-      Process* child = FindProcess(*child_pid);
-      if (child != nullptr) {
-        child->parent_ = proc.pid();
-        child->env_ = proc.env_;
-        child->cwd_ = proc.cwd_;
-        child->priority_ = proc.priority_;
-        scheduler_.Enqueue(*child_pid, child->priority_);
-        if (race_) {
-          race_->OnSpawn(proc.pid(), *child_pid);
-        }
-      }
-      ret = static_cast<uint32_t>(*child_pid);
-      break;
-    }
-    case Sys::kSetPrio: {
-      proc.priority_ = static_cast<int>(a0);
-      break;
-    }
-    default:
-      err = static_cast<uint32_t>(ErrorCode::kUnimplemented);
-      ret = static_cast<uint32_t>(-1);
-      break;
+Machine::SysResult Machine::SysOpenByAddr(Process& proc, uint32_t addr, uint32_t flags,
+                                          uint32_t) {
+  // The paper's other new call: open the file that backs a shared-region address.
+  Result<std::string> rel = sfs().AddrToPath(addr);
+  if (!rel.ok()) {
+    return Fail(rel.status().code());
   }
+  return OpenPath(proc, std::string(kSfsMount) + *rel, flags);
+}
 
-  regs[kRegV0] = ret;
-  regs[kRegV1] = err;
+Machine::SysResult Machine::SysYield(Process& proc, uint32_t, uint32_t, uint32_t) {
+  proc.yielded_ = true;
+  return {};
+}
+
+Machine::SysResult Machine::SysTime(Process&, uint32_t, uint32_t, uint32_t) {
+  return {static_cast<uint32_t>(ticks_)};
+}
+
+Machine::SysResult Machine::SysLockFile(Process& proc, uint32_t fd, uint32_t lock, uint32_t) {
+  if (fd >= proc.fds_.size() || proc.fds_[fd].kind != FileDesc::Kind::kSfs) {
+    return Fail(ErrorCode::kInvalidArgument);
+  }
+  Status st = lock != 0 ? sfs().LockInode(proc.fds_[fd].ino, proc.pid())
+                        : sfs().UnlockInode(proc.fds_[fd].ino, proc.pid());
+  return st.ok() ? SysResult{} : Fail(st.code());
+}
+
+Machine::SysResult Machine::SysSignal(Process& proc, uint32_t handler, uint32_t, uint32_t) {
+  // The paper's wrapped signal(): install a program SIGSEGV handler to run when
+  // Hemlock's own handler cannot resolve a fault. Returns the previous handler.
+  uint32_t previous = proc.user_segv_handler_;
+  proc.user_segv_handler_ = handler;
+  return {previous};
+}
+
+Machine::SysResult Machine::SysFutexWait(Process& proc, uint32_t addr, uint32_t expect,
+                                         uint32_t) {
+  // Blocks only while *addr == expect; the value check and the park are one step
+  // under sync_mu_, and so is an in-place wake's look for waiters, so the futex
+  // lost-wakeup window does not exist here.
+  bool parked = false;
+  if (std::optional<SysResult> stop = KernelSyncOp(
+          proc, [&](Fault* f) { return SyncFutexPark(proc, addr, expect, &parked, f); })) {
+    return *stop;
+  }
+  return parked ? kKeepRegs : Fail(ErrorCode::kWouldBlock);  // the wake fills v0/v1
+}
+
+Machine::SysResult Machine::SysFutexWake(Process& proc, uint32_t addr, uint32_t max, uint32_t) {
+  if (race_) {
+    race_->OnRelease(proc.pid(), addr);
+  }
+  return {WakeWaiters(addr, max)};
+}
+
+std::optional<uint32_t> Machine::FutexWakeInPlace(Process&, uint32_t addr, uint32_t, uint32_t) {
+  // No waiter means nothing to wake: the call returns 0 woken. Waking a parked
+  // process (or finding only a slot-mate's) needs the kernel lock.
+  std::lock_guard<std::mutex> sync(sync_mu_);
+  if (scheduler_.MayHaveFutexWaiters(addr)) {
+    return std::nullopt;
+  }
+  return 0u;
+}
+
+Machine::SysResult Machine::SysCas(Process& proc, uint32_t addr, uint32_t expect,
+                                   uint32_t desired) {
+  // Compare-and-swap on a shared word: HRISC has no atomic instructions, so
+  // atomicity comes from sync_mu_, which every kernel access to a sync word
+  // holds (in place or not).
+  uint32_t old = 0;
+  if (std::optional<SysResult> stop = KernelSyncOp(
+          proc, [&](Fault* f) { return SyncCas(proc, addr, expect, desired, &old, f); })) {
+    return *stop;
+  }
+  if (race_) {
+    if (old == expect) {
+      race_->OnAcqRel(proc.pid(), addr);
+    } else {
+      race_->OnAcquire(proc.pid(), addr);
+    }
+  }
+  return {old};
+}
+
+std::optional<uint32_t> Machine::CasInPlace(Process& proc, uint32_t addr, uint32_t expect,
+                                            uint32_t desired) {
+  // Any fault (lazy link, map fault, remote page, write-protect) needs the
+  // kernel path's handlers, so a word that would fault is left to it.
+  uint32_t old = 0;
+  Fault fault;
+  if (!proc.space().WordResolves(addr) || !SyncCas(proc, addr, expect, desired, &old, &fault)) {
+    return std::nullopt;
+  }
+  return old;
+}
+
+Machine::SysResult Machine::SysSpawn(Process& proc, uint32_t path_addr, uint32_t, uint32_t) {
+  Result<std::string> path = proc.space().ReadCString(path_addr);
+  if (!path.ok()) {
+    return Fail(path.status().code());
+  }
+  if (!spawn_handler_) {
+    return Fail(ErrorCode::kUnimplemented);
+  }
+  Result<int> child_pid = spawn_handler_(*this, NormalizePath(JoinPath(proc.cwd(), *path)));
+  if (!child_pid.ok()) {
+    return Fail(child_pid.status().code());
+  }
+  Process* child = FindProcess(*child_pid);
+  if (child != nullptr) {
+    child->parent_ = proc.pid();
+    child->env_ = proc.env_;
+    child->cwd_ = proc.cwd_;
+    child->priority_ = proc.priority_;
+    scheduler_.Enqueue(*child_pid, child->priority_);
+    if (race_) {
+      race_->OnSpawn(proc.pid(), *child_pid);
+    }
+  }
+  return {static_cast<uint32_t>(*child_pid)};
+}
+
+Machine::SysResult Machine::SysSetPrio(Process& proc, uint32_t priority, uint32_t, uint32_t) {
+  proc.priority_ = static_cast<int>(priority);
+  return {};
 }
 
 }  // namespace hemlock

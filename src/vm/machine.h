@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -82,8 +83,6 @@ class Process {
   ProcState state() const { return state_; }
   int exit_status() const { return exit_status_; }
   uint64_t steps() const { return steps_; }
-  uint64_t fault_count() const { return fault_count_; }
-  uint64_t resolved_fault_count() const { return resolved_fault_count_; }
 
   // Captured writes to fd 1/2 (the simulated terminal).
   const std::string& stdout_text() const { return stdout_text_; }
@@ -149,9 +148,6 @@ class Process {
   bool in_user_handler_ = false;
   CpuState saved_context_;  // context interrupted by the user handler
   uint64_t steps_ = 0;
-  uint64_t fault_count_ = 0;
-  uint64_t resolved_fault_count_ = 0;
-  uint64_t syscall_count_ = 0;
   // Syscalls served in place (Machine::SyscallInPlace) since the dispatch loop
   // last billed them; each also took a budget step counted in the chunk's steps.
   uint64_t in_place_syscalls_ = 0;
@@ -266,9 +262,6 @@ class Machine {
 
   // Simulated wall clock: total instructions retired machine-wide.
   uint64_t ticks() const { return ticks_; }
-  // Total faults delivered / resolved machine-wide (bench counters).
-  uint64_t total_faults() const { return total_faults_; }
-  uint64_t total_syscalls() const { return total_syscalls_; }
 
   // Selects the reference decode-every-step interpreter instead of the fast block
   // engine (hemrun --slow-interp; env HEMLOCK_SLOW_INTERP=1). Semantics are
@@ -278,9 +271,9 @@ class Machine {
 
   // The JIT tier above the block cache (hemrun --jit/--no-jit; env HEMLOCK_JIT=0
   // disables). On by default; takes effect for processes created afterwards. The
-  // tier self-disables per quantum when the race detector or tracing is on, and
-  // per process when the host cannot run generated code — semantics are identical
-  // by contract either way (the three-engine differential CI job enforces it).
+  // tier self-disables per quantum when the race detector is on, and per process
+  // when the host cannot run generated code — semantics are identical by contract
+  // either way (the three-engine differential CI job enforces it).
   void set_jit_enabled(bool enabled) { jit_enabled_ = enabled; }
   bool jit_enabled() const { return jit_enabled_; }
   // Block-dispatch count at which a block is compiled (hemrun --jit-threshold).
@@ -327,6 +320,8 @@ class Machine {
   SharedFs::ShootdownGuard BeginShootdown();
   // Advances the simulated clock and bills the current dispatch.
   void ChargeTicks(Process& proc, uint64_t n);
+  // Bills |n| syscalls, served in place or not: vm.syscalls and their cost in ticks.
+  void BillSyscalls(Process& proc, uint64_t n);
   // Folds |proc|'s private vm.tlb.*/vm.icache.*/vm.jit.* cells into the registry.
   void FlushVmCounters(Process& proc);
   // Aims |proc|'s TLB/block-cache/JIT counter taps at its private cells and
@@ -335,10 +330,28 @@ class Machine {
   // Logs + traces a deadlock (ready queues empty, live waiters remain).
   SchedStatus ReportDeadlock();
 
+  // --- Syscalls: the table in src/isa/isa.h (HEMLOCK_SYSCALLS) ---
+  // A handler's $v0 and $v1, or |keep_regs|: the call exited, filled them itself,
+  // or parked the process (the wake or the reap fills them).
+  struct SysResult {
+    uint32_t ret = 0;
+    uint32_t err = 0;
+    bool keep_regs = false;
+  };
+  static const SysResult kKeepRegs;
+  // A failed call: -1 in $v0, |code| in $v1.
+  static SysResult Fail(ErrorCode code);
+  struct SysEntry;  // a row of the handler table (machine.cc)
+  // The row for syscall |number| (from the guest's $v0, so any value), or null
+  // with |*err| set: kUnimplemented for a number no row has, kInvalidArgument for
+  // a sync call whose $a0 is not an aligned shared-region word.
+  static const SysEntry* LookupSyscall(uint32_t number, uint32_t a0, ErrorCode* err);
+
+  // The kernel path: bills the call and runs its handler.
   void DoSyscall(Process& proc);
-  // Serves the syscall |proc| just retired on the calling core, holding only
-  // world_mu_ (shared) and sync_mu_: sys_cas on a word that resolves without a
-  // fault, and sys_futex_wake when no process waits on the word. Returns false, having
+  // Serves the syscall |proc| just retired on the calling core when its row's
+  // in-place handler takes it: sys_cas on a word that resolves without a fault,
+  // and sys_futex_wake when no process waits on the word. Returns false, having
   // changed nothing, for anything else — the caller then takes the kernel path.
   // The billing (counters, ticks) waits for the dispatch loop's next kernel lock.
   bool SyscallInPlace(Process& proc);
@@ -354,20 +367,50 @@ class Machine {
   bool SyncFutexPark(Process& proc, uint32_t addr, uint32_t expect, bool* parked, Fault* fault);
   // Runs a sync-word op for a kernel-path syscall. On a fault it runs the native
   // handler chain (the kernel's copy_from_user moment) and retries once. Returns
-  // 0 done, -1 unresolved fault; 1 when the handler *blocked* the process — the
+  // nullopt when the op ran; otherwise the call's result: kFault for an
+  // unresolved fault, or kKeepRegs when the handler *blocked* the process — the
   // pc has been rewound so the whole syscall re-executes after the wake.
   template <typename Op>
-  int KernelSyncOp(Process& proc, Op op);
+  std::optional<SysResult> KernelSyncOp(Process& proc, Op op);
+  // Opens |path| (relative to |proc|'s cwd) into |proc|'s lowest free descriptor.
+  SysResult OpenPath(Process& proc, const std::string& path, uint32_t flags);
+
+  // The kernel handlers, one per row of the table; each takes $a0..$a2.
+  SysResult SysExit(Process& proc, uint32_t status, uint32_t, uint32_t);
+  SysResult SysWrite(Process& proc, uint32_t fd, uint32_t buf_addr, uint32_t len);
+  SysResult SysRead(Process& proc, uint32_t fd, uint32_t buf_addr, uint32_t len);
+  SysResult SysOpen(Process& proc, uint32_t path_addr, uint32_t flags, uint32_t);
+  SysResult SysClose(Process& proc, uint32_t fd, uint32_t, uint32_t);
+  SysResult SysFork(Process& proc, uint32_t, uint32_t, uint32_t);
+  SysResult SysWaitPid(Process& proc, uint32_t pid, uint32_t, uint32_t);
+  SysResult SysGetPid(Process& proc, uint32_t, uint32_t, uint32_t);
+  SysResult SysSbrk(Process& proc, uint32_t delta, uint32_t, uint32_t);
+  SysResult SysUnlink(Process& proc, uint32_t path_addr, uint32_t, uint32_t);
+  SysResult SysStat(Process& proc, uint32_t path_addr, uint32_t out_addr, uint32_t);
+  SysResult SysAddrToPath(Process& proc, uint32_t addr, uint32_t buf_addr, uint32_t len);
+  SysResult SysOpenByAddr(Process& proc, uint32_t addr, uint32_t flags, uint32_t);
+  SysResult SysYield(Process& proc, uint32_t, uint32_t, uint32_t);
+  SysResult SysTime(Process& proc, uint32_t, uint32_t, uint32_t);
+  SysResult SysLockFile(Process& proc, uint32_t fd, uint32_t lock, uint32_t);
+  SysResult SysSignal(Process& proc, uint32_t handler, uint32_t, uint32_t);
+  SysResult SysFutexWait(Process& proc, uint32_t addr, uint32_t expect, uint32_t);
+  SysResult SysFutexWake(Process& proc, uint32_t addr, uint32_t max, uint32_t);
+  SysResult SysCas(Process& proc, uint32_t addr, uint32_t expect, uint32_t desired);
+  SysResult SysSpawn(Process& proc, uint32_t path_addr, uint32_t, uint32_t);
+  SysResult SysSetPrio(Process& proc, uint32_t priority, uint32_t, uint32_t);
+  // The in-place handlers: each serves its call on the issuing core, holding
+  // only world_mu_ (shared) and sync_mu_, or returns nullopt, having changed
+  // nothing, to send it down the kernel path.
+  std::optional<uint32_t> FutexWakeInPlace(Process& proc, uint32_t addr, uint32_t, uint32_t);
+  std::optional<uint32_t> CasInPlace(Process& proc, uint32_t addr, uint32_t expect,
+                                     uint32_t desired);
+
   // Returns true if the fault was resolved and the instruction should retry.
   bool DeliverFault(Process& proc, const Fault& fault);
   void ExitProcess(Process& proc, int status);
   void FlushFd(Process& proc, FileDesc& fd);
   // Reaps a zombie |child| of |proc| (fills $v0/$v1, erases the process).
   void ReapChild(Process& proc, int child_pid);
-
-  // Syscall helpers.
-  uint32_t SysOpen(Process& proc, const std::string& path, uint32_t flags, uint32_t* err);
-  uint32_t SysOpenByAddr(Process& proc, uint32_t addr, uint32_t flags, uint32_t* err);
 
   const uint64_t serial_;
   std::unique_ptr<Vfs> vfs_;
@@ -395,8 +438,6 @@ class Machine {
   std::map<int, std::unique_ptr<Process>> procs_;
   int next_pid_ = 1;
   uint64_t ticks_ = 0;
-  uint64_t total_faults_ = 0;
-  uint64_t total_syscalls_ = 0;
   uint64_t syscall_cost_ = 200;
   uint64_t fault_cost_ = 2000;
   std::vector<std::function<void(Process&)>> exit_hooks_;
@@ -408,7 +449,6 @@ class Machine {
   bool slow_interp_ = false;    // reference interpreter only (differential runs)
   bool jit_enabled_ = true;     // the template-JIT tier (per-process arenas)
   uint32_t jit_threshold_ = Jit::kDefaultThreshold;
-  bool trace_on_ = false;       // trace_.enabled(), cached once per quantum
 
   // --- Scheduled-run state (docs/CONCURRENCY.md) ---
   //

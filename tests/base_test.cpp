@@ -97,6 +97,16 @@ TEST(BytesTest, TruncationDetected) {
   EXPECT_EQ(v.status().code(), ErrorCode::kCorruptData);
 }
 
+// An empty inode's extent is an empty vector, whose data() may be null: reading
+// its 0 bytes from an empty buffer must copy nothing (memcpy forbids null even
+// for 0 bytes, which a UBSan build traps).
+TEST(BytesTest, ZeroLengthRawReadIntoNull) {
+  ByteReader r(nullptr, 0);
+  EXPECT_TRUE(r.ReadRaw(nullptr, 0).ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_FALSE(r.ReadRaw(nullptr, 1).ok());
+}
+
 // Property: any truncation of a valid stream yields kCorruptData, never UB/garbage.
 class BytesTruncationTest : public ::testing::TestWithParam<int> {};
 

@@ -1,5 +1,8 @@
 // Unit tests for the HRISC ISA: encode/decode round trips, the 28-bit jump-range rule
 // (the linchpin of the trampoline machinery), and the disassembler.
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/base/layout.h"
@@ -89,6 +92,20 @@ TEST_P(IsaRoundTripTest, ITypeImmediates) {
   }
 }
 INSTANTIATE_TEST_SUITE_P(Sweep, IsaRoundTripTest, ::testing::Range(-10, 11));
+
+// Rows of the syscall table may not share a number or an intrinsic name, every
+// number indexes a table kSysLimit long, and arguments fit in $a0..$a2.
+TEST(IsaTest, SyscallTableRowsAreDistinct) {
+  std::set<uint32_t> numbers;
+  std::set<std::string> intrinsics;
+  for (const SyscallInfo& sys : kSyscalls) {
+    EXPECT_TRUE(numbers.insert(static_cast<uint32_t>(sys.number)).second) << sys.intrinsic;
+    EXPECT_TRUE(intrinsics.insert(sys.intrinsic).second) << sys.intrinsic;
+    EXPECT_LT(static_cast<uint32_t>(sys.number), kSysLimit) << sys.intrinsic;
+    EXPECT_LE(sys.nargs, 3) << sys.intrinsic;
+  }
+  EXPECT_EQ(numbers.count(0), 0u) << "0 stays unknown";
+}
 
 TEST(IsaTest, RegNames) {
   EXPECT_STREQ(RegName(kRegZero), "$zero");

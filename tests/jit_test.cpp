@@ -687,23 +687,35 @@ TEST(JitEndToEnd, LdlMapFaultBetweenDispatchesMatchesTheReference) {
 TEST(JitEndToEnd, RaceDetectorKeepsTheJitOff) {
   // The race detector needs the observed per-access interpreter loop; a quantum
   // that ran native code would silently drop accesses from the happens-before
-  // graph. The engine must self-disable, not merely under-report.
-  HemlockWorld world;
-  world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
-  world.machine().set_jit_enabled(true);   // pin: CI sets HEMLOCK_JIT=0
-  world.machine().set_jit_threshold(1);
-  world.machine().EnableRaceDetector();
-  Result<RunOutcome> out = world.RunProgram(kHotLoopProg);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(MetricValue(out->metrics, "vm.jit.compiled_blocks"), 0u)
-      << "native code ran under the race detector";
-
+  // graph. The engine must self-disable, not merely under-report. Tracing is
+  // the opposite case: every trace event comes from the kernel path, so the JIT
+  // stays on under it.
   HemlockWorld slow_world;
   slow_world.machine().set_slow_interp(true);
   Result<RunOutcome> slow = slow_world.RunProgram(kHotLoopProg);
   ASSERT_TRUE(slow.ok()) << slow.status().ToString();
-  EXPECT_EQ(out->stdout_text, slow->stdout_text);
-  EXPECT_EQ(out->exit_code, slow->exit_code);
+  for (bool race : {true, false}) {
+    HemlockWorld world;
+    world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
+    world.machine().set_jit_enabled(true);   // pin: CI sets HEMLOCK_JIT=0
+    world.machine().set_jit_threshold(1);
+    if (race) {
+      world.machine().EnableRaceDetector();
+    } else {
+      world.machine().trace().set_enabled(true);
+    }
+    Result<RunOutcome> out = world.RunProgram(kHotLoopProg);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    if (race) {
+      EXPECT_EQ(MetricValue(out->metrics, "vm.jit.compiled_blocks"), 0u)
+          << "native code ran under the race detector";
+    } else if (Jit::HostSupported()) {
+      EXPECT_GT(MetricValue(out->metrics, "vm.jit.compiled_blocks"), 0u)
+          << "tracing turned the JIT off";
+    }
+    EXPECT_EQ(out->stdout_text, slow->stdout_text);
+    EXPECT_EQ(out->exit_code, slow->exit_code);
+  }
 }
 
 // --- SMP: cross-core SMC with compiled blocks on every core ---

@@ -17,6 +17,7 @@
 #include "src/link/loader.h"
 #include "src/runtime/world.h"
 #include "src/sfs/vfs.h"
+#include "src/vm/jit.h"
 
 namespace hemlock {
 namespace {
@@ -88,10 +89,15 @@ struct MutexRun {
   std::vector<int> exit_statuses;  // in exec order
   std::string stdout_text;         // every process's, in exec order
   MetricsSnapshot metrics;
+  bool jit = false;  // the JIT tier ran (HEMLOCK_JIT / HEMLOCK_SLOW_INTERP may turn it off)
 };
 
+// What watches a RunMutexCounter run: tracing, or the race detector, which
+// keeps every sync call on the kernel path (and the JIT off).
+enum class Observer { kNone, kTrace, kRace };
+
 MutexRun RunMutexCounter(const SchedParams& params, int procs, uint32_t jit_threshold = 0,
-                         bool traced = false) {
+                         Observer observer = Observer::kNone) {
   MutexRun run;
   HemlockWorld world;
   CompileOptions no_prelude;
@@ -115,7 +121,10 @@ MutexRun RunMutexCounter(const SchedParams& params, int procs, uint32_t jit_thre
   if (jit_threshold != 0) {
     world.machine().set_jit_threshold(jit_threshold);
   }
-  world.machine().trace().set_enabled(traced);
+  world.machine().trace().set_enabled(observer == Observer::kTrace);
+  if (observer == Observer::kRace) {
+    world.machine().EnableRaceDetector();
+  }
   std::vector<int> pids;
   for (int i = 0; i < procs; ++i) {
     Result<ExecResult> exec = world.Exec(image);
@@ -133,6 +142,8 @@ MutexRun RunMutexCounter(const SchedParams& params, int procs, uint32_t jit_thre
   }
   run.metrics = world.machine().metrics().Snapshot();
   run.metrics["vm.ticks"] = world.machine().ticks();
+  run.jit = world.machine().jit_enabled() && !world.machine().slow_interp() &&
+            Jit::HostSupported() && observer != Observer::kRace;
   return run;
 }
 
@@ -162,10 +173,10 @@ TEST(HemMutex, NoLostUpdatesAcross16ChaosSeeds) {
   }
 }
 
-// Tracing keeps every sync call on the kernel path (the JIT and the in-place
-// path are both off with it); without it most are served in place. Observing
-// must not move what is observed: the guest and every count that describes its
-// run are the same either way.
+// The race detector keeps every sync call on the kernel path (the JIT and the
+// in-place path are both off with it); without it most are served in place, and
+// tracing changes neither. The guest and every count that describes its run are
+// the same all three ways: observing must not move what is observed.
 TEST(HemMutex, InPlaceSyncCallsMatchTheKernelPath) {
   // Threshold 1 compiles every block, so the JIT's syscall template serves the
   // calls; at the default most are served by the dispatch loop.
@@ -175,22 +186,35 @@ TEST(HemMutex, InPlaceSyncCallsMatchTheKernelPath) {
       params.policy = SchedPolicy::kRandom;
       params.seed = seed;
       params.quantum = 64;
-      MutexRun in_place = RunMutexCounter(params, 2, threshold);
-      MutexRun kernel = RunMutexCounter(params, 2, threshold, /*traced=*/true);
+      MutexRun kernel = RunMutexCounter(params, 2, threshold, Observer::kRace);
       std::string where = "threshold " + std::to_string(threshold) + ", seed " +
                           std::to_string(seed);
-      ASSERT_EQ(in_place.status, SchedStatus::kExited) << where;
       ASSERT_EQ(kernel.status, SchedStatus::kExited) << where;
-      EXPECT_EQ(in_place.exit_statuses, kernel.exit_statuses) << where;
-      EXPECT_EQ(in_place.stdout_text, kernel.stdout_text) << where;
-      for (const char* counter : {"vm.syscalls", "vm.ticks", "vm.sched.switches",
-                                  "vm.sched.preemptions", "vm.sched.futex_waits",
-                                  "vm.sched.wakes"}) {
-        EXPECT_EQ(in_place.metrics[counter], kernel.metrics[counter]) << counter << ", " << where;
-      }
-      EXPECT_GT(in_place.metrics["vm.sched.futex_waits"], 0u) << "no contention, " << where;
-      EXPECT_GT(in_place.metrics["vm.syscalls.in_place"], 0u) << where;
       EXPECT_EQ(kernel.metrics["vm.syscalls.in_place"], 0u) << where;
+      MutexRun untraced;
+      for (Observer observer : {Observer::kNone, Observer::kTrace}) {
+        MutexRun in_place = RunMutexCounter(params, 2, threshold, observer);
+        std::string leg = where + (observer == Observer::kTrace ? ", traced" : "");
+        ASSERT_EQ(in_place.status, SchedStatus::kExited) << leg;
+        EXPECT_EQ(in_place.exit_statuses, kernel.exit_statuses) << leg;
+        EXPECT_EQ(in_place.stdout_text, kernel.stdout_text) << leg;
+        for (const char* counter : {"vm.syscalls", "vm.ticks", "vm.sched.switches",
+                                    "vm.sched.preemptions", "vm.sched.futex_waits",
+                                    "vm.sched.wakes"}) {
+          EXPECT_EQ(in_place.metrics[counter], kernel.metrics[counter]) << counter << ", " << leg;
+        }
+        EXPECT_GT(in_place.metrics["vm.sched.futex_waits"], 0u) << "no contention, " << leg;
+        EXPECT_GT(in_place.metrics["vm.syscalls.in_place"], 0u) << leg;
+        if (observer == Observer::kNone) {
+          untraced = in_place;
+        } else {
+          // Tracing moves no counter at all, the JIT's included.
+          EXPECT_EQ(in_place.metrics, untraced.metrics) << leg;
+        }
+      }
+      if (threshold == 1 && untraced.jit) {
+        EXPECT_GT(untraced.metrics["vm.jit.compiled_blocks"], 0u) << where;
+      }
     }
   }
 }
