@@ -55,20 +55,14 @@ void BM_AddrToInode(benchmark::State& state, AddrLookupMode mode, bool hit) {
   state.counters["files"] = files;
 }
 
-void RegisterAll() {
-  for (bool hit : {true, false}) {
-    for (auto [mode, mode_name] : {std::pair{AddrLookupMode::kLinear, "linear"},
-                                   std::pair{AddrLookupMode::kIndexed, "indexed"}}) {
-      std::string name = std::string("AddrToInode/") + mode_name + (hit ? "/hit" : "/miss");
-      benchmark::RegisterBenchmark(name.c_str(),
-                                   [mode = mode, hit](benchmark::State& s) {
-                                     BM_AddrToInode(s, mode, hit);
-                                   })
-          ->RangeMultiplier(4)
-          ->Range(16, 1024);
-    }
-  }
-}
+BENCHMARK_CAPTURE(BM_AddrToInode, linear_hit, AddrLookupMode::kLinear, true)
+    ->Name("AddrToInode/linear/hit")->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK_CAPTURE(BM_AddrToInode, indexed_hit, AddrLookupMode::kIndexed, true)
+    ->Name("AddrToInode/indexed/hit")->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK_CAPTURE(BM_AddrToInode, linear_miss, AddrLookupMode::kLinear, false)
+    ->Name("AddrToInode/linear/miss")->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK_CAPTURE(BM_AddrToInode, indexed_miss, AddrLookupMode::kIndexed, false)
+    ->Name("AddrToInode/indexed/miss")->RangeMultiplier(4)->Range(16, 1024);
 
 // Boot-time scan cost (paper: the table is initialized by scanning the partition).
 void BM_BootScan(benchmark::State& state) {
@@ -80,10 +74,6 @@ void BM_BootScan(benchmark::State& state) {
   state.counters["files"] = files;
 }
 BENCHMARK(BM_BootScan)->RangeMultiplier(4)->Range(16, 1024);
-
-struct Registrar {
-  Registrar() { RegisterAll(); }
-} registrar;
 
 }  // namespace
 }  // namespace hemlock

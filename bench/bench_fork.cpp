@@ -18,36 +18,13 @@
 namespace hemlock {
 namespace {
 
-void BM_ForkPrivatePages(benchmark::State& state) {
-  uint32_t pages = static_cast<uint32_t>(state.range(0));
+// Forks an address space holding |pages| private pages and |segments| public
+// segments of 16 pages each.
+void ForkCost(benchmark::State& state, uint32_t pages, uint32_t segments) {
   SharedFs sfs;
   AddressSpace space(&sfs);
   auto backing = std::make_shared<std::vector<uint8_t>>(pages * kPageSize, 0xAB);
   if (!space.MapPrivate(kDataBase, pages * kPageSize, Prot::kReadWrite, backing, 0).ok()) {
-    state.SkipWithError("map failed");
-    return;
-  }
-  // A fixed public mapping alongside.
-  Result<uint32_t> ino = sfs.Create("/pub");
-  if (!ino.ok() || !sfs.EnsureExtent(*ino, 16 * kPageSize).ok() ||
-      !space.MapPublic(SfsAddressForInode(*ino), 16 * kPageSize, Prot::kAll, *ino, 0).ok()) {
-    state.SkipWithError("public map failed");
-    return;
-  }
-  for (auto _ : state) {
-    std::unique_ptr<AddressSpace> child = space.Fork();
-    benchmark::DoNotOptimize(child);
-  }
-  state.counters["private_pages"] = pages;
-}
-BENCHMARK(BM_ForkPrivatePages)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_ForkPublicSegments(benchmark::State& state) {
-  uint32_t segments = static_cast<uint32_t>(state.range(0));
-  SharedFs sfs;
-  AddressSpace space(&sfs);
-  auto backing = std::make_shared<std::vector<uint8_t>>(16 * kPageSize, 0xAB);
-  if (!space.MapPrivate(kDataBase, 16 * kPageSize, Prot::kReadWrite, backing, 0).ok()) {
     state.SkipWithError("map failed");
     return;
   }
@@ -63,7 +40,19 @@ void BM_ForkPublicSegments(benchmark::State& state) {
     std::unique_ptr<AddressSpace> child = space.Fork();
     benchmark::DoNotOptimize(child);
   }
-  state.counters["public_segments"] = segments;
+}
+
+// Private pages swept, one public segment alongside.
+void BM_ForkPrivatePages(benchmark::State& state) {
+  ForkCost(state, static_cast<uint32_t>(state.range(0)), 1);
+  state.counters["private_pages"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_ForkPrivatePages)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// Public segments swept, 16 private pages alongside.
+void BM_ForkPublicSegments(benchmark::State& state) {
+  ForkCost(state, 16, static_cast<uint32_t>(state.range(0)));
+  state.counters["public_segments"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_ForkPublicSegments)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 

@@ -14,11 +14,7 @@
 //                      costs nothing extra)
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
-#include <string>
-
+#include "bench/scratch_store.h"
 #include "src/apps/tables.h"
 
 namespace hemlock {
@@ -51,18 +47,12 @@ BENCHMARK(BM_TablesSerializeRebuild)->Arg(256)->Arg(1024)->Arg(2048);
 
 void BM_TablesAttachAndDrive(benchmark::State& state) {
   uint32_t states = static_cast<uint32_t>(state.range(0));
-  std::string dir = "/tmp/hemlock_bench_tbl_" + std::to_string(::getpid());
-  (void)::system(("rm -rf " + dir).c_str());
-  Result<std::unique_ptr<PosixStore>> store = PosixStore::Open(dir);
-  if (!store.ok()) {
-    state.SkipWithError("store open failed");
-    return;
-  }
+  ScratchStore fx("tbl");
   std::vector<uint32_t> tokens = MakeTokenStream(256, kFanout * 4);
   uint64_t want = 0;
   {
     Result<SegmentTables> tables =
-        SegmentTables::Create(store->get(), "lynx", kPosixSlotBytes);
+        SegmentTables::Create(fx.store.get(), "lynx", kPosixSlotBytes);
     if (!tables.ok() || !GenerateTables(&tables->tables(), states, kFanout).ok()) {
       state.SkipWithError("generate failed");
       return;
@@ -70,7 +60,7 @@ void BM_TablesAttachAndDrive(benchmark::State& state) {
     want = tables->tables().Drive(tokens);
   }
   for (auto _ : state) {
-    Result<SegmentTables> tables = SegmentTables::Attach(store->get(), "lynx");
+    Result<SegmentTables> tables = SegmentTables::Attach(fx.store.get(), "lynx");
     if (!tables.ok() || tables->tables().Drive(tokens) != want) {
       state.SkipWithError("attach failed");
       return;
@@ -78,7 +68,6 @@ void BM_TablesAttachAndDrive(benchmark::State& state) {
     benchmark::DoNotOptimize(tables->tables().header());
   }
   state.counters["states"] = states;
-  (void)::system(("rm -rf " + dir).c_str());
 }
 BENCHMARK(BM_TablesAttachAndDrive)->Arg(256)->Arg(1024)->Arg(2048);
 

@@ -16,18 +16,27 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench/scratch_store.h"
 #include "src/apps/rwho.h"
 
 namespace hemlock {
 namespace {
 
-std::string ScratchDir() {
-  return "/tmp/hemlock_bench_rwho_" + std::to_string(::getpid());
+void Fill(RwhoDb* db, uint32_t hosts, uint32_t* now) {
+  RwhoFeed feed(hosts);
+  for (uint32_t i = 0; i < hosts; ++i) {
+    HostStatus st = feed.NextPacket();
+    *now = st.recv_time;
+    if (!db->Update(st).ok()) {
+      std::abort();
+    }
+  }
 }
 
+// The original design: one file per host, under a scratch directory.
 struct FileFixture {
-  explicit FileFixture(uint32_t hosts) {
-    dir = ScratchDir();
+  explicit FileFixture(uint32_t hosts)
+      : dir("/tmp/hemlock_bench_rwho_" + std::to_string(::getpid())) {
     (void)::system(("rm -rf " + dir).c_str());
     auto opened = FileRwhoDb::Open(dir + "/whod");
     db = std::move(*opened);
@@ -35,46 +44,27 @@ struct FileFixture {
   }
   ~FileFixture() { (void)::system(("rm -rf " + dir).c_str()); }
 
-  static void Fill(RwhoDb* db, uint32_t hosts, uint32_t* now) {
-    RwhoFeed feed(hosts);
-    for (uint32_t i = 0; i < hosts; ++i) {
-      HostStatus st = feed.NextPacket();
-      *now = st.recv_time;
-      if (!db->Update(st).ok()) {
-        std::abort();
-      }
-    }
-  }
-
   std::string dir;
   std::unique_ptr<FileRwhoDb> db;
   uint32_t now = 0;
 };
 
+// The Hemlock design: one shared segment of per-host records.
 struct ShmFixture {
   explicit ShmFixture(uint32_t hosts) {
-    dir = ScratchDir() + "_shm";
-    (void)::system(("rm -rf " + dir).c_str());
-    auto opened = PosixStore::Open(dir);
-    store = std::move(*opened);
-    auto created = ShmRwhoDb::Create(store.get(), "rwho", hosts + 8);
+    auto created = ShmRwhoDb::Create(scratch.store.get(), "rwho", hosts + 8);
     db = std::move(*created);
-    FileFixture::Fill(db.get(), hosts, &now);
-  }
-  ~ShmFixture() {
-    db.reset();
-    store.reset();
-    (void)::system(("rm -rf " + dir).c_str());
+    Fill(db.get(), hosts, &now);
   }
 
-  std::string dir;
-  std::unique_ptr<PosixStore> store;
+  ScratchStore scratch{"rwho_shm"};
   std::unique_ptr<ShmRwhoDb> db;
   uint32_t now = 0;
 };
 
-void BM_RwhoQueryFiles(benchmark::State& state) {
-  FileFixture fx(static_cast<uint32_t>(state.range(0)));
+template <typename Fixture>
+void BM_RwhoQuery(benchmark::State& state) {
+  Fixture fx(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
     Result<std::vector<UptimeRow>> rows = fx.db->Query(fx.now);
     if (!rows.ok() || rows->size() != static_cast<size_t>(state.range(0))) {
@@ -85,25 +75,15 @@ void BM_RwhoQueryFiles(benchmark::State& state) {
   }
   state.counters["hosts"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_RwhoQueryFiles)->Arg(8)->Arg(16)->Arg(32)->Arg(65)->Arg(128)->Arg(256);
+BENCHMARK(BM_RwhoQuery<FileFixture>)->Name("BM_RwhoQueryFiles")
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(65)->Arg(128)->Arg(256);
+BENCHMARK(BM_RwhoQuery<ShmFixture>)->Name("BM_RwhoQueryShm")
+    ->Arg(8)->Arg(16)->Arg(32)->Arg(65)->Arg(128)->Arg(256);
 
-void BM_RwhoQueryShm(benchmark::State& state) {
-  ShmFixture fx(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    Result<std::vector<UptimeRow>> rows = fx.db->Query(fx.now);
-    if (!rows.ok() || rows->size() != static_cast<size_t>(state.range(0))) {
-      state.SkipWithError("query failed");
-      return;
-    }
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["hosts"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_RwhoQueryShm)->Arg(8)->Arg(16)->Arg(32)->Arg(65)->Arg(128)->Arg(256);
-
-void BM_RwhodUpdateFiles(benchmark::State& state) {
+template <typename Fixture>
+void BM_RwhodUpdate(benchmark::State& state) {
   uint32_t hosts = static_cast<uint32_t>(state.range(0));
-  FileFixture fx(hosts);
+  Fixture fx(hosts);
   RwhoFeed feed(hosts, /*seed=*/99);
   for (auto _ : state) {
     HostStatus st = feed.NextPacket();
@@ -114,22 +94,8 @@ void BM_RwhodUpdateFiles(benchmark::State& state) {
   }
   state.counters["hosts"] = hosts;
 }
-BENCHMARK(BM_RwhodUpdateFiles)->Arg(65);
-
-void BM_RwhodUpdateShm(benchmark::State& state) {
-  uint32_t hosts = static_cast<uint32_t>(state.range(0));
-  ShmFixture fx(hosts);
-  RwhoFeed feed(hosts, /*seed=*/99);
-  for (auto _ : state) {
-    HostStatus st = feed.NextPacket();
-    if (!fx.db->Update(st).ok()) {
-      state.SkipWithError("update failed");
-      return;
-    }
-  }
-  state.counters["hosts"] = hosts;
-}
-BENCHMARK(BM_RwhodUpdateShm)->Arg(65);
+BENCHMARK(BM_RwhodUpdate<FileFixture>)->Name("BM_RwhodUpdateFiles")->Arg(65);
+BENCHMARK(BM_RwhodUpdate<ShmFixture>)->Name("BM_RwhodUpdateShm")->Arg(65);
 
 }  // namespace
 }  // namespace hemlock

@@ -8,35 +8,18 @@
 // blocks after churn — coalescing keeps it low).
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
-#include <string>
 #include <vector>
 
+#include "bench/scratch_store.h"
 #include "src/posix/posix_heap.h"
 #include "src/runtime/shm_heap.h"
 
 namespace hemlock {
 namespace {
 
-struct StoreFixture {
-  StoreFixture() {
-    dir = "/tmp/hemlock_bench_alloc_" + std::to_string(::getpid());
-    (void)::system(("rm -rf " + dir).c_str());
-    auto opened = PosixStore::Open(dir);
-    store = std::move(*opened);
-  }
-  ~StoreFixture() {
-    store.reset();
-    (void)::system(("rm -rf " + dir).c_str());
-  }
-  std::string dir;
-  std::unique_ptr<PosixStore> store;
-};
-
 void BM_SegmentAllocFree(benchmark::State& state) {
-  StoreFixture fx;
+  ScratchStore fx("alloc");
   Result<PosixHeap> heap = PosixHeap::Create(fx.store.get(), "heap", kPosixSlotBytes);
   if (!heap.ok()) {
     state.SkipWithError("heap create failed");
@@ -73,7 +56,7 @@ BENCHMARK(BM_MallocFree)->Arg(16)->Arg(256)->Arg(4096);
 // Churn: allocate a working set, then repeatedly free/reallocate random members
 // (first-fit + coalescing under a realistic mix). Reports residual fragmentation.
 void BM_SegmentChurn(benchmark::State& state) {
-  StoreFixture fx;
+  ScratchStore fx("alloc");
   Result<PosixHeap> heap = PosixHeap::Create(fx.store.get(), "heap", kPosixSlotBytes);
   if (!heap.ok()) {
     state.SkipWithError("heap create failed");

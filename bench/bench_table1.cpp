@@ -1,17 +1,13 @@
 // T1 (paper Table 1: "Class creation and link times").
 //
-// Regenerates the table's semantics as *measured* rows: for each sharing class,
-//   * when the module instance is created and linked (static link time vs run time),
-//   * whether each process gets a new instance (verified by the counter experiment),
-//   * which portion of the address space it occupies (private vs the public region),
-// plus the measured cost of the stage that does the work (lds for static classes,
-// ldl startup / first-touch for dynamic ones).
+// The table's semantics (a new instance per process or not, and which region the
+// module lands in) are checked per class by SharingTest.Table1ClassSemantics. This
+// bench measures the cost of the stage that does each class's work: lds for the
+// static classes, ldl startup for the dynamic ones.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
 
-#include "src/base/layout.h"
 #include "src/runtime/world.h"
 
 namespace hemlock {
@@ -26,45 +22,6 @@ constexpr char kProgSrc[] = R"(
   extern int bump(void);
   int main(void) { return bump(); }
 )";
-
-// One full build+run cycle with the module in the given class; returns the module
-// symbol's address region and whether state persisted to a second program run.
-struct ClassFacts {
-  bool second_run_saw_state = false;
-  bool in_public_region = false;
-};
-
-ClassFacts ProbeClass(ShareClass cls) {
-  HemlockWorld world;
-  CompileOptions mod_opts;
-  mod_opts.include_prelude = false;
-  (void)world.vfs().MkdirAll("/shm/lib");
-  Status st = world.CompileTo(kModuleSrc, "/shm/lib/t1mod.o", mod_opts);
-  if (!st.ok()) {
-    std::abort();
-  }
-  st = world.CompileTo(kProgSrc, "/home/user/t1prog.o");
-  if (!st.ok()) {
-    std::abort();
-  }
-  Result<LoadImage> image = world.Link(
-      {.inputs = {{"t1prog.o", ShareClass::kStaticPrivate}, {"t1mod.o", cls}}});
-  if (!image.ok()) {
-    std::abort();
-  }
-  ClassFacts facts;
-  Result<ExecResult> run1 = world.Exec(*image);
-  Result<int> s1 = world.RunToExit(run1->pid);
-  Result<ExecResult> run2 = world.Exec(*image);
-  Result<int> s2 = world.RunToExit(run2->pid);
-  if (!s1.ok() || !s2.ok()) {
-    std::abort();
-  }
-  facts.second_run_saw_state = *s2 == 2;  // counter persisted across processes
-  Result<uint32_t> addr = run2->ldl->LookupRootSymbol("bump");
-  facts.in_public_region = addr.ok() && InSfsRegion(*addr);
-  return facts;
-}
 
 void BM_LinkAndRun(benchmark::State& state, ShareClass cls) {
   for (auto _ : state) {
@@ -101,39 +58,14 @@ void BM_LinkAndRun(benchmark::State& state, ShareClass cls) {
   }
 }
 
-void PrintTable1() {
-  std::printf("\n=== Table 1 (measured): class creation and link times ===\n");
-  std::printf("%-16s | %-16s | %-28s | %-20s\n", "Sharing class", "When linked",
-              "New instance per process?", "Address-space region");
-  std::printf("-----------------+------------------+------------------------------+---------------------\n");
-  struct Row {
-    ShareClass cls;
-    const char* when;
-  };
-  for (const Row& row : {Row{ShareClass::kStaticPrivate, "static link time"},
-                         Row{ShareClass::kDynamicPrivate, "run time"},
-                         Row{ShareClass::kStaticPublic, "static link time"},
-                         Row{ShareClass::kDynamicPublic, "run time"}}) {
-    ClassFacts facts = ProbeClass(row.cls);
-    std::printf("%-16s | %-16s | %-28s | %-20s\n", ShareClassName(row.cls), row.when,
-                facts.second_run_saw_state ? "no (single shared instance)" : "yes",
-                facts.in_public_region ? "public (0x30000000+)" : "private");
-  }
-  std::printf("\n");
-}
-
-struct Registrar {
-  Registrar() {
-    PrintTable1();
-    for (auto [cls, name] : {std::pair{ShareClass::kStaticPrivate, "static_private"},
-                             std::pair{ShareClass::kDynamicPrivate, "dynamic_private"},
-                             std::pair{ShareClass::kStaticPublic, "static_public"},
-                             std::pair{ShareClass::kDynamicPublic, "dynamic_public"}}) {
-      benchmark::RegisterBenchmark((std::string("BuildRun/") + name).c_str(),
-                                   [cls = cls](benchmark::State& s) { BM_LinkAndRun(s, cls); });
-    }
-  }
-} registrar;
+BENCHMARK_CAPTURE(BM_LinkAndRun, static_private, ShareClass::kStaticPrivate)
+    ->Name("BuildRun/static_private");
+BENCHMARK_CAPTURE(BM_LinkAndRun, dynamic_private, ShareClass::kDynamicPrivate)
+    ->Name("BuildRun/dynamic_private");
+BENCHMARK_CAPTURE(BM_LinkAndRun, static_public, ShareClass::kStaticPublic)
+    ->Name("BuildRun/static_public");
+BENCHMARK_CAPTURE(BM_LinkAndRun, dynamic_public, ShareClass::kDynamicPublic)
+    ->Name("BuildRun/dynamic_public");
 
 }  // namespace
 }  // namespace hemlock

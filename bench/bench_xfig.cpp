@@ -12,11 +12,9 @@
 //   DuplicateObject — the in-memory copy both versions share
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <string>
 
+#include "bench/scratch_store.h"
 #include "src/apps/figures.h"
 
 namespace hemlock {
@@ -45,16 +43,10 @@ BENCHMARK(BM_FigSaveLoadAscii)->Arg(100)->Arg(400)->Arg(1600)->Arg(5000);
 
 void BM_FigAttachSegment(benchmark::State& state) {
   uint32_t objects = static_cast<uint32_t>(state.range(0));
-  std::string dir = "/tmp/hemlock_bench_fig_" + std::to_string(::getpid());
-  (void)::system(("rm -rf " + dir).c_str());
-  Result<std::unique_ptr<PosixStore>> store = PosixStore::Open(dir);
-  if (!store.ok()) {
-    state.SkipWithError("store open failed");
-    return;
-  }
+  ScratchStore fx("fig");
   uint64_t want = 0;
   {
-    Result<SegmentFigure> fig = SegmentFigure::Create(store->get(), "drawing", kPosixSlotBytes);
+    Result<SegmentFigure> fig = SegmentFigure::Create(fx.store.get(), "drawing", kPosixSlotBytes);
     if (!fig.ok() || !GenerateFigure(&fig->figure(), objects, 4).ok()) {
       state.SkipWithError("generate failed");
       return;
@@ -63,7 +55,7 @@ void BM_FigAttachSegment(benchmark::State& state) {
   }
   for (auto _ : state) {
     // "Open the figure": attach and walk it in place — no parsing, no rebuilding.
-    Result<SegmentFigure> fig = SegmentFigure::Attach(store->get(), "drawing");
+    Result<SegmentFigure> fig = SegmentFigure::Attach(fx.store.get(), "drawing");
     if (!fig.ok() || fig->figure().Checksum() != want) {
       state.SkipWithError("attach failed");
       return;
@@ -71,7 +63,6 @@ void BM_FigAttachSegment(benchmark::State& state) {
     benchmark::DoNotOptimize(fig->figure().header());
   }
   state.counters["objects"] = objects;
-  (void)::system(("rm -rf " + dir).c_str());
 }
 BENCHMARK(BM_FigAttachSegment)->Arg(100)->Arg(400)->Arg(1600)->Arg(5000);
 

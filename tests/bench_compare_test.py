@@ -3,8 +3,9 @@
 
 Exercises every row kind of the gate table and the failure modes CI actually
 hits: missing files, truncated JSON, a bench run missing one series, a zero
-cores=1 rate on a throttled host, a gate whose benchmark is in no file, and
-both sides of the warm-start and remote gates. Each case pins the exit code
+cores=1 rate on a throttled host, a binary's run missing a gated row, a row
+its bench skipped with an error, both sides of the warm-start and remote
+gates, and the paper's rwho claims alone. Each case pins the exit code
 (0 pass / 1 regression / 2 unreadable input) and the shape of the message.
 """
 
@@ -27,24 +28,41 @@ def run(*argv):
                           capture_output=True, text=True)
 
 
+def bench_json(binary, rows=(), num_cpus=8):
+    """A run of |binary| as Google Benchmark writes it: the path in context."""
+    return {"context": {"executable": f"./build/bench/{binary}", "num_cpus": num_cpus},
+            "benchmarks": list(rows)}
+
+
 def smp_json(rows, num_cpus=8):
-    return {"context": {"num_cpus": num_cpus},
-            "benchmarks": [{"name": n, "items_per_second": r} for n, r in rows]}
+    return bench_json("bench_contention",
+                      [{"name": n, "items_per_second": r} for n, r in rows], num_cpus)
 
 
 def manifest_json(**row):
-    return {"benchmarks": [{"name": "BM_ManifestWarmStart/manual_time", **row}]}
+    return bench_json("bench_manifest", [{"name": "BM_ManifestWarmStart/manual_time", **row}])
 
 
 def remote_json(**row):
-    return {"benchmarks": [{"name": "BM_RemoteSegmentAccess/manual_time", **row}]}
+    return bench_json("bench_remote", [{"name": "BM_RemoteSegmentAccess/manual_time", **row}])
 
 
-def interp_json(iterations=16, jit_compiled=2.0, jit_speedup=20.0):
-    return {"benchmarks": [
-        {"name": "BM_InterpSpeedup", "speedup": 3.5},
+def interp_json(iterations=16, jit_compiled=2.0, jit_speedup=20.0, speedup=3.5):
+    return bench_json("bench_interp", [
+        {"name": "BM_InterpSpeedup", "speedup": speedup},
         {"name": "BM_JitSpeedup", "iterations": iterations,
-         "jit_compiled": jit_compiled, "speedup": jit_speedup}]}
+         "jit_compiled": jit_compiled, "speedup": jit_speedup}])
+
+
+def paper_json(walk_syscalls=lambda hosts: 1, walk_ticks=3697):
+    """bench_paper's rwho rows: 3 syscalls per host plus exit for the files."""
+    rows = []
+    for h in (8, 32, 65, 128):
+        rows += [{"name": f"SimRwho/files/{h}", "hosts": h,
+                  "sim_query_syscalls": 3 * h + 1, "sim_query_ticks": 1672 * h},
+                 {"name": f"SimRwho/shared_memory/{h}", "hosts": h,
+                  "sim_query_syscalls": walk_syscalls(h), "sim_query_ticks": walk_ticks}]
+    return bench_json("bench_paper", rows)
 
 
 # One BENCH file per bench binary, every gate passing; each case overrides or
@@ -86,6 +104,7 @@ class BenchCompareTest(unittest.TestCase):
         for name in ("interp_speedup", "jit_speedup", "smp_scaling",
                      "manifest_warm", "remote_cached"):
             self.assertIn(f"ok   {name}:", p.stdout)
+        self.assertIn("smp_scaling: 3.00x", p.stdout)
 
     # --- unreadable input is exit 2, not a crash or a fake regression ---
 
@@ -105,12 +124,54 @@ class BenchCompareTest(unittest.TestCase):
         p = run(os.path.join(self._dir.name, "nope.json"), current)
         self.assertEqual(p.returncode, 2, p.stderr)
 
-    def test_gate_whose_benchmark_is_in_no_file_fails_by_name(self):
-        p = self.gate(drop=("remote",))
+    # --- gates apply by binary; a skipped row fails ---
+
+    def test_gate_whose_binary_ran_without_its_row_fails_by_name(self):
+        p = self.gate(remote=bench_json("bench_remote"))
         self.assertEqual(p.returncode, 1, p.stderr)
         self.assertIn("remote_cached: BM_RemoteSegmentAccess.cached_ns", p.stderr)
-        self.assertIn("missing from every input", p.stderr)
+        self.assertIn("missing from the bench_remote run", p.stderr)
         self.assertNotIn("manifest_warm", p.stderr)
+
+    def test_gates_of_a_binary_not_among_the_inputs_do_not_apply(self):
+        p = self.gate(drop=("remote",))
+        self.assertEqual(p.returncode, 0, p.stderr)
+        self.assertIn("skip remote_cached: no bench_remote run among the inputs", p.stdout)
+
+    def test_inputs_from_no_gated_binary_fail(self):
+        p = run(self.write("base.json", {"benchmarks": []}),
+                self.write("other.json", bench_json("bench_other", [{"name": "BM_X"}])))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("no input comes from a gated binary (bench_other)", p.stderr)
+
+    def test_row_skipped_with_an_error_fails_by_name(self):
+        errored = bench_json("bench_lazy_link", [
+            {"name": "BM_LazyLink/4", "iterations": 1},
+            {"name": "BM_LazyLink/8", "error_occurred": True,
+             "error_message": "program failed"}])
+        p = self.gate(lazy_link=errored)
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("errors: bench_lazy_link BM_LazyLink/8: program failed", p.stderr)
+        self.assertNotIn("BM_LazyLink/4", p.stderr)
+
+    # --- the paper's claims (bench_paper) ---
+
+    def test_paper_run_alone_applies_only_the_paper_gates(self):
+        p = run(BASELINE, self.write("paper.json", paper_json()))
+        self.assertEqual(p.returncode, 0, p.stderr)
+        for name in ("rwho_syscalls_saved/65", "rwho_walk_syscalls/128",
+                     "rwho_query_ticks"):
+            self.assertIn(f"ok   {name}:", p.stdout)
+        for name in ("interp_speedup", "smp_scaling", "counters"):
+            self.assertIn(f"skip {name}: no ", p.stdout)
+
+    def test_walk_issuing_a_syscall_per_host_fails(self):
+        p = run(BASELINE, self.write("paper.json", paper_json(
+            walk_syscalls=lambda hosts: hosts + 1, walk_ticks=3697 + 200 * 65)))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("rwho_syscalls_saved/65: 2.00x below floor 3.00x", p.stderr)
+        self.assertIn("rwho_walk_syscalls/65: 66.00x exceeds ceiling 1.00x", p.stderr)
+        self.assertIn("rwho_query_ticks: 6.51x below floor 10.00x", p.stderr)
 
     # --- SMP scaling: series/zero handling and the CPU-count relaxation ---
 
@@ -132,11 +193,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(p.returncode, 1, p.stderr)
         self.assertIn("BM_SmpScaling/1.items_per_second is 0", p.stderr)
 
-    def test_good_scaling_passes(self):
-        p = self.gate()
-        self.assertEqual(p.returncode, 0, p.stderr)
-        self.assertIn("smp_scaling: 3.00x", p.stdout)
-
     def test_scaling_below_floor_fails(self):
         p = self.gate(contention=smp_json(
             [("BM_SmpScaling/1", 1e7), ("BM_SmpScaling/4", 2e7)]))
@@ -157,10 +213,6 @@ class BenchCompareTest(unittest.TestCase):
 
     # --- stable linking's warm start ---
 
-    def test_warm_within_ceiling_passes(self):
-        p = self.gate(manifest=manifest_json(cold_ns=1e6, warm_ns=5e4, manifest_hits=3))
-        self.assertEqual(p.returncode, 0, p.stderr)
-
     def test_warm_above_ceiling_fails(self):
         p = self.gate(manifest=manifest_json(cold_ns=1e6, warm_ns=5e5, manifest_hits=3))
         self.assertEqual(p.returncode, 1, p.stderr)
@@ -172,7 +224,7 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("manifest_hits=0", p.stderr)
 
     def test_missing_row_fails_clearly(self):
-        p = self.gate(manifest={"benchmarks": []})
+        p = self.gate(manifest=bench_json("bench_manifest"))
         self.assertEqual(p.returncode, 1, p.stderr)
         self.assertIn("manifest_warm: BM_ManifestWarmStart.warm_ns", p.stderr)
 
@@ -182,11 +234,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("BM_ManifestWarmStart.cold_ns is 0", p.stderr)
 
     # --- remote attach ---
-
-    def test_cached_within_ceiling_passes(self):
-        p = self.gate(remote=remote_json(
-            local_ns=1e5, cold_ns=5e6, cached_ns=1.1e5, pages_fetched=64))
-        self.assertEqual(p.returncode, 0, p.stderr)
 
     def test_cached_above_ceiling_fails(self):
         p = self.gate(remote=remote_json(
@@ -200,17 +247,10 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(p.returncode, 1, p.stderr)
         self.assertIn("pages_fetched=0", p.stderr)
 
-    def test_missing_remote_row_fails_clearly(self):
-        p = self.gate(remote={"benchmarks": []})
-        self.assertEqual(p.returncode, 1, p.stderr)
-        self.assertIn("remote_cached: BM_RemoteSegmentAccess.cached_ns", p.stderr)
-
     # --- the speedup floors ---
 
     def test_interp_speedup_below_floor_fails(self):
-        p = self.gate(interp={"benchmarks": [
-            {"name": "BM_InterpSpeedup", "speedup": 2.5},
-            {"name": "BM_JitSpeedup", "jit_compiled": 2.0, "speedup": 20.0}]})
+        p = self.gate(interp=interp_json(speedup=2.5))
         self.assertEqual(p.returncode, 1, p.stderr)
         self.assertIn("interp_speedup: 2.50x below floor 3.00x", p.stderr)
 
@@ -248,22 +288,29 @@ class BenchCompareTest(unittest.TestCase):
         self.assertGreater(row["jit_compiled"], 0)
         self.assertLess(row["jit_compiled"], row["iterations"])
 
+    def run_jit_bench(self, min_time):
+        out = os.path.join(self._dir.name, f"jit{min_time}.json")
+        subprocess.run([BENCH_INTERP, "--benchmark_filter=BM_JitSpeedup$",
+                        f"--benchmark_min_time={min_time}",
+                        f"--benchmark_out={out}", "--benchmark_out_format=json"],
+                       check=True, capture_output=True, timeout=120)
+        with open(out) as f:
+            return json.load(f)["benchmarks"][0]
+
     @unittest.skipUnless(BENCH_INTERP, "BENCH_INTERP not set")
     def test_bench_reports_the_same_jit_count_at_two_run_lengths(self):
-        counts = []
-        for min_time in ("0.01", "0.15"):
-            out = os.path.join(self._dir.name, f"jit{min_time}.json")
-            subprocess.run([BENCH_INTERP, "--benchmark_filter=BM_JitSpeedup$",
-                            f"--benchmark_min_time={min_time}",
-                            f"--benchmark_out={out}", "--benchmark_out_format=json"],
-                           check=True, capture_output=True, timeout=120)
-            with open(out) as f:
-                row = json.load(f)["benchmarks"][0]
-            counts.append((row["iterations"], row.get("jit_compiled", 0)))
-        if counts[0][1] == 0:
+        # A min_time of 0 runs exactly one iteration. Google Benchmark stops
+        # once an iteration batch's CPU time reaches min_time, so asking for
+        # five times that iteration's CPU time needs two or more on any build.
+        one = self.run_jit_bench("0")
+        seconds = one["cpu_time"] * {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}[
+            one["time_unit"]]
+        more = self.run_jit_bench(f"{5 * seconds:.6f}")
+        if one.get("jit_compiled", 0) == 0:
             self.skipTest("the JIT compiled nothing on this host")
-        self.assertNotEqual(counts[0][0], counts[1][0], counts)
-        self.assertEqual(counts[0][1], counts[1][1], counts)
+        self.assertEqual(one["iterations"], 1)
+        self.assertGreaterEqual(more["iterations"], 2)
+        self.assertEqual(one["jit_compiled"], more["jit_compiled"])
 
 
 if __name__ == "__main__":

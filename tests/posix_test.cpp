@@ -126,6 +126,10 @@ TEST_F(PosixStoreTest, StrayAddressStillDies) {
   pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    // The handler chains an unresolvable fault to the previous disposition, which
+    // must be the default one for the process to die by SIGSEGV (a sanitizer
+    // runtime installs its own SIGSEGV handler at startup).
+    ::signal(SIGSEGV, SIG_DFL);
     Status st = InstallPosixFaultHandler(store_.get());
     if (!st.ok()) {
       ::_exit(2);
@@ -233,18 +237,24 @@ TEST_F(PosixStoreTest, RemoveRestoresDefaultDisposition) {
   pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    // A detached segment: an installed handler would re-attach it on the read below
+    // and the child would exit 0.
+    Result<PosixSegment> seg = store_->Create("gone", 4096);
+    if (!seg.ok() || !store_->Detach("gone").ok()) {
+      ::_exit(2);
+    }
+    ::signal(SIGSEGV, SIG_DFL);  // the disposition Remove must restore
     if (!InstallPosixFaultHandler(store_.get()).ok()) {
       ::_exit(2);
     }
     RemovePosixFaultHandler();
-    volatile uint32_t* p = reinterpret_cast<volatile uint32_t*>(store_->region_base());
-    uint32_t v = *p;  // handler removed: plain SIGSEGV death
+    uint32_t v = *reinterpret_cast<volatile uint32_t*>(seg->base);  // plain SIGSEGV death
     (void)v;
     ::_exit(0);
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  EXPECT_TRUE(WIFSIGNALED(status));
+  ASSERT_TRUE(WIFSIGNALED(status)) << "exit status " << WEXITSTATUS(status);
   EXPECT_EQ(WTERMSIG(status), SIGSEGV);
 }
 

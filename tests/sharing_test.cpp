@@ -3,8 +3,11 @@
 // Two separately linked programs access the same public module with ordinary
 // variable syntax; writes made by the first are visible to the second; pointers into
 // the shared region mean the same thing in every process.
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
+#include "src/base/layout.h"
 #include "src/runtime/world.h"
 
 namespace hemlock {
@@ -20,13 +23,21 @@ constexpr char kCounterModule[] = R"(
   }
 )";
 
+// Compiles the counter module's template to /shm/lib/counter.o in |world|.
+Status AddCounterModule(HemlockWorld& world) {
+  Status st = world.vfs().MkdirAll("/shm/lib");
+  if (!st.ok()) {
+    return st;
+  }
+  CompileOptions opts;
+  opts.include_prelude = false;  // keep the shared module lean
+  return world.CompileTo(kCounterModule, "/shm/lib/counter.o", opts);
+}
+
 class SharingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(world_.vfs().MkdirAll("/shm/lib").ok());
-    CompileOptions opts;
-    opts.include_prelude = false;  // keep the shared module lean
-    Status st = world_.CompileTo(kCounterModule, "/shm/lib/counter.o", opts);
+    Status st = AddCounterModule(world_);
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 
@@ -50,40 +61,44 @@ constexpr char kBumpProgram[] = R"(
   }
 )";
 
-TEST_F(SharingTest, DynamicPublicSharedAcrossPrograms) {
-  // Program 1 creates the module (ldl, on first use) and bumps the counter.
-  Result<RunOutcome> out1 = RunWith(kBumpProgram, ShareClass::kDynamicPublic);
-  ASSERT_TRUE(out1.ok()) << out1.status().ToString();
-  EXPECT_EQ(out1->stdout_text, "101 101\n");
-
-  // Program 2, linked separately, sees program 1's write — the segment persists.
-  Result<RunOutcome> out2 = RunWith(kBumpProgram, ShareClass::kDynamicPublic);
-  ASSERT_TRUE(out2.ok()) << out2.status().ToString();
-  EXPECT_EQ(out2->stdout_text, "102 102\n");
-
-  // The module file now exists next to its template, named by dropping ".o".
-  EXPECT_TRUE(world_.vfs().Exists("/shm/lib/counter"));
-}
-
-TEST_F(SharingTest, StaticPublicSharedAcrossPrograms) {
-  Result<RunOutcome> out1 = RunWith(kBumpProgram, ShareClass::kStaticPublic);
-  ASSERT_TRUE(out1.ok()) << out1.status().ToString();
-  EXPECT_EQ(out1->stdout_text, "101 101\n");
-  Result<RunOutcome> out2 = RunWith(kBumpProgram, ShareClass::kStaticPublic);
-  ASSERT_TRUE(out2.ok()) << out2.status().ToString();
-  EXPECT_EQ(out2->stdout_text, "102 102\n");
-}
-
-TEST_F(SharingTest, PrivateClassesGetFreshInstances) {
-  // Table 1: private modules get a new instance per process — no sharing.
-  for (ShareClass cls : {ShareClass::kStaticPrivate, ShareClass::kDynamicPrivate}) {
-    SCOPED_TRACE(ShareClassName(cls));
-    Result<RunOutcome> out1 = RunWith(kBumpProgram, cls);
+TEST_F(SharingTest, Table1ClassSemantics) {
+  // Paper Table 1, one row per class, each cell derived by experiment: two
+  // separately linked programs bump the counter and print where it lives. A
+  // public class is one instance (the second run sees 102) in the public region,
+  // kept in a module file beside its template, named by dropping ".o"; a private
+  // class is a fresh instance per process (101 again) in the private part of the
+  // address space. Each class gets a world of its own.
+  constexpr char kTable1Program[] = R"(
+    extern int counter;
+    extern int bump(int delta);
+    int main(void) {
+      putint(bump(1));
+      puts(" ");
+      putint(&counter);
+      puts("\n");
+      return 0;
+    }
+  )";
+  struct Row {
+    ShareClass cls;
+    bool public_class;
+  };
+  for (Row row : {Row{ShareClass::kStaticPrivate, false}, Row{ShareClass::kDynamicPrivate, false},
+                  Row{ShareClass::kStaticPublic, true}, Row{ShareClass::kDynamicPublic, true}}) {
+    SCOPED_TRACE(ShareClassName(row.cls));
+    HemlockWorld world;
+    ASSERT_TRUE(AddCounterModule(world).ok());
+    Result<RunOutcome> out1 = world.RunProgram(kTable1Program, {{"counter.o", row.cls}});
     ASSERT_TRUE(out1.ok()) << out1.status().ToString();
-    EXPECT_EQ(out1->stdout_text, "101 101\n");
-    Result<RunOutcome> out2 = RunWith(kBumpProgram, cls);
+    Result<RunOutcome> out2 = world.RunProgram(kTable1Program, {{"counter.o", row.cls}});
     ASSERT_TRUE(out2.ok()) << out2.status().ToString();
-    EXPECT_EQ(out2->stdout_text, "101 101\n");  // fresh instance, not 102
+    int second = 0;
+    uint32_t addr = 0;
+    ASSERT_EQ(std::sscanf(out2->stdout_text.c_str(), "%d %u", &second, &addr), 2);
+    EXPECT_EQ(out1->stdout_text.rfind("101 ", 0), 0u) << out1->stdout_text;
+    EXPECT_EQ(second, row.public_class ? 102 : 101) << "new instance per process?";
+    EXPECT_EQ(InSfsRegion(addr), row.public_class) << "address-space region";
+    EXPECT_EQ(world.vfs().Exists("/shm/lib/counter"), row.public_class) << "module file";
   }
 }
 
@@ -192,10 +207,7 @@ TEST(SharingRebootTest, PublicModuleSurvivesReboot) {
   std::vector<uint8_t> disk;
   {
     HemlockWorld world;
-    ASSERT_TRUE(world.vfs().MkdirAll("/shm/lib").ok());
-    CompileOptions opts;
-    opts.include_prelude = false;
-    ASSERT_TRUE(world.CompileTo(kCounterModule, "/shm/lib/counter.o", opts).ok());
+    ASSERT_TRUE(AddCounterModule(world).ok());
     Result<RunOutcome> out =
         world.RunProgram(kBumpProgram, {{"counter.o", ShareClass::kDynamicPublic}});
     ASSERT_TRUE(out.ok()) << out.status().ToString();

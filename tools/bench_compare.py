@@ -6,10 +6,12 @@ Usage: bench_compare.py BASELINE.json BENCH.json...
 Wall-clock numbers depend on the machine, so no gate reads one directly. Each
 compares a ratio of two measurements taken in one process, or a deterministic
 per-run counter. GATES below is the whole policy: ratio rows, whose cpus field
-is the CPU-count relaxation, and a counter-tolerance row.
+is the CPU-count relaxation, and a counter-tolerance row. Each row names the
+bench binary whose rows it reads.
 
   Ratio     NUM, or NUM over DEN, must stay at or above a floor (or at or below
             a ceiling); NUM and DEN each name a (benchmark, field).
+            minus  a (benchmark, field) subtracted from NUM before dividing.
             needs  a counter of NUM's row that must be > 0, or the gate fails:
                    the run never exercised what the ratio measures.
             when   a counter of NUM's row that must be > 0 for the gate to
@@ -23,8 +25,11 @@ is the CPU-count relaxation, and a counter-tolerance row.
   Counters  every deterministic counter that BASELINE.json records stays within
             TOLERANCE of it.
 
-The benchmark rows of every BENCH file are pooled by name ("/real_time" and
-"/manual_time" suffixes dropped). A gate whose row is in none of them fails.
+Each BENCH file's rows are pooled by the binary that wrote them (Google
+Benchmark's context.executable) and by name ("/real_time" and "/manual_time"
+suffixes dropped). A gate applies when its binary's run is among the inputs,
+and then fails if its row is missing from that run. A row that a bench skipped
+with an error (error_occurred) fails whether a gate reads it or not.
 
 Exit codes: 0 every gate passes, 1 a regression, 2 an input unreadable.
 """
@@ -32,6 +37,7 @@ Exit codes: 0 every gate passes, 1 a regression, 2 an input unreadable.
 import argparse
 import collections
 import json
+import os
 import sys
 
 TOLERANCE = 0.20
@@ -53,29 +59,52 @@ DETERMINISTIC_COUNTERS = (
 )
 
 Ratio = collections.namedtuple(
-    "Ratio", "name num den floor ceiling needs when cpus",
-    defaults=(None, None, None, None, None, None))
-Counters = collections.namedtuple("Counters", "name counters")
+    "Ratio", "name binary num den minus floor ceiling needs when cpus",
+    defaults=(None, None, None, None, None, None, None))
+Counters = collections.namedtuple("Counters", "name binary counters")
+
+# bench_rwho_sim's host counts (EXPERIMENTS.md E1).
+RWHO_HOSTS = (8, 32, 65, 128)
 
 GATES = (
-    # The block-cache interpreter over the reference interpreter (bench_interp).
-    Ratio("interp_speedup", ("BM_InterpSpeedup", "speedup"), floor=3.0),
+    # The block-cache interpreter over the reference interpreter.
+    Ratio("interp_speedup", "bench_interp", ("BM_InterpSpeedup", "speedup"), floor=3.0),
     # The JIT tier over the reference. A host that cannot run generated code
     # falls back to the block cache, which has its own gate above.
-    Ratio("jit_speedup", ("BM_JitSpeedup", "speedup"), floor=6.0,
+    Ratio("jit_speedup", "bench_interp", ("BM_JitSpeedup", "speedup"), floor=6.0,
           when="jit_compiled"),
-    # Guest instructions per second at cores=4 over cores=1 (bench_contention).
-    Ratio("smp_scaling", ("BM_SmpScaling/4", "items_per_second"),
+    # Guest instructions per second at cores=4 over cores=1.
+    Ratio("smp_scaling", "bench_contention", ("BM_SmpScaling/4", "items_per_second"),
           den=("BM_SmpScaling/1", "items_per_second"), floor=2.5, cpus=4),
-    # Stable linking: warm-start resolution time over cold (bench_manifest).
-    Ratio("manifest_warm", ("BM_ManifestWarmStart", "warm_ns"),
+    # Stable linking: warm-start resolution time over cold.
+    Ratio("manifest_warm", "bench_manifest", ("BM_ManifestWarmStart", "warm_ns"),
           den=("BM_ManifestWarmStart", "cold_ns"), ceiling=0.10,
           needs="manifest_hits"),
-    # Re-reading a resident remote segment over a local attach (bench_remote).
-    Ratio("remote_cached", ("BM_RemoteSegmentAccess", "cached_ns"),
+    # Re-reading a resident remote segment over a local attach.
+    Ratio("remote_cached", "bench_remote", ("BM_RemoteSegmentAccess", "cached_ns"),
           den=("BM_RemoteSegmentAccess", "local_ns"), ceiling=1.20,
           needs="pages_fetched"),
-    Counters("counters", DETERMINISTIC_COUNTERS),
+    Counters("counters", "bench_interp", DETERMINISTIC_COUNTERS),
+    # The paper's claims (bench_paper); only simulated ticks and syscall
+    # counts, which do not depend on the host. EXPERIMENTS.md E1, rwho as a
+    # program: the file flavour opens, reads and closes one file per host, and
+    # the shared flavour walks the database in place. So a query saves at
+    # least those 3 syscalls per host...
+    *(Ratio(f"rwho_syscalls_saved/{h}", "bench_paper",
+            (f"SimRwho/files/{h}", "sim_query_syscalls"),
+            minus=(f"SimRwho/shared_memory/{h}", "sim_query_syscalls"),
+            den=(f"SimRwho/files/{h}", "hosts"), floor=3.0) for h in RWHO_HOSTS),
+    # ...and the walk's only syscall is its exit.
+    *(Ratio(f"rwho_walk_syscalls/{h}", "bench_paper",
+            (f"SimRwho/shared_memory/{h}", "sim_query_syscalls"), ceiling=1.0)
+      for h in RWHO_HOSTS),
+    # Each syscall is billed 200 ticks (Machine::syscall_cost), so the file
+    # query pays at least 600 ticks per host before running an instruction.
+    # The walk is a load, an add, a compare and a branch per host, budgeted
+    # at 60 ticks per host with its exec and exit spread over the paper's 65
+    # hosts: at least 600 / 60 = 10x.
+    Ratio("rwho_query_ticks", "bench_paper", ("SimRwho/files/65", "sim_query_ticks"),
+          den=("SimRwho/shared_memory/65", "sim_query_ticks"), floor=10.0),
 )
 
 
@@ -98,56 +127,71 @@ def read_json(path):
 
 
 def pool_rows(paths):
-    """Benchmark name -> row over every file, each row tagged with host_cpus."""
-    rows = {}
+    """Binary name -> benchmark name -> row, each row tagged with host_cpus."""
+    runs = collections.defaultdict(dict)
     for path in paths:
         data = read_json(path)
-        cpus = data.get("context", {}).get("num_cpus", 1)
+        context = data.get("context", {})
+        rows = runs[os.path.basename(context.get("executable", path))]
         for b in data.get("benchmarks", []):
             name = b["name"].removesuffix("/manual_time").removesuffix("/real_time")
-            rows[name] = dict(b, host_cpus=cpus)
-    return rows
+            rows[name] = dict(b, host_cpus=context.get("num_cpus", 1))
+    return runs
 
 
-def report(verdict, gate, message):
-    print(f"{verdict:4} {gate.name}: {message}")
-    return [f"{gate.name}: {message}"] if verdict == "FAIL" else []
+def report(verdict, name, message):
+    print(f"{verdict:4} {name}: {message}")
+    return [f"{name}: {message}"] if verdict == "FAIL" else []
+
+
+def check_errors(runs):
+    """Fails every row that its bench skipped with an error."""
+    failures = []
+    for binary, rows in sorted(runs.items()):
+        for name, row in rows.items():
+            if row.get("error_occurred"):
+                failures += report("FAIL", "errors", f"{binary} {name}: "
+                                   f"{row.get('error_message', 'no message')}")
+    return failures
 
 
 def check_ratio(gate, rows, base):
-    operands = [gate.num] + ([gate.den] if gate.den else [])
+    operands = [gate.num] + [o for o in (gate.minus, gate.den) if o]
     missing = [f"{b}.{f}" for b, f in operands if rows.get(b, {}).get(f) is None]
     if missing:
-        return report("FAIL", gate, f"{' and '.join(missing)} missing from every input")
+        return report("FAIL", gate.name,
+                      f"{' and '.join(missing)} missing from the {gate.binary} run")
     row = rows[gate.num[0]]
     value = row[gate.num[1]]
+    if gate.minus:
+        value -= rows[gate.minus[0]][gate.minus[1]]
     if gate.den:
         den = rows[gate.den[0]][gate.den[1]]
         if den <= 0:
-            return report("FAIL", gate, f"{gate.den[0]}.{gate.den[1]} is {den}; "
+            return report("FAIL", gate.name, f"{gate.den[0]}.{gate.den[1]} is {den}; "
                           "nothing to compare against (throttled host or broken run?)")
         value /= den
     if gate.needs and row.get(gate.needs, 0) <= 0:
-        return report("FAIL", gate, f"{gate.needs}={row.get(gate.needs, 0)}: "
+        return report("FAIL", gate.name, f"{gate.needs}={row.get(gate.needs, 0)}: "
                       "the run never exercised what this gate measures")
     if gate.when and row.get(gate.when, 0) <= 0:
-        return report("skip", gate, f"{gate.when}=0 on this host; "
+        return report("skip", gate.name, f"{gate.when}=0 on this host; "
                       f"{value:.2f}x recorded, not gated")
     if gate.ceiling is not None:
         ok = value <= gate.ceiling
-        return report("ok" if ok else "FAIL", gate, f"{value:.2f}x "
+        return report("ok" if ok else "FAIL", gate.name, f"{value:.2f}x "
                       f"{'within' if ok else 'exceeds'} ceiling {gate.ceiling:.2f}x")
     floor, cpus = gate.floor, row["host_cpus"]
     if gate.cpus and cpus < gate.cpus:
         if cpus < 2:
-            return report("skip", gate, f"host has {cpus} cpu(s); "
+            return report("skip", gate.name, f"host has {cpus} cpu(s); "
                           f"{value:.2f}x recorded, not gated")
         floor /= 2  # the host has at most half the cores the bench asks for
     base_value = base.get(gate.num[0], {}).get(gate.num[1])
     if gate.den is None and base_value is not None:
         floor = max(floor, base_value * (1.0 - TOLERANCE))
     ok = value >= floor
-    return report("ok" if ok else "FAIL", gate, f"{value:.2f}x "
+    return report("ok" if ok else "FAIL", gate.name, f"{value:.2f}x "
                   f"{'at or above' if ok else 'below'} floor {floor:.2f}x "
                   f"(host cpus {cpus})")
 
@@ -156,14 +200,15 @@ def check_counters(gate, rows, base):
     failures = []
     for name, b in sorted(base.items()):
         if name not in rows:
-            failures += report("FAIL", gate, f"{name} missing from every input")
+            failures += report("FAIL", gate.name,
+                               f"{name} missing from the {gate.binary} run")
             continue
         for counter in gate.counters:
             if counter not in b:
                 continue
             old, new = b[counter], rows[name].get(counter, 0.0)
             ok = abs(new - old) <= TOLERANCE * abs(old) if old else new == 0
-            failures += report("ok" if ok else "FAIL", gate,
+            failures += report("ok" if ok else "FAIL", gate.name,
                                f"{name}.{counter} baseline={old:.1f} current={new:.1f}")
     return failures
 
@@ -175,11 +220,17 @@ def main():
     parser.add_argument("bench", nargs="+")
     args = parser.parse_args()
     base = {b["name"]: b for b in read_json(args.baseline).get("benchmarks", [])}
-    rows = pool_rows(args.bench)
-    failures = []
+    runs = pool_rows(args.bench)
+    failures = check_errors(runs)
+    if not any(gate.binary in runs for gate in GATES):
+        failures += report("FAIL", "gates", "no input comes from a gated binary "
+                           f"({', '.join(sorted(runs))})")
     for gate in GATES:
+        if gate.binary not in runs:
+            print(f"skip {gate.name}: no {gate.binary} run among the inputs")
+            continue
         check = check_ratio if isinstance(gate, Ratio) else check_counters
-        failures += check(gate, rows, base)
+        failures += check(gate, runs[gate.binary], base)
     sys.stdout.flush()
     if failures:
         print(f"\n{len(failures)} regression(s):", file=sys.stderr)
