@@ -104,14 +104,20 @@ class ByteReader {
     return static_cast<int32_t>(v);
   }
 
-  Result<std::string> Str() {
+  // A length-prefixed string as a view into the buffer: valid only while the
+  // buffer is.
+  Result<std::string_view> StrView() {
     ASSIGN_OR_RETURN(uint32_t n, U32());
     if (pos_ + n > size_) {
       return Truncated();
     }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
+  }
+  Result<std::string> Str() {
+    ASSIGN_OR_RETURN(std::string_view s, StrView());
+    return std::string(s);
   }
   Result<std::vector<uint8_t>> Bytes() {
     ASSIGN_OR_RETURN(uint32_t n, U32());

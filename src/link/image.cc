@@ -246,13 +246,31 @@ Status ValidateLoadImage(const LoadImage& img) {
   return OkStatus();
 }
 
-std::vector<uint8_t> LinkedModule::SerializeFile() const {
-  // Memory image first: payload then implicit bss zeros, padded to a page.
-  std::vector<uint8_t> file = payload;
-  file.resize(PageCeil(MemSize()), 0);
-  std::vector<uint8_t> tail = SerializeTrailer();
+namespace {
+
+// Memory image first: the payload in |file|, then implicit bss zeros padded to a
+// page, then |tail|. The buffer grows once, to its final size.
+std::vector<uint8_t> AppendToImage(std::vector<uint8_t> file, uint32_t mapped,
+                                   const std::vector<uint8_t>& tail) {
+  file.reserve(mapped + tail.size());
+  file.resize(mapped, 0);
   file.insert(file.end(), tail.begin(), tail.end());
   return file;
+}
+
+}  // namespace
+
+std::vector<uint8_t> LinkedModule::SerializeFile() const& {
+  std::vector<uint8_t> tail = SerializeTrailer();
+  std::vector<uint8_t> file;
+  file.reserve(PageCeil(MemSize()) + tail.size());
+  file.assign(payload.begin(), payload.end());
+  return AppendToImage(std::move(file), PageCeil(MemSize()), tail);
+}
+
+std::vector<uint8_t> LinkedModule::SerializeFile() && {
+  std::vector<uint8_t> tail = SerializeTrailer();
+  return AppendToImage(std::move(payload), PageCeil(MemSize()), tail);
 }
 
 std::vector<uint8_t> LinkedModule::SerializeTrailer() const {
@@ -355,16 +373,15 @@ Result<LinkedModule> LinkedModule::DeserializeFile(const std::vector<uint8_t>& b
   return mod;
 }
 
-Status ApplyReloc(std::vector<uint8_t>* buf, uint32_t buf_base, RelocType type, uint32_t site,
+Status ApplyReloc(uint8_t* buf, size_t size, uint32_t buf_base, RelocType type, uint32_t site,
                   uint32_t target) {
-  if (site < buf_base ||
-      static_cast<uint64_t>(site) + 4 > static_cast<uint64_t>(buf_base) + buf->size()) {
+  if (site < buf_base || static_cast<uint64_t>(site) + 4 > static_cast<uint64_t>(buf_base) + size) {
     return OutOfRange(StrFormat("relocation site 0x%08x outside buffer [0x%08x,+0x%zx)", site,
-                                buf_base, buf->size()));
+                                buf_base, size));
   }
   uint32_t off = site - buf_base;
   uint32_t word = 0;
-  std::memcpy(&word, buf->data() + off, 4);
+  std::memcpy(&word, buf + off, 4);
   switch (type) {
     case RelocType::kWord32:
       word = target;
@@ -396,7 +413,7 @@ Status ApplyReloc(std::vector<uint8_t>* buf, uint32_t buf_base, RelocType type, 
       break;
     }
   }
-  std::memcpy(buf->data() + off, &word, 4);
+  std::memcpy(buf + off, &word, 4);
   return OkStatus();
 }
 

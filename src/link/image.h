@@ -119,8 +119,10 @@ struct LinkedModule {
   uint32_t MemSize() const { return text_size + data_size + bss_size; }
   bool FullyLinked() const { return pending.empty(); }
 
-  // Serializes to the HML file layout described above (image @0, trailer, footer).
-  std::vector<uint8_t> SerializeFile() const;
+  // Serializes to the HML file layout described above (image @0, trailer, footer),
+  // in a buffer sized once. The rvalue form moves |payload| in as the image.
+  std::vector<uint8_t> SerializeFile() const&;
+  std::vector<uint8_t> SerializeFile() &&;
   // Just the trailer and footer, which belong at offset PageCeil(MemSize()) of the
   // file. |payload| is not read: ldl rewrites a live module's metadata with this
   // without touching its mapped pages.
@@ -138,9 +140,9 @@ struct LinkedModule {
 // built in memory by lds).
 Status ValidateLoadImage(const LoadImage& img);
 
-// Applies one relocation to a byte buffer that will live at |buf_base|.
+// Applies one relocation to the |size| bytes at |buf|, which will live at |buf_base|.
 // |target| is the resolved S + A value. The site must lie inside the buffer.
-Status ApplyReloc(std::vector<uint8_t>* buf, uint32_t buf_base, RelocType type, uint32_t site,
+Status ApplyReloc(uint8_t* buf, size_t size, uint32_t buf_base, RelocType type, uint32_t site,
                   uint32_t target);
 
 }  // namespace hemlock

@@ -41,9 +41,8 @@ SharedManifestParse& SharedParse() {
 Status WriteRelocToSpace(Process& proc, const PendingReloc& rel, uint32_t target) {
   uint8_t cell[4];
   RETURN_IF_ERROR(proc.space().ReadBytes(rel.site, cell, 4));
-  std::vector<uint8_t> buf(cell, cell + 4);
-  RETURN_IF_ERROR(ApplyReloc(&buf, rel.site, rel.type, rel.site, target));
-  return proc.space().WriteBytes(rel.site, buf.data(), 4);
+  RETURN_IF_ERROR(ApplyReloc(cell, sizeof(cell), rel.site, rel.type, rel.site, target));
+  return proc.space().WriteBytes(rel.site, cell, 4);
 }
 
 }  // namespace
@@ -390,7 +389,9 @@ Result<int> Ldl::CreatePublicModule(Process& proc, const std::string& tpl_path,
     }
     return mod.status();
   }
-  std::vector<uint8_t> file = mod->SerializeFile();
+  // The payload moves into the file bytes; a public module's registration never
+  // reads it (its pages are the SFS extent written here).
+  std::vector<uint8_t> file = std::move(*mod).SerializeFile();
   // Drop any stale occupant bytes before the write: a rebuild over a torn segment
   // must not leave a previous creator's tail past the new module's end.
   RETURN_IF_ERROR(sfs.Truncate(ino, 0));
@@ -406,7 +407,7 @@ Result<int> Ldl::RegisterLinked(Process& proc, LinkedModule mod, ShareClass cls,
                                 const std::string& key, uint32_t ino, int parent) {
   RtModule m;
   m.key = key;
-  m.name = mod.name;
+  m.name = std::move(mod.name);
   m.cls = cls;
   m.base = mod.base;
   m.mem_size = mod.MemSize();
@@ -416,11 +417,11 @@ Result<int> Ldl::RegisterLinked(Process& proc, LinkedModule mod, ShareClass cls,
   m.ino = ino;
   m.src_hash = mod.template_hash;
   m.parent = parent;
-  m.module_list = mod.module_list;
-  m.search_path = mod.search_path;
-  m.relocs = mod.pending;
-  m.disk_pending = static_cast<uint32_t>(mod.pending.size());
-  m.exports = mod.exports;
+  m.module_list = std::move(mod.module_list);
+  m.search_path = std::move(mod.search_path);
+  m.relocs = std::move(mod.pending);
+  m.disk_pending = static_cast<uint32_t>(m.relocs.size());
+  m.exports = std::move(mod.exports);
   m.export_index.reserve(m.exports.size());
   for (const AbsSymbol& sym : m.exports) {
     m.export_index.emplace(sym.name, sym.addr);  // first definition wins
@@ -671,10 +672,10 @@ Result<uint32_t> Ldl::LookupRootSymbol(const std::string& name) {
 
 Result<uint32_t> Ldl::LookupInOwnScope(Process& proc, int index, const std::string& symbol) {
   // Instantiate (lazily, possibly inaccessibly) the modules on this module's own list
-  // and search their exports. Copy the list: AcquireModule may grow modules_ and
-  // invalidate references into it.
-  std::vector<std::string> dep_names = modules_[index].module_list;
-  for (const std::string& dep_name : dep_names) {
+  // and search their exports. AcquireModule may grow modules_, so the module is
+  // indexed afresh each round; its list's names stay put (see RtModule).
+  for (size_t i = 0; i < modules_[index].module_list.size(); ++i) {
+    const std::string& dep_name = modules_[index].module_list[i];
     int dep_index = -1;
     auto cached = modules_[index].dep_cache.find(dep_name);
     if (cached != modules_[index].dep_cache.end()) {
@@ -825,18 +826,20 @@ Status Ldl::ResolveModule(Process& proc, int index, uint32_t fault_addr) {
   }
   // Phase 1: make lookup decisions for every symbol this module (or page) needs.
   // (Indexing modules_ by value each round: lookups may register new modules and
-  // invalidate references.)
-  std::vector<std::string> needed;
-  for (const PendingReloc& rel : modules_[index].relocs) {
+  // invalidate references. The relocations' names stay put; see RtModule.)
+  std::vector<uint32_t> needed;
+  for (uint32_t i = 0; i < modules_[index].relocs.size(); ++i) {
+    const PendingReloc& rel = modules_[index].relocs[i];
     if (page_filter != 0 && PageFloor(rel.site) != page_filter) {
       continue;
     }
     if (modules_[index].resolved.count(rel.symbol) != 0) {
       continue;
     }
-    needed.push_back(rel.symbol);
+    needed.push_back(i);
   }
-  for (const std::string& symbol : needed) {
+  for (uint32_t reloc : needed) {
+    const std::string& symbol = modules_[index].relocs[reloc].symbol;
     if (modules_[index].resolved.count(symbol) != 0) {
       continue;
     }

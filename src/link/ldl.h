@@ -38,6 +38,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -166,6 +167,10 @@ class Ldl {
     // left in |warm_| (the segment bytes embody it) and WriteManifest merges it.
     bool warm_covered = false;
   };
+  // Growing modules_ moves each RtModule, and a move hands its vectors' buffers
+  // over: a reference to a name in |module_list| or |relocs| survives a
+  // registration made while it is in use (LookupInOwnScope, ResolveModule).
+  static_assert(std::is_nothrow_move_constructible_v<RtModule>);
 
   // Registers + maps the dynamic module |name|, whose template the caller located
   // at |found| (creating the module if needed). |parent| is the scoped-linking

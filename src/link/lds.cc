@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -69,33 +70,64 @@ Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl,
   mod.search_path = tpl.search_path();
   mod.template_hash = LinkedTemplateHash(tpl_bytes, base);
 
-  // Index the symbol table once (first entry of a name wins, as FindSymbol's scan).
-  std::unordered_map<std::string_view, const Symbol*> symbols;
-  symbols.reserve(tpl.symbols().size());
-  for (const Symbol& sym : tpl.symbols()) {
-    symbols.emplace(sym.name, &sym);
-  }
+  const std::vector<Symbol>& syms = tpl.symbols();
+  const std::vector<Relocation>& rels = tpl.relocations();
+  // Map each name to its symbol-table index once: the indices sorted by name
+  // (stable, so the first entry of a name wins, as FindSymbol's scan).
+  std::vector<uint32_t> by_sym_name(syms.size());
+  std::iota(by_sym_name.begin(), by_sym_name.end(), 0u);
+  std::stable_sort(by_sym_name.begin(), by_sym_name.end(),
+                   [&](uint32_t a, uint32_t b) { return syms[a].name < syms[b].name; });
+  auto find_symbol = [&](const std::string& name) -> std::optional<uint32_t> {
+    auto it = std::lower_bound(by_sym_name.begin(), by_sym_name.end(), name,
+                               [&](uint32_t i, const std::string& n) { return syms[i].name < n; });
+    if (it == by_sym_name.end() || syms[*it].name != name) {
+      return std::nullopt;
+    }
+    return *it;
+  };
 
-  // Pass 1: resolve each relocation's symbol locally (null: external); give each
-  // distinct external JUMP26 target one trampoline.
-  std::vector<const Symbol*> local_targets;
-  local_targets.reserve(tpl.relocations().size());
-  std::unordered_map<std::string_view, uint32_t> tramp_slots;  // symbol -> slot offset
-  for (const Relocation& rel : tpl.relocations()) {
-    auto it = symbols.find(rel.symbol);
-    local_targets.push_back(it != symbols.end() && it->second->defined ? it->second : nullptr);
-    if (rel.type == RelocType::kJump26 && local_targets.back() == nullptr) {
-      uint32_t slot = static_cast<uint32_t>(tpl.text().size()) +
-                      static_cast<uint32_t>(tramp_slots.size()) * kTrampolineBytes;
-      tramp_slots.try_emplace(rel.symbol, slot);
+  // Pass 1: look each relocation's symbol up once. A defined symbol is a local
+  // target; each distinct external JUMP26 target gets one trampoline slot, numbered
+  // in first-reference order. A name the symbol table does not list (only a
+  // hand-made HOF has one) keeps a slot keyed by name.
+  constexpr uint32_t kNoSlot = UINT32_MAX;
+  struct Target {
+    const Symbol* local = nullptr;  // null: external
+    uint32_t slot = kNoSlot;        // external JUMP26: its trampoline slot
+  };
+  std::vector<Target> targets;
+  targets.reserve(rels.size());
+  std::vector<uint32_t> sym_slot(syms.size(), kNoSlot);
+  std::unordered_map<std::string_view, uint32_t> unlisted_slot;
+  std::vector<std::string_view> slot_names;  // slot -> symbol
+  size_t external_data = 0;                  // external references left pending as is
+  for (const Relocation& rel : rels) {
+    std::optional<uint32_t> index = find_symbol(rel.symbol);
+    const Symbol* sym = index.has_value() ? &syms[*index] : nullptr;
+    Target& target = targets.emplace_back();
+    if (sym != nullptr && sym->defined) {
+      target.local = sym;
+    } else if (rel.type == RelocType::kJump26) {
+      uint32_t& slot = sym != nullptr
+                           ? sym_slot[*index]
+                           : unlisted_slot.try_emplace(rel.symbol, kNoSlot).first->second;
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(slot_names.size());
+        slot_names.push_back(rel.symbol);
+      }
+      target.slot = slot;
+    } else {
+      ++external_data;
     }
   }
+  const uint32_t num_slots = static_cast<uint32_t>(slot_names.size());
   if (trampolines_out != nullptr) {
-    *trampolines_out += static_cast<uint32_t>(tramp_slots.size());
+    *trampolines_out += num_slots;
   }
 
-  uint32_t text_total = static_cast<uint32_t>(tpl.text().size()) +
-                        static_cast<uint32_t>(tramp_slots.size()) * kTrampolineBytes;
+  const uint32_t text_size = static_cast<uint32_t>(tpl.text().size());
+  uint32_t text_total = text_size + num_slots * kTrampolineBytes;
   uint32_t data_off = AlignUp(text_total, 16);
   uint32_t raw_data = static_cast<uint32_t>(tpl.data().size());
   uint32_t bss_off = AlignUp(data_off + raw_data, 16);
@@ -126,26 +158,33 @@ Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl,
     return 0;
   };
 
-  for (const Symbol& sym : tpl.symbols()) {
+  mod.exports.reserve(std::count_if(syms.begin(), syms.end(), [](const Symbol& sym) {
+    return sym.defined && sym.binding == SymBinding::kGlobal;
+  }));
+  for (const Symbol& sym : syms) {
     if (sym.defined && sym.binding == SymBinding::kGlobal) {
       mod.exports.push_back(AbsSymbol{sym.name, addr_of(sym), sym.is_function});
     }
   }
 
   // Write trampoline slots (unresolved form) and their pending relocations, in
-  // symbol order so the pending list does not depend on the hash map's layout.
-  std::vector<std::pair<std::string_view, uint32_t>> slots(tramp_slots.begin(),
-                                                           tramp_slots.end());
-  std::sort(slots.begin(), slots.end());
-  for (const auto& [symbol, slot] : slots) {
-    WriteTrampoline(&mod.payload, slot, 0);
-    mod.pending.push_back(PendingReloc{RelocType::kHi16, base + slot, std::string(symbol), 0});
-    mod.pending.push_back(PendingReloc{RelocType::kLo16, base + slot + 4, std::string(symbol), 0});
+  // symbol order so the pending list does not depend on first-reference order.
+  mod.pending.reserve(2 * num_slots + external_data);
+  std::vector<uint32_t> slots_by_name(num_slots);
+  std::iota(slots_by_name.begin(), slots_by_name.end(), 0u);
+  std::sort(slots_by_name.begin(), slots_by_name.end(),
+            [&](uint32_t a, uint32_t b) { return slot_names[a] < slot_names[b]; });
+  for (uint32_t slot : slots_by_name) {
+    uint32_t offset = text_size + slot * kTrampolineBytes;
+    WriteTrampoline(&mod.payload, offset, 0);
+    std::string symbol(slot_names[slot]);
+    mod.pending.push_back(PendingReloc{RelocType::kHi16, base + offset, symbol, 0});
+    mod.pending.push_back(PendingReloc{RelocType::kLo16, base + offset + 4, std::move(symbol), 0});
   }
 
   // Pass 2: apply relocations.
-  for (size_t i = 0; i < tpl.relocations().size(); ++i) {
-    const Relocation& rel = tpl.relocations()[i];
+  for (size_t i = 0; i < rels.size(); ++i) {
+    const Relocation& rel = rels[i];
     uint32_t site = 0;
     switch (rel.section) {
       case SectionKind::kText:
@@ -157,16 +196,16 @@ Result<LinkedModule> LinkModuleAtBase(const ObjectFile& tpl,
       case SectionKind::kBss:
         return CorruptData("relocation against .bss in module " + name);
     }
-    if (const Symbol* sym = local_targets[i]) {
-      uint32_t target = addr_of(*sym) + static_cast<uint32_t>(rel.addend);
-      RETURN_IF_ERROR(ApplyReloc(&mod.payload, base, rel.type, site, target));
-      continue;
-    }
-    // External reference.
-    if (rel.type == RelocType::kJump26) {
-      // Redirect through the module-local trampoline (always in range).
-      uint32_t slot_addr = base + tramp_slots.at(rel.symbol);
-      RETURN_IF_ERROR(ApplyReloc(&mod.payload, base, rel.type, site, slot_addr));
+    const Target& target = targets[i];
+    if (target.local != nullptr) {
+      uint32_t addr = addr_of(*target.local) + static_cast<uint32_t>(rel.addend);
+      RETURN_IF_ERROR(
+          ApplyReloc(mod.payload.data(), mod.payload.size(), base, rel.type, site, addr));
+    } else if (target.slot != kNoSlot) {
+      // External call: redirect through the module-local trampoline (always in range).
+      uint32_t slot_addr = base + text_size + target.slot * kTrampolineBytes;
+      RETURN_IF_ERROR(
+          ApplyReloc(mod.payload.data(), mod.payload.size(), base, rel.type, site, slot_addr));
     } else {
       mod.pending.push_back(PendingReloc{rel.type, site, rel.symbol, rel.addend});
     }
@@ -295,8 +334,8 @@ Result<LoadImage> StaticLinker::Link(const LdsOptions& options, LdsReport* repor
           still.push_back(p);
           continue;
         }
-        RETURN_IF_ERROR(ApplyReloc(&mod.payload, mod.base, p.type, p.site,
-                                   it->second.addr + static_cast<uint32_t>(p.addend)));
+        RETURN_IF_ERROR(ApplyReloc(mod.payload.data(), mod.payload.size(), mod.base, p.type,
+                                   p.site, it->second.addr + static_cast<uint32_t>(p.addend)));
         changed = true;
       }
       if (changed) {
@@ -508,14 +547,15 @@ Result<LoadImage> StaticLinker::Link(const LdsOptions& options, LdsReport* repor
           // Far jump to a known target: go through the trampoline.
           target = kImageTextBase + tramp_slots.at(tramp_key(found, rel.symbol)).offset;
         }
-        RETURN_IF_ERROR(ApplyReloc(buf, buf_base, rel.type, site, target));
+        RETURN_IF_ERROR(ApplyReloc(buf->data(), buf->size(), buf_base, rel.type, site, target));
         continue;
       }
       // Unresolved: presumed to live in a dynamic module.
       if (rel.type == RelocType::kJump26) {
         uint32_t slot_addr =
             kImageTextBase + tramp_slots.at(tramp_key(std::nullopt, rel.symbol)).offset;
-        RETURN_IF_ERROR(ApplyReloc(buf, buf_base, rel.type, site, slot_addr));
+        RETURN_IF_ERROR(
+            ApplyReloc(buf->data(), buf->size(), buf_base, rel.type, site, slot_addr));
       } else {
         image.pending.push_back(PendingReloc{rel.type, site, rel.symbol, rel.addend});
       }

@@ -1,7 +1,8 @@
 #include "src/obj/object_file.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_set>
+#include <string_view>
 
 #include "src/base/layout.h"
 
@@ -184,13 +185,16 @@ Result<ObjectFile> ObjectFile::Deserialize(const std::vector<uint8_t>& bytes) {
   if (obj.bss_size_ > kHofMaxBssBytes) {
     return CorruptData("HOF .bss larger than the private data region");
   }
+  // Names are read as views into |bytes| and copied once, into the element
+  // already in place; the duplicate check sorts the views.
   ASSIGN_OR_RETURN(uint32_t nsyms, r.Count(kHofSymbolMinBytes, kHofMaxSymbols));
   obj.symbols_.reserve(nsyms);
-  std::unordered_set<std::string> seen_names;
-  seen_names.reserve(nsyms);
+  std::vector<std::string_view> names;
+  names.reserve(nsyms);
   for (uint32_t i = 0; i < nsyms; ++i) {
-    Symbol sym;
-    ASSIGN_OR_RETURN(sym.name, r.Str());
+    Symbol& sym = obj.symbols_.emplace_back();
+    ASSIGN_OR_RETURN(std::string_view name, r.StrView());
+    sym.name.assign(name);
     ASSIGN_OR_RETURN(uint8_t defined, r.U8());
     sym.defined = defined != 0;
     ASSIGN_OR_RETURN(uint8_t section, r.U8());
@@ -206,22 +210,23 @@ Result<ObjectFile> ObjectFile::Deserialize(const std::vector<uint8_t>& bytes) {
     sym.binding = static_cast<SymBinding>(binding);
     ASSIGN_OR_RETURN(uint8_t is_function, r.U8());
     sym.is_function = is_function != 0;
-    if (sym.name.empty()) {
+    if (name.empty()) {
       return CorruptData("symbol with empty name");
-    }
-    if (!seen_names.insert(sym.name).second) {
-      return CorruptData("duplicate symbol table entry '" + sym.name + "'");
     }
     if (sym.defined && sym.value > obj.SectionSize(sym.section)) {
       return CorruptData("symbol '" + sym.name + "' points past the end of " +
                          SectionName(sym.section));
     }
-    obj.symbols_.push_back(std::move(sym));
+    names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  if (auto dup = std::adjacent_find(names.begin(), names.end()); dup != names.end()) {
+    return CorruptData("duplicate symbol table entry '" + std::string(*dup) + "'");
   }
   ASSIGN_OR_RETURN(uint32_t nrels, r.Count(kHofRelocMinBytes, kHofMaxRelocs));
   obj.relocations_.reserve(nrels);
   for (uint32_t i = 0; i < nrels; ++i) {
-    Relocation rel;
+    Relocation& rel = obj.relocations_.emplace_back();
     ASSIGN_OR_RETURN(uint8_t type, r.U8());
     if (type > 4) {
       return CorruptData("bad relocation type");
@@ -233,7 +238,8 @@ Result<ObjectFile> ObjectFile::Deserialize(const std::vector<uint8_t>& bytes) {
     }
     rel.section = static_cast<SectionKind>(section);
     ASSIGN_OR_RETURN(rel.offset, r.U32());
-    ASSIGN_OR_RETURN(rel.symbol, r.Str());
+    ASSIGN_OR_RETURN(std::string_view symbol, r.StrView());
+    rel.symbol.assign(symbol);
     ASSIGN_OR_RETURN(rel.addend, r.I32());
     if (rel.section == SectionKind::kBss) {
       return CorruptData("relocation site in .bss (no bytes to patch)");
@@ -241,19 +247,18 @@ Result<ObjectFile> ObjectFile::Deserialize(const std::vector<uint8_t>& bytes) {
     if (static_cast<uint64_t>(rel.offset) + 4 > obj.SectionSize(rel.section)) {
       return CorruptData("relocation site outside its section");
     }
-    obj.relocations_.push_back(std::move(rel));
   }
   ASSIGN_OR_RETURN(uint32_t nmods, r.Count(4, kHofMaxNames));
   obj.module_list_.reserve(nmods);
   for (uint32_t i = 0; i < nmods; ++i) {
-    ASSIGN_OR_RETURN(std::string mod, r.Str());
-    obj.module_list_.push_back(std::move(mod));
+    ASSIGN_OR_RETURN(std::string_view mod, r.StrView());
+    obj.module_list_.emplace_back(mod);
   }
   ASSIGN_OR_RETURN(uint32_t ndirs, r.Count(4, kHofMaxNames));
   obj.search_path_.reserve(ndirs);
   for (uint32_t i = 0; i < ndirs; ++i) {
-    ASSIGN_OR_RETURN(std::string dir, r.Str());
-    obj.search_path_.push_back(std::move(dir));
+    ASSIGN_OR_RETURN(std::string_view dir, r.StrView());
+    obj.search_path_.emplace_back(dir);
   }
   RETURN_IF_ERROR(r.ExpectEnd("HOF object"));
   return obj;

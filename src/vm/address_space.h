@@ -60,7 +60,8 @@ struct Fault {
 };
 
 // Backing store for private pages. Fork deep-copies these (classic pre-COW Unix
-// semantics; the copy cost is measured by bench_fork).
+// semantics; bench_paper's BM_Fork* rows, from bench/bench_fork.cpp, measure the
+// copy cost).
 using PrivateBacking = std::shared_ptr<std::vector<uint8_t>>;
 
 class AddressSpace {

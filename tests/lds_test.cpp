@@ -2,7 +2,10 @@
 // rules, trampoline insertion, retained relocations, and public-module creation.
 #include <gtest/gtest.h>
 
+#include "src/base/layout.h"
 #include "src/base/strings.h"
+#include "src/isa/isa.h"
+#include "src/link/lds.h"
 #include "src/link/search.h"
 #include "src/runtime/world.h"
 
@@ -288,6 +291,68 @@ TEST_F(LdsTest, CrtZeroCallsMainAndExits) {
   EXPECT_EQ(crt0.UndefinedSymbols(), std::vector<std::string>{"main"});
   EXPECT_EQ(crt0.ExportedSymbols(), std::vector<std::string>{"_start"});
   EXPECT_EQ(crt0.text().size(), 5 * 4u);
+}
+
+// --- LinkModuleAtBase output bytes ---
+
+// A template built by hand: three externals called out of name order (one of
+// them twice), a local call, a HI16/LO16 pair to local data, a WORD32 to an
+// external datum, and a JUMP26 to a name the symbol table does not list (only a
+// hand-made HOF can carry one; codegen always lists the symbol). The linked
+// module's bytes and pending list are pinned, so a change to the linker's
+// internals that moves a trampoline slot or reorders the pending list fails here.
+TEST(LinkModuleAtBaseTest, OutputBytesPinned) {
+  ObjectBuilder b("pinned.o");
+  uint32_t helper = b.EmitText(EncodeJr(kRegRa));
+  b.EmitText(EncodeNop());
+  ASSERT_TRUE(b.DefineSymbol("helper", SectionKind::kText, helper, true).ok());
+  uint32_t entry = 0;
+  for (const char* callee : {"zeta", "alpha", "mid", "alpha", "helper"}) {
+    uint32_t site = b.EmitText(EncodeJ(Op::kJal, 0));
+    entry = entry == 0 ? site : entry;
+    b.AddReloc(RelocType::kJump26, SectionKind::kText, site, callee);
+  }
+  uint32_t ghost_site = b.EmitText(EncodeJ(Op::kJal, 0));
+  uint32_t hi = b.EmitText(EncodeLui(kRegAt, 0));
+  b.AddReloc(RelocType::kHi16, SectionKind::kText, hi, "table", 4);
+  uint32_t lo = b.EmitText(EncodeOri(kRegAt, kRegAt, 0));
+  b.AddReloc(RelocType::kLo16, SectionKind::kText, lo, "table", 4);
+  b.EmitText(EncodeJr(kRegRa));
+  ASSERT_TRUE(b.DefineSymbol("entry", SectionKind::kText, entry, true).ok());
+  b.AlignData(4);
+  uint32_t table = b.EmitDataWord(0);
+  b.EmitDataWord(0);
+  ASSERT_TRUE(b.DefineSymbol("table", SectionKind::kData, table, false).ok());
+  b.AddReloc(RelocType::kWord32, SectionKind::kData, table + 4, "ext_data", 8);
+  b.ReserveBss(32, 4);
+  ObjectFile built = b.Take();
+  built.relocations().push_back(
+      Relocation{RelocType::kJump26, SectionKind::kText, ghost_site, "ghost", 0});
+  built.module_list() = {"dep.o"};
+  built.search_path() = {"/shm/lib"};
+
+  std::vector<uint8_t> tpl_bytes = built.Serialize();
+  Result<ObjectFile> tpl = ObjectFile::Deserialize(tpl_bytes);
+  ASSERT_TRUE(tpl.ok()) << tpl.status().ToString();
+  constexpr uint32_t kBase = kSfsBase + 0x00100000;
+  uint32_t trampolines = 0;
+  Result<LinkedModule> mod = LinkModuleAtBase(*tpl, tpl_bytes, kBase, "pinned", &trampolines);
+  ASSERT_TRUE(mod.ok()) << mod.status().ToString();
+  EXPECT_EQ(trampolines, 4u);  // zeta, alpha, mid, ghost
+
+  // Trampoline slots follow .text (0x2c) in first-reference order; the pending
+  // list names them in symbol order, then the WORD32 left for ldl.
+  std::vector<PendingReloc> expected = {
+      {RelocType::kHi16, kBase + 0x38, "alpha", 0}, {RelocType::kLo16, kBase + 0x3c, "alpha", 0},
+      {RelocType::kHi16, kBase + 0x50, "ghost", 0}, {RelocType::kLo16, kBase + 0x54, "ghost", 0},
+      {RelocType::kHi16, kBase + 0x44, "mid", 0},   {RelocType::kLo16, kBase + 0x48, "mid", 0},
+      {RelocType::kHi16, kBase + 0x2c, "zeta", 0},  {RelocType::kLo16, kBase + 0x30, "zeta", 0},
+      {RelocType::kWord32, kBase + 0x64, "ext_data", 8},
+  };
+  EXPECT_EQ(mod->pending, expected);
+  std::vector<uint8_t> file = mod->SerializeFile();
+  EXPECT_EQ(file.size(), 4381u);
+  EXPECT_EQ(Fnv1a64(file.data(), file.size()), 0xdcc07e1a840db4a0ull);
 }
 
 }  // namespace

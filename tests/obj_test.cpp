@@ -58,21 +58,34 @@ TEST(ObjectFileTest, BadMagicRejected) {
   EXPECT_EQ(r.status().code(), ErrorCode::kCorruptData);
 }
 
-// Property: any truncation of a serialized object is rejected cleanly.
+// Property: any truncation of a serialized object is rejected cleanly. Every
+// prefix is cut off at its own size, so a name read as a view into the input can
+// only see bytes the prefix owns (an ASan build catches any read past it).
 class ObjTruncationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ObjTruncationTest, PrefixRejected) {
   std::vector<uint8_t> full = MakeSample().Serialize();
-  size_t cut = full.size() * static_cast<size_t>(GetParam()) / 16;
-  if (cut >= full.size()) {
-    return;
-  }
+  ASSERT_EQ(full.size(), 187u);  // the Range below covers every cut
+  size_t cut = static_cast<size_t>(GetParam());
   std::vector<uint8_t> prefix(full.begin(), full.begin() + cut);
+  prefix.shrink_to_fit();
   Result<ObjectFile> r = ObjectFile::Deserialize(prefix);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kCorruptData);
 }
-INSTANTIATE_TEST_SUITE_P(Cuts, ObjTruncationTest, ::testing::Range(0, 16));
+INSTANTIATE_TEST_SUITE_P(Cuts, ObjTruncationTest, ::testing::Range(0, 187));
+
+TEST(ObjectFileTest, DuplicateSymbolTableEntryRejected) {
+  ObjectFile obj = MakeSample();
+  obj.symbols().push_back(obj.symbols().front());  // AddSymbol would merge it
+  Result<ObjectFile> r = ObjectFile::Deserialize(obj.Serialize());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kCorruptData);
+  EXPECT_NE(r.status().message().find("duplicate symbol table entry '" +
+                                      obj.symbols().front().name + "'"),
+            std::string::npos)
+      << r.status().ToString();
+}
 
 TEST(ObjectFileTest, DuplicateDefinitionRejected) {
   ObjectFile obj("m.o");
@@ -123,7 +136,8 @@ TEST(ObjectFileTest, RelocationSiteBoundsValidated) {
 
 TEST(ApplyRelocTest, Word32) {
   std::vector<uint8_t> buf(8, 0);
-  ASSERT_TRUE(ApplyReloc(&buf, 0x1000, RelocType::kWord32, 0x1004, 0xDEADBEEF).ok());
+  ASSERT_TRUE(
+      ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kWord32, 0x1004, 0xDEADBEEF).ok());
   uint32_t word = 0;
   std::memcpy(&word, buf.data() + 4, 4);
   EXPECT_EQ(word, 0xDEADBEEFu);
@@ -136,8 +150,8 @@ TEST(ApplyRelocTest, HiLoPairMaterializesAddress) {
   std::memcpy(buf.data(), &lui, 4);
   std::memcpy(buf.data() + 4, &ori, 4);
   uint32_t target = 0x30345678;
-  ASSERT_TRUE(ApplyReloc(&buf, 0x1000, RelocType::kHi16, 0x1000, target).ok());
-  ASSERT_TRUE(ApplyReloc(&buf, 0x1000, RelocType::kLo16, 0x1004, target).ok());
+  ASSERT_TRUE(ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kHi16, 0x1000, target).ok());
+  ASSERT_TRUE(ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kLo16, 0x1004, target).ok());
   uint32_t w0 = 0;
   uint32_t w1 = 0;
   std::memcpy(&w0, buf.data(), 4);
@@ -150,7 +164,7 @@ TEST(ApplyRelocTest, Jump26InRange) {
   std::vector<uint8_t> buf(4, 0);
   uint32_t j = EncodeJ(Op::kJal, 0);
   std::memcpy(buf.data(), &j, 4);
-  ASSERT_TRUE(ApplyReloc(&buf, 0x1000, RelocType::kJump26, 0x1000, 0x2000).ok());
+  ASSERT_TRUE(ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kJump26, 0x1000, 0x2000).ok());
   uint32_t word = 0;
   std::memcpy(&word, buf.data(), 4);
   EXPECT_EQ(Disassemble(word, 0x1000), "jal 0x00002000");
@@ -158,7 +172,7 @@ TEST(ApplyRelocTest, Jump26InRange) {
 
 TEST(ApplyRelocTest, Jump26OutOfRangeRejected) {
   std::vector<uint8_t> buf(4, 0);
-  Status st = ApplyReloc(&buf, 0x1000, RelocType::kJump26, 0x1000, 0x30000000);
+  Status st = ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kJump26, 0x1000, 0x30000000);
   EXPECT_EQ(st.code(), ErrorCode::kOutOfRange);
 }
 
@@ -166,7 +180,7 @@ TEST(ApplyRelocTest, PcRel16) {
   std::vector<uint8_t> buf(8, 0);
   uint32_t beq = EncodeI(Op::kBeq, kRegZero, kRegZero, 0);
   std::memcpy(buf.data(), &beq, 4);
-  ASSERT_TRUE(ApplyReloc(&buf, 0x1000, RelocType::kPcRel16, 0x1000, 0x1010).ok());
+  ASSERT_TRUE(ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kPcRel16, 0x1000, 0x1010).ok());
   uint32_t word = 0;
   std::memcpy(&word, buf.data(), 4);
   std::optional<Instr> in = Decode(word);
@@ -176,8 +190,8 @@ TEST(ApplyRelocTest, PcRel16) {
 
 TEST(ApplyRelocTest, SiteOutsideBufferRejected) {
   std::vector<uint8_t> buf(4, 0);
-  EXPECT_FALSE(ApplyReloc(&buf, 0x1000, RelocType::kWord32, 0x0FFC, 1).ok());
-  EXPECT_FALSE(ApplyReloc(&buf, 0x1000, RelocType::kWord32, 0x1004, 1).ok());
+  EXPECT_FALSE(ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kWord32, 0x0FFC, 1).ok());
+  EXPECT_FALSE(ApplyReloc(buf.data(), buf.size(), 0x1000, RelocType::kWord32, 0x1004, 1).ok());
 }
 
 // --- HXE / HML formats ---
