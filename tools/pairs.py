@@ -2,7 +2,7 @@
 """Run alternating e2ebench pairs of two builds and record every reading.
 
 Usage: pairs.py PARENT_BIN CHANGE_BIN --workload W --seeds 1,9973 --pairs N
-                --seconds S [--metric ops_per_s] [--out FILE]
+                --seconds S [--out FILE]
 
 PARENT_BIN and CHANGE_BIN are two e2ebench binaries (each checkout's
 .bench_build/e2ebench/e2ebench, built by `e2ebench/run.py`). For each seed,
@@ -11,10 +11,9 @@ change first on odd i, so a host that drifts during a pair favours neither
 side. Each run gets the workload's exact counters from e2ebench/claims.json,
 the way run.py passes them, so a counter that moves fails the run.
 
-The metric's direction ("higher" or "lower" is better) comes from
-BENCHMARK.json's end_to_end list. Per seed the file records every reading,
-the pairs the change won, both medians, the parent's interquartile range and
-the median gain. FILE defaults to bench/results/BENCH_<workload>.json.
+Per seed the file records every reading (all of e2ebench's metrics) and, for
+ops_per_s, the pairs the change won, both medians, the parent's interquartile
+range and the median gain. FILE defaults to bench/results/BENCH_<workload>.json.
 
 Exit codes: 0 every run was correct, 1 a run failed or printed no result
 (its reading is still written), 2 bad usage.
@@ -28,6 +27,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRIC = "ops_per_s"  # higher is better
 
 
 def die(message):
@@ -35,13 +35,9 @@ def die(message):
     sys.exit(2)
 
 
-def load_json(*path):
-    with open(os.path.join(ROOT, *path)) as f:
-        return json.load(f)
-
-
 def run_once(binary, workload, seed, seconds, exact):
-    """Runs one e2ebench process; returns its result JSON, or None."""
+    """Runs one e2ebench process; returns its result JSON (None if it printed
+    none) and whether the run was correct."""
     cmd = [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0", "--exact", ",".join(exact)]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
@@ -64,14 +60,14 @@ def quartile_spread(values):
     return q3 - q1
 
 
-def value(result, metric):
-    return result["metrics"][metric]["value"]
+def value(result):
+    return result["metrics"][METRIC]["value"]
 
 
-def summarize(pairs, metric, higher_better):
-    parent = [value(p["parent"], metric) for p in pairs]
-    change = [value(p["change"], metric) for p in pairs]
-    wins = sum((c > p) if higher_better else (c < p) for p, c in zip(parent, change))
+def summarize(pairs):
+    parent = [value(p["parent"]) for p in pairs]
+    change = [value(p["change"]) for p in pairs]
+    wins = sum(c > p for p, c in zip(parent, change))
     parent_median = statistics.median(parent)
     change_median = statistics.median(change)
     return {
@@ -92,16 +88,13 @@ def main():
     parser.add_argument("--seeds", required=True, help="comma-separated, e.g. 1,9973")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--metric", default="ops_per_s")
     parser.add_argument("--out")
     args = parser.parse_args()
 
-    exact = load_json("e2ebench", "claims.json")["exact_counters"].get(args.workload)
+    with open(os.path.join(ROOT, "e2ebench", "claims.json")) as f:
+        exact = json.load(f)["exact_counters"].get(args.workload)
     if exact is None:
         die(f"no exact counters for workload {args.workload!r} in e2ebench/claims.json")
-    better = {m["name"]: m["better"] for m in load_json("BENCHMARK.json")["end_to_end"]}
-    if args.metric not in better:
-        die(f"{args.metric!r} is not an end-to-end metric in BENCHMARK.json")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
@@ -112,8 +105,7 @@ def main():
 
     record = {
         "workload": args.workload,
-        "metric": args.metric,
-        "better": better[args.metric],
+        "metric": METRIC,
         "seconds": args.seconds,
         "parent_bin": args.parent_bin,
         "change_bin": args.change_bin,
@@ -133,13 +125,12 @@ def main():
             if pair["parent"] is None or pair["change"] is None:
                 break
             pairs.append(pair)
-            print(f"seed {seed} pair {i + 1}/{args.pairs}: parent "
-                  f"{value(pair['parent'], args.metric):.4g}  change "
-                  f"{value(pair['change'], args.metric):.4g}", flush=True)
+            print(f"seed {seed} pair {i + 1}/{args.pairs}: parent {value(pair['parent']):.4g}"
+                  f"  change {value(pair['change']):.4g}", flush=True)
         entry = {"readings": pairs}
         if pairs:
-            entry.update(summarize(pairs, args.metric, better[args.metric] == "higher"))
-            print(f"seed {seed}: {args.metric} median {entry['parent_median']:.4g} -> "
+            entry.update(summarize(pairs))
+            print(f"seed {seed}: {METRIC} median {entry['parent_median']:.4g} -> "
                   f"{entry['change_median']:.4g} ({entry['gain']:+.1%}), change won "
                   f"{entry['wins']}/{entry['pairs']}, parent IQR {entry['parent_iqr']:.4g}")
         record["seeds"][str(seed)] = entry
