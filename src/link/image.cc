@@ -246,31 +246,16 @@ Status ValidateLoadImage(const LoadImage& img) {
   return OkStatus();
 }
 
-namespace {
-
-// Memory image first: the payload in |file|, then implicit bss zeros padded to a
-// page, then |tail|. The buffer grows once, to its final size.
-std::vector<uint8_t> AppendToImage(std::vector<uint8_t> file, uint32_t mapped,
-                                   const std::vector<uint8_t>& tail) {
-  file.reserve(mapped + tail.size());
-  file.resize(mapped, 0);
-  file.insert(file.end(), tail.begin(), tail.end());
-  return file;
-}
-
-}  // namespace
-
-std::vector<uint8_t> LinkedModule::SerializeFile() const& {
+std::vector<uint8_t> LinkedModule::SerializeFile() const {
+  // Memory image first: payload then implicit bss zeros, padded to a page, then the
+  // trailer. The buffer is sized once.
   std::vector<uint8_t> tail = SerializeTrailer();
   std::vector<uint8_t> file;
   file.reserve(PageCeil(MemSize()) + tail.size());
   file.assign(payload.begin(), payload.end());
-  return AppendToImage(std::move(file), PageCeil(MemSize()), tail);
-}
-
-std::vector<uint8_t> LinkedModule::SerializeFile() && {
-  std::vector<uint8_t> tail = SerializeTrailer();
-  return AppendToImage(std::move(payload), PageCeil(MemSize()), tail);
+  file.resize(PageCeil(MemSize()), 0);
+  file.insert(file.end(), tail.begin(), tail.end());
+  return file;
 }
 
 std::vector<uint8_t> LinkedModule::SerializeTrailer() const {

@@ -119,10 +119,8 @@ struct LinkedModule {
   uint32_t MemSize() const { return text_size + data_size + bss_size; }
   bool FullyLinked() const { return pending.empty(); }
 
-  // Serializes to the HML file layout described above (image @0, trailer, footer),
-  // in a buffer sized once. The rvalue form moves |payload| in as the image.
-  std::vector<uint8_t> SerializeFile() const&;
-  std::vector<uint8_t> SerializeFile() &&;
+  // Serializes to the HML file layout described above (image @0, trailer, footer).
+  std::vector<uint8_t> SerializeFile() const;
   // Just the trailer and footer, which belong at offset PageCeil(MemSize()) of the
   // file. |payload| is not read: ldl rewrites a live module's metadata with this
   // without touching its mapped pages.

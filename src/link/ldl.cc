@@ -389,9 +389,7 @@ Result<int> Ldl::CreatePublicModule(Process& proc, const std::string& tpl_path,
     }
     return mod.status();
   }
-  // The payload moves into the file bytes; a public module's registration never
-  // reads it (its pages are the SFS extent written here).
-  std::vector<uint8_t> file = std::move(*mod).SerializeFile();
+  std::vector<uint8_t> file = mod->SerializeFile();
   // Drop any stale occupant bytes before the write: a rebuild over a torn segment
   // must not leave a previous creator's tail past the new module's end.
   RETURN_IF_ERROR(sfs.Truncate(ino, 0));

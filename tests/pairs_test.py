@@ -4,8 +4,8 @@
 Two stand-in "binaries" print readings from a canned list, one per run, and log
 the arguments they were given. The cases pin what pairs.py records (every
 reading, wins, medians, the parent's IQR), the alternating run order, the
---exact list it passes from e2ebench/claims.json, a failed run's exit code and
-an unknown workload.
+--exact list it passes from e2ebench/claims.json, a failed run's exit code, a
+run that prints no result, and an unknown workload.
 """
 
 import json
@@ -20,7 +20,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SCRIPT = os.path.join(ROOT, "tools", "pairs.py")
 
 # Pops the next reading from READINGS (a JSON list beside the script), appends
-# its own argv to LOG, and prints a result line the way e2ebench does.
+# its own argv to LOG, and prints a result line the way e2ebench does; a reading
+# of null ops prints nothing, as a crashed run would.
 FAKE = """#!{python}
 import json, sys
 readings_path, log_path = {readings!r}, {log!r}
@@ -32,6 +33,8 @@ with open(readings_path, "w") as f:
 with open(log_path, "a") as f:
     f.write(json.dumps([{name!r}] + sys.argv[1:]) + "\\n")
 print("some human-readable lines first")
+if ops is None:
+    sys.exit(1)
 print(json.dumps({{"correct": correct, "attempted": 10, "failed": 0 if correct else 10,
                   "metrics": {{"ops_per_s": {{"value": ops, "unit": "1/s"}},
                               "op_p50_ms": {{"value": 1000.0 / ops, "unit": "ms"}}}}}}))
@@ -118,6 +121,22 @@ class PairsTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("correct=False", proc.stderr)
         self.assertFalse(record["seeds"]["1"]["readings"][1]["change"]["correct"])
+
+    def test_run_without_result_keeps_its_pair_and_the_rest(self):
+        parent = self.fake("parent", [[100, True], [100, True], [100, True]])
+        change = self.fake("change", [[120, True], [None, False], [90, True]])
+        proc, record = self.run_pairs(parent, change, "--seeds", "1", "--pairs", "3")
+        self.assertEqual(proc.returncode, 1)
+        seed = record["seeds"]["1"]
+        readings = seed["readings"]
+        self.assertEqual(len(readings), 3)  # the later pair still ran
+        self.assertIsNone(readings[1]["change"])
+        self.assertEqual(readings[1]["parent"]["metrics"]["ops_per_s"]["value"], 100)
+        # Only the two complete pairs are summarized.
+        self.assertEqual(seed["pairs"], 2)
+        self.assertEqual(seed["wins"], 1)
+        self.assertEqual(seed["change_median"], 105)
+        self.assertIn("change none", proc.stdout)
 
     def test_unknown_workload_is_usage_error(self):
         parent = self.fake("parent", [])

@@ -11,12 +11,14 @@ change first on odd i, so a host that drifts during a pair favours neither
 side. Each run gets the workload's exact counters from e2ebench/claims.json,
 the way run.py passes them, so a counter that moves fails the run.
 
-Per seed the file records every reading (all of e2ebench's metrics) and, for
-ops_per_s, the pairs the change won, both medians, the parent's interquartile
-range and the median gain. FILE defaults to bench/results/BENCH_<workload>.json.
+Per seed the file records every pair (all of e2ebench's metrics for each side;
+null for a side that printed no result) and, for ops_per_s over the pairs where
+both sides printed one, the pairs the change won, both medians, the parent's
+interquartile range and the median gain. FILE defaults to
+bench/results/BENCH_<workload>.json.
 
 Exit codes: 0 every run was correct, 1 a run failed or printed no result
-(its reading is still written), 2 bad usage.
+(the pair is still written, and the remaining pairs still run), 2 bad usage.
 """
 
 import argparse
@@ -65,6 +67,10 @@ def value(result):
 
 
 def summarize(pairs):
+    """Summarizes the pairs where both sides printed a result."""
+    pairs = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
+    if not pairs:
+        return {"pairs": 0}
     parent = [value(p["parent"]) for p in pairs]
     change = [value(p["change"]) for p in pairs]
     wins = sum(c > p for p, c in zip(parent, change))
@@ -122,14 +128,14 @@ def main():
                 result, ok = run_once(binary, args.workload, seed, args.seconds, exact)
                 pair[side] = result
                 all_correct = all_correct and ok
-            if pair["parent"] is None or pair["change"] is None:
-                break
             pairs.append(pair)
-            print(f"seed {seed} pair {i + 1}/{args.pairs}: parent {value(pair['parent']):.4g}"
-                  f"  change {value(pair['change']):.4g}", flush=True)
+            shown = {side: "none" if pair[side] is None else f"{value(pair[side]):.4g}"
+                     for side in order}
+            print(f"seed {seed} pair {i + 1}/{args.pairs}: parent {shown['parent']}"
+                  f"  change {shown['change']}", flush=True)
         entry = {"readings": pairs}
-        if pairs:
-            entry.update(summarize(pairs))
+        entry.update(summarize(pairs))
+        if entry["pairs"]:
             print(f"seed {seed}: {METRIC} median {entry['parent_median']:.4g} -> "
                   f"{entry['change_median']:.4g} ({entry['gain']:+.1%}), change won "
                   f"{entry['wins']}/{entry['pairs']}, parent IQR {entry['parent_iqr']:.4g}")
