@@ -220,7 +220,8 @@ void WireSeeds(const std::filesystem::path& dir) {
   flush.op = WireOp::kFlush;
   flush.ino = 2;
   flush.size = 5000;
-  flush.pages.push_back({0, 0, std::vector<uint8_t>(64, 0x5A)});
+  const std::vector<uint8_t> flush_page(64, 0x5A);  // outlives the page view
+  flush.pages.push_back({0, 0, flush_page});
   flush.pages.push_back({1, 0, {}});  // all-zero page travels empty
   std::vector<uint8_t> flush_enc = EncodePayload(flush);
   Put(dir, "wire-flush-valid.bin", flush_enc);
@@ -358,7 +359,8 @@ void WireSeeds(const std::filesystem::path& dir) {
     versioned.seq = 2;
     versioned.ino = 3;
     versioned.size = 200;
-    versioned.pages.push_back({0, 41, std::vector<uint8_t>(32, 0x11)});
+    const std::vector<uint8_t> page(32, 0x11);  // outlives the page view
+    versioned.pages.push_back({0, 41, page});
     versioned.pages.push_back({1, 42, {}});
     Put(dir, "wire-versioned-fetch-reply.bin", EncodePayload(versioned));
   }

@@ -12,8 +12,9 @@
 // mov as the plain access, so the hot paths pay nothing.
 //
 // Word-sized variants exist for the CPU's aligned 4-byte accesses; the range
-// copies chunk into words when alignment allows and fall back to bytes at the
-// edges.
+// copies align on the shared side, move whole words (the private side is read
+// or written with plain, possibly unaligned, copies), and fall back to bytes at
+// the edges.
 #ifndef SRC_BASE_ATOMIC_MEM_H_
 #define SRC_BASE_ATOMIC_MEM_H_
 
@@ -42,16 +43,13 @@ inline void RelaxedStore8(uint8_t* p, uint8_t value) {
 // Copies |n| bytes from private |src| into shared |shared_dst|.
 inline void RelaxedCopyTo(uint8_t* shared_dst, const uint8_t* src, size_t n) {
   size_t i = 0;
-  if ((reinterpret_cast<uintptr_t>(shared_dst) & 3u) ==
-      (reinterpret_cast<uintptr_t>(src) & 3u)) {
-    for (; i < n && (reinterpret_cast<uintptr_t>(shared_dst + i) & 3u) != 0; ++i) {
-      RelaxedStore8(shared_dst + i, src[i]);
-    }
-    for (; i + 4 <= n; i += 4) {
-      uint32_t word;
-      __builtin_memcpy(&word, src + i, 4);
-      RelaxedStore32(shared_dst + i, word);
-    }
+  for (; i < n && (reinterpret_cast<uintptr_t>(shared_dst + i) & 3u) != 0; ++i) {
+    RelaxedStore8(shared_dst + i, src[i]);
+  }
+  for (; i + 4 <= n; i += 4) {
+    uint32_t word;
+    __builtin_memcpy(&word, src + i, 4);
+    RelaxedStore32(shared_dst + i, word);
   }
   for (; i < n; ++i) {
     RelaxedStore8(shared_dst + i, src[i]);
@@ -61,15 +59,12 @@ inline void RelaxedCopyTo(uint8_t* shared_dst, const uint8_t* src, size_t n) {
 // Copies |n| bytes from shared |shared_src| into private |dst|.
 inline void RelaxedCopyFrom(uint8_t* dst, const uint8_t* shared_src, size_t n) {
   size_t i = 0;
-  if ((reinterpret_cast<uintptr_t>(dst) & 3u) ==
-      (reinterpret_cast<uintptr_t>(shared_src) & 3u)) {
-    for (; i < n && (reinterpret_cast<uintptr_t>(shared_src + i) & 3u) != 0; ++i) {
-      dst[i] = RelaxedLoad8(shared_src + i);
-    }
-    for (; i + 4 <= n; i += 4) {
-      uint32_t word = RelaxedLoad32(shared_src + i);
-      __builtin_memcpy(dst + i, &word, 4);
-    }
+  for (; i < n && (reinterpret_cast<uintptr_t>(shared_src + i) & 3u) != 0; ++i) {
+    dst[i] = RelaxedLoad8(shared_src + i);
+  }
+  for (; i + 4 <= n; i += 4) {
+    uint32_t word = RelaxedLoad32(shared_src + i);
+    __builtin_memcpy(dst + i, &word, 4);
   }
   for (; i < n; ++i) {
     dst[i] = RelaxedLoad8(shared_src + i);

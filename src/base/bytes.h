@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,10 @@ namespace hemlock {
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  // Sizes the buffer for |n| more bytes up front, so a writer whose output size
+  // is known (or bounded) fills one allocation instead of growing by doubling.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
   void U8(uint8_t v) { buf_.push_back(v); }
   void U16(uint16_t v) {
@@ -38,10 +43,11 @@ class ByteWriter {
     U32(static_cast<uint32_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
-  void Bytes(const std::vector<uint8_t>& b) {
+  void Bytes(std::span<const uint8_t> b) {
     U32(static_cast<uint32_t>(b.size()));
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
+  void Bytes(const std::vector<uint8_t>& b) { Bytes(std::span<const uint8_t>(b)); }
   void Raw(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
@@ -67,7 +73,7 @@ class ByteWriter {
 // kCorruptData rather than reading out of bounds.
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<uint8_t>& buf) : data_(buf.data()), size_(buf.size()) {}
+  explicit ByteReader(std::span<const uint8_t> buf) : data_(buf.data()), size_(buf.size()) {}
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   Result<uint8_t> U8() {
@@ -119,14 +125,20 @@ class ByteReader {
     ASSIGN_OR_RETURN(std::string_view s, StrView());
     return std::string(s);
   }
-  Result<std::vector<uint8_t>> Bytes() {
+  // A length-prefixed blob as a view into the buffer: valid only while the
+  // buffer is.
+  Result<std::span<const uint8_t>> BytesView() {
     ASSIGN_OR_RETURN(uint32_t n, U32());
     if (pos_ + n > size_) {
       return Truncated();
     }
-    std::vector<uint8_t> b(data_ + pos_, data_ + pos_ + n);
+    std::span<const uint8_t> b(data_ + pos_, n);
     pos_ += n;
     return b;
+  }
+  Result<std::vector<uint8_t>> Bytes() {
+    ASSIGN_OR_RETURN(std::span<const uint8_t> b, BytesView());
+    return std::vector<uint8_t>(b.begin(), b.end());
   }
 
   // Copies |n| raw bytes into |out|. A zero-length read copies nothing, so |out|

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "src/base/atomic_mem.h"
 #include "src/base/layout.h"
 #include "src/base/strings.h"
 #include "src/isa/isa.h"
@@ -278,33 +279,51 @@ std::vector<uint8_t> LinkedModule::SerializeTrailer() const {
   return w.Take();
 }
 
-bool LinkedModule::LooksLikeModuleFile(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < kFooterBytes) {
-    return false;
-  }
-  uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data() + bytes.size() - kFooterBytes, 4);
-  return magic == kHmlMagic;
-}
+namespace {
 
-Result<LinkedModule> LinkedModule::DeserializeFile(const std::vector<uint8_t>& bytes) {
-  if (!LooksLikeModuleFile(bytes)) {
-    return CorruptData("not an HML module file");
-  }
+// The 12-byte footer (magic, trailer offset, trailer size), loaded with relaxed
+// atomics: the tail of a plain data segment is guest-mapped memory that another
+// core may be storing to while the fault handler asks whether it is a module.
+struct HmlFooter {
+  uint32_t magic = 0;
   uint32_t trailer_off = 0;
   uint32_t trailer_size = 0;
-  std::memcpy(&trailer_off, bytes.data() + bytes.size() - 8, 4);
-  std::memcpy(&trailer_size, bytes.data() + bytes.size() - 4, 4);
+};
+static_assert(sizeof(HmlFooter) == kFooterBytes);
+
+bool ReadFooter(std::span<const uint8_t> file, HmlFooter* footer) {
+  if (file.size() < kFooterBytes) {
+    return false;
+  }
+  RelaxedCopyFrom(reinterpret_cast<uint8_t*>(footer), file.data() + file.size() - kFooterBytes,
+                  kFooterBytes);
+  return footer->magic == kHmlMagic;
+}
+
+}  // namespace
+
+bool LinkedModule::LooksLikeModuleFile(std::span<const uint8_t> file) {
+  HmlFooter footer;
+  return ReadFooter(file, &footer);
+}
+
+Result<LinkedModule> LinkedModule::ParseTrailer(std::span<const uint8_t> file) {
+  HmlFooter footer;
+  if (!ReadFooter(file, &footer)) {
+    return CorruptData("not an HML module file");
+  }
+  const uint32_t trailer_off = footer.trailer_off;
+  const uint32_t trailer_size = footer.trailer_size;
   // 64-bit math: a footer with trailer_off ~ 0xFFFFFFFF must not wrap back into
   // range and hand ByteReader an out-of-bounds window.
-  if (static_cast<uint64_t>(trailer_off) + trailer_size + kFooterBytes != bytes.size()) {
+  if (static_cast<uint64_t>(trailer_off) + trailer_size + kFooterBytes != file.size()) {
     return CorruptData("HML trailer bounds corrupt");
   }
   if (trailer_off % kPageSize != 0) {
     return CorruptData("HML trailer not page aligned (mapped image must be whole pages)");
   }
   LinkedModule mod;
-  ByteReader r(bytes.data() + trailer_off, trailer_size);
+  ByteReader r(file.data() + trailer_off, trailer_size);
   ASSIGN_OR_RETURN(mod.name, r.Str());
   ASSIGN_OR_RETURN(mod.base, r.U32());
   ASSIGN_OR_RETURN(mod.text_size, r.U32());
@@ -354,7 +373,13 @@ Result<LinkedModule> LinkedModule::DeserializeFile(const std::vector<uint8_t>& b
       return CorruptData(StrFormat("pending relocation site 0x%08x outside the module", p.site));
     }
   }
-  mod.payload.assign(bytes.begin(), bytes.begin() + init_size);
+  return mod;
+}
+
+Result<LinkedModule> LinkedModule::DeserializeFile(std::span<const uint8_t> file) {
+  ASSIGN_OR_RETURN(LinkedModule mod, ParseTrailer(file));
+  // ParseTrailer checked that the initialized image ends before the trailer.
+  mod.payload.assign(file.begin(), file.begin() + mod.text_size + mod.data_size);
   return mod;
 }
 

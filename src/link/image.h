@@ -16,6 +16,7 @@
 #define SRC_LINK_IMAGE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,10 +126,19 @@ struct LinkedModule {
   // file. |payload| is not read: ldl rewrites a live module's metadata with this
   // without touching its mapped pages.
   std::vector<uint8_t> SerializeTrailer() const;
-  static Result<LinkedModule> DeserializeFile(const std::vector<uint8_t>& bytes);
-  // True if |bytes| carries the HML footer (distinguishes module files from plain
+  // Parses an HML file's footer and trailer and checks them against the file's
+  // bounds, without copying the memory image: |payload| comes back empty. |file|
+  // may be a view of a live SFS extent (SharedFs::View): the footer is read with
+  // relaxed loads, because a plain data file's tail is guest-mapped, and the
+  // trailer is read plainly, because a module's trailer sits past the pages any
+  // guest maps (docs/FORMATS.md "Reading a module in place").
+  static Result<LinkedModule> ParseTrailer(std::span<const uint8_t> file);
+  // ParseTrailer plus a copy of the initialized image into |payload|: what lds and
+  // the tools need to lay the module out again.
+  static Result<LinkedModule> DeserializeFile(std::span<const uint8_t> file);
+  // True if |file| carries the HML footer (distinguishes module files from plain
   // data segments when the fault handler maps by address).
-  static bool LooksLikeModuleFile(const std::vector<uint8_t>& bytes);
+  static bool LooksLikeModuleFile(std::span<const uint8_t> file);
 };
 
 // Structural validation of a parsed load image: page-aligned non-overlapping

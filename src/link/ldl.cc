@@ -12,6 +12,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <span>
 
 namespace hemlock {
 
@@ -169,8 +170,9 @@ Status Ldl::StartupImpl(Process& proc) {
       mod = std::move(cached->second);
       warm_parsed_.erase(cached);
     } else {
-      ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, machine_->vfs().ReadFile(ref.module_path));
-      ASSIGN_OR_RETURN(mod, LinkedModule::DeserializeFile(bytes));
+      ASSIGN_OR_RETURN(std::span<const uint8_t> file,
+                       machine_->vfs().ViewSharedFile(ref.module_path));
+      ASSIGN_OR_RETURN(mod, LinkedModule::ParseTrailer(file));
     }
     ASSIGN_OR_RETURN(SfsStat st, machine_->sfs().Stat(Vfs::SfsRelative(ref.module_path)));
     ASSIGN_OR_RETURN(int idx, RegisterLinked(proc, std::move(mod), ShareClass::kStaticPublic,
@@ -269,8 +271,10 @@ Result<int> Ldl::AcquireModule(Process& proc, const std::string& name, const std
           ++*c_publics_attached_;
           return RegisterLinked(proc, std::move(mod), cls, module_path, st.ino, parent);
         }
-        ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, vfs.ReadFile(module_path));
-        Result<LinkedModule> mod = LinkedModule::DeserializeFile(bytes);
+        // A public module is registered, never copied: its pages are mapped
+        // from the extent, so only the trailer is parsed.
+        ASSIGN_OR_RETURN(std::span<const uint8_t> file, vfs.ViewSharedFile(module_path));
+        Result<LinkedModule> mod = LinkedModule::ParseTrailer(file);
         if (mod.ok()) {
           ++*c_publics_attached_;
           return RegisterLinked(proc, std::move(*mod), cls, module_path, st.ino, parent);
@@ -1028,14 +1032,13 @@ bool Ldl::HandleFaultImpl(Machine& machine, Process& proc, const Fault& fault) {
       blocked_on_addr_ = SfsAddressForInode(*ino);
       return false;
     }
-    Result<std::vector<uint8_t>> bytes_result = machine.vfs().ReadFile(path);
-    if (!bytes_result.ok()) {
+    Result<std::span<const uint8_t>> file = machine.sfs().View(*ino);
+    if (!file.ok()) {
       return false;
     }
-    std::vector<uint8_t> bytes = std::move(*bytes_result);
-    if (LinkedModule::LooksLikeModuleFile(bytes)) {
+    if (LinkedModule::LooksLikeModuleFile(*file)) {
       // A module file reached by address: register it with ldl (lazy if unlinked).
-      Result<LinkedModule> mod = LinkedModule::DeserializeFile(bytes);
+      Result<LinkedModule> mod = LinkedModule::ParseTrailer(*file);
       if (!mod.ok()) {
         return false;
       }
@@ -1139,9 +1142,9 @@ void Ldl::LoadManifest(Process& proc) {
       Result<SfsStat> mst = vfs.Exists(rec.key) ? sfs.Stat(Vfs::SfsRelative(rec.key))
                                                 : Result<SfsStat>(NotFound("module file gone"));
       if (mst.ok() && mst->ino == rec.ino && !sfs.CreationPending(mst->ino)) {
-        Result<std::vector<uint8_t>> mb = vfs.ReadFile(rec.key);
+        Result<std::span<const uint8_t>> mb = vfs.ViewSharedFile(rec.key);
         if (mb.ok()) {
-          Result<LinkedModule> mod = LinkedModule::DeserializeFile(*mb);
+          Result<LinkedModule> mod = LinkedModule::ParseTrailer(*mb);
           if (mod.ok() && mod->base == rec.base && mod->template_hash != 0 &&
               mod->template_hash == rec.src_hash) {
             ok = true;

@@ -716,6 +716,11 @@ Status NetClient::FlushInode(uint32_t ino) {
   req.op = WireOp::kFlush;
   req.ino = ino;
   req.size = st->size;
+  // The dirty pages are staged once, and the request's page views point into
+  // the stage: a retransmit after a reconnect re-sends exactly these bytes even
+  // if the extent has moved on. Reserved for the whole extent so no view dangles.
+  std::vector<uint8_t> staged;
+  staged.reserve(extent);
   for (uint32_t off = 0; off < extent; off += kPageSize) {
     uint32_t page = off / kPageSize;
     uint32_t len = std::min(kPageSize, extent - off);
@@ -729,9 +734,10 @@ Status NetClient::FlushInode(uint32_t ino) {
       all_zero = data[off + i] == 0;
     }
     if (!all_zero) {
-      wp.bytes.assign(data + off, data + off + len);
+      staged.insert(staged.end(), data + off, data + off + len);
+      wp.bytes = std::span<const uint8_t>(staged.data() + staged.size() - len, len);
     }
-    req.pages.push_back(std::move(wp));
+    req.pages.push_back(wp);
     std::memcpy(c.twin.data() + off, data + off, len);
     c.resident[page] = true;
   }

@@ -540,8 +540,11 @@ WireMsg SegmentServer::HandleFetch(Session& s, const WireMsg& req) {
   WireMsg reply = Ack(s, WireOp::kFetch);
   reply.ino = req.ino;
   reply.size = st->size;
+  // Each page is a view of the extent; nothing mutates the partition between
+  // here and the Send that encodes it, where it is copied once into the frame.
   const uint8_t* data = fs_->DataPtr(req.ino);
   uint32_t extent = fs_->ExtentBytes(req.ino);
+  reply.pages.reserve(req.page_list.size());
   for (uint32_t idx : req.page_list) {
     WirePage page;
     page.index = idx;
@@ -549,14 +552,14 @@ WireMsg SegmentServer::HandleFetch(Session& s, const WireMsg& req) {
     if (off < extent) {
       uint32_t len = std::min<uint32_t>(kPageSize, extent - off);
       if (!AllZero(data + off, len)) {
-        page.bytes.assign(data + off, data + off + len);
+        page.bytes = std::span<const uint8_t>(data + off, len);
       }
     }
     // Pages past the extent (or all zero) travel as the empty marker.
     directory_.NoteFetch(req.ino, idx, s.id);
     page.version = directory_.VersionOf(req.ino, idx);
     ++*c_pages_fetched_;
-    reply.pages.push_back(std::move(page));
+    reply.pages.push_back(page);
   }
   return reply;
 }
@@ -1032,7 +1035,7 @@ Status SegmentServer::RestoreMeta(const std::vector<uint8_t>& bytes) {
     }
     if (cached == 1) {
       ASSIGN_OR_RETURN(std::vector<uint8_t> payload, r.Bytes());
-      ASSIGN_OR_RETURN(s.cached_reply, DecodePayload(payload));
+      ASSIGN_OR_RETURN(s.cached_reply, DecodePayload(std::move(payload)));
       s.has_cached = true;
     }
     uint32_t id = s.id;

@@ -136,7 +136,7 @@ Result<WireMsg> Conn::Recv() {
   }
   std::vector<uint8_t> payload(len);
   RETURN_IF_ERROR(RecvAll(fd_, payload.data(), len, /*eof_ok_at_start=*/false));
-  return DecodePayload(payload);
+  return DecodePayload(std::move(payload));
 }
 
 Status Conn::SetRecvTimeoutMs(int64_t ms) {

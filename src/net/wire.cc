@@ -100,7 +100,7 @@ void EncodePage(ByteWriter* w, const WirePage& page) {
 Status DecodePage(ByteReader* r, WirePage* page) {
   ASSIGN_OR_RETURN(page->index, r->U32());
   ASSIGN_OR_RETURN(page->version, r->U64());
-  ASSIGN_OR_RETURN(page->bytes, r->Bytes());
+  ASSIGN_OR_RETURN(page->bytes, r->BytesView());
   if (page->index >= kWirePagesPerFile) {
     return CorruptData(StrFormat("wire: page index %u beyond the 1 MB file", page->index));
   }
@@ -545,6 +545,25 @@ Status DecodeReplyBody(ByteReader* r, WireMsg* m) {
   }
 }
 
+// Bytes to reserve for |msg|'s payload: exact for the page records and blobs
+// that dominate large frames, plus slack for the fixed fields and short lists.
+size_t PayloadSizeHint(const WireMsg& msg) {
+  size_t n = 64 + msg.bytes.size() + 4 * msg.page_list.size();
+  for (const WirePage& p : msg.pages) {
+    n += 16 + p.bytes.size();
+  }
+  return n;
+}
+
+void EncodeBody(ByteWriter* w, const WireMsg& msg) {
+  w->U8(static_cast<uint8_t>(msg.op));
+  if (msg.op == WireOp::kReply || msg.op == WireOp::kError) {
+    EncodeReplyBody(w, msg);
+  } else {
+    EncodeRequestBody(w, msg);
+  }
+}
+
 }  // namespace
 
 void EncodeInvalRecord(ByteWriter* w, const WireInval& inv) { EncodeInval(w, inv); }
@@ -553,12 +572,8 @@ Status DecodeInvalRecord(ByteReader* r, WireInval* inv) { return DecodeInval(r, 
 
 std::vector<uint8_t> EncodePayload(const WireMsg& msg) {
   ByteWriter w;
-  w.U8(static_cast<uint8_t>(msg.op));
-  if (msg.op == WireOp::kReply || msg.op == WireOp::kError) {
-    EncodeReplyBody(&w, msg);
-  } else {
-    EncodeRequestBody(&w, msg);
-  }
+  w.Reserve(PayloadSizeHint(msg));
+  EncodeBody(&w, msg);
   return w.Take();
 }
 
@@ -582,11 +597,19 @@ Result<WireMsg> DecodePayload(const uint8_t* data, size_t size) {
   return m;
 }
 
+Result<WireMsg> DecodePayload(std::vector<uint8_t>&& b) {
+  auto owned = std::make_shared<const std::vector<uint8_t>>(std::move(b));
+  ASSIGN_OR_RETURN(WireMsg m, DecodePayload(owned->data(), owned->size()));
+  m.frame.bytes = std::move(owned);
+  return m;
+}
+
 std::vector<uint8_t> EncodeFrame(const WireMsg& msg) {
-  std::vector<uint8_t> payload = EncodePayload(msg);
   ByteWriter w;
-  w.U32(static_cast<uint32_t>(payload.size()));
-  w.Raw(payload.data(), payload.size());
+  w.Reserve(4 + PayloadSizeHint(msg));
+  w.U32(0);  // the payload length, patched once the payload is written
+  EncodeBody(&w, msg);
+  w.PatchU32(0, static_cast<uint32_t>(w.size() - 4));
   return w.Take();
 }
 

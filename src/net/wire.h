@@ -20,7 +20,10 @@
 #ifndef SRC_NET_WIRE_H_
 #define SRC_NET_WIRE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,12 +98,28 @@ struct WireInval {
 // it in a RESYNC claim after a reconnect, so revalidation costs a u64 compare
 // instead of a page transfer. Flush/write acks carry version-only records
 // (empty bytes) telling the writer the new version of the pages it just owned.
+//
+// |bytes| is a view, never a copy: a sender points it at the page where it
+// lives (the server at its SFS extent, which must not mutate before the frame
+// is encoded) and the encoder copies it once into the frame; a decoded page
+// points into the received payload (see WireMsg::frame).
 struct WirePage {
   uint32_t index = 0;
   uint64_t version = 0;
-  std::vector<uint8_t> bytes;
+  std::span<const uint8_t> bytes;
 
-  bool operator==(const WirePage&) const = default;
+  bool operator==(const WirePage& other) const {
+    return index == other.index && version == other.version &&
+           std::ranges::equal(bytes, other.bytes);
+  }
+};
+
+// Keeps a decoded payload alive for the page views into it. Ownership only:
+// two messages with equal fields are equal wherever their bytes live.
+struct WireBacking {
+  std::shared_ptr<const std::vector<uint8_t>> bytes;
+
+  bool operator==(const WireBacking&) const { return true; }
 };
 
 // One RESYNC claim: "my replica holds |ino| page |page| at |version|". The
@@ -172,6 +191,9 @@ struct WireMsg {
   uint8_t err_code = 0;             // kError: ErrorCode as on-the-wire byte
   std::string err_msg;              // kError
   std::vector<std::pair<std::string, uint64_t>> stats;  // kStats reply
+  // The payload |pages| view, when the message was decoded from an owned
+  // buffer (DecodePayload of an rvalue, Conn::Recv). Copies share it.
+  WireBacking frame;
 
   bool operator==(const WireMsg&) const = default;
 };
@@ -181,15 +203,20 @@ struct WireMsg {
 void EncodeInvalRecord(ByteWriter* w, const WireInval& inv);
 Status DecodeInvalRecord(ByteReader* r, WireInval* inv);
 
-// Payload <-> bytes (no frame length prefix).
+// Payload <-> bytes (no frame length prefix). A decoded message's page bytes
+// are views into the decoded buffer: into the caller's bytes for the pointer
+// and lvalue forms (keep them alive while the message is used), into the
+// message's own WireBacking for the rvalue form.
 std::vector<uint8_t> EncodePayload(const WireMsg& msg);
 Result<WireMsg> DecodePayload(const uint8_t* data, size_t size);
 inline Result<WireMsg> DecodePayload(const std::vector<uint8_t>& b) {
   return DecodePayload(b.data(), b.size());
 }
+Result<WireMsg> DecodePayload(std::vector<uint8_t>&& b);
 
-// Whole frame (U32 length + payload) for one-shot buffers; the transport
-// streams the two parts itself.
+// Whole frame (U32 length + payload), built once into a buffer reserved for
+// the message's page bytes up front: each page is copied once, from wherever
+// its view points, straight into the frame the transport sends.
 std::vector<uint8_t> EncodeFrame(const WireMsg& msg);
 
 // ErrorCode <-> wire byte. Unknown bytes decode to kInternal rather than

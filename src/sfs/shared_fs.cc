@@ -332,23 +332,33 @@ Result<uint32_t> SharedFs::ReadAt(uint32_t ino, uint32_t offset, uint8_t* out,
     // Pull absent pages before trusting local bytes (no-op once resident).
     RETURN_IF_ERROR(remote_->EnsureResident(ino, offset, len));
   }
+  ASSIGN_OR_RETURN(std::span<const uint8_t> file, LocalView(ino));
+  if (offset >= file.size()) {
+    return 0u;
+  }
+  uint32_t n = std::min<uint32_t>(len, static_cast<uint32_t>(file.size()) - offset);
+  RelaxedCopyFrom(out, file.data() + offset, n);
+  return n;
+}
+
+Result<std::span<const uint8_t>> SharedFs::View(uint32_t ino) const {
+  if (remote_active()) {
+    ASSIGN_OR_RETURN(SfsStat st, StatInode(ino));
+    RETURN_IF_ERROR(remote_->EnsureResident(ino, 0, st.size));
+  }
+  return LocalView(ino);
+}
+
+Result<std::span<const uint8_t>> SharedFs::LocalView(uint32_t ino) const {
   ASSIGN_OR_RETURN(SfsStat st, StatInode(ino));
   if (st.type != SfsNodeType::kRegular) {
     return InvalidArgument("sfs: not a regular file: inode " + std::to_string(ino));
   }
   const Inode& node = inodes_[ino];
-  if (offset >= node.size) {
-    return 0u;
-  }
-  uint32_t n = std::min(len, node.size - offset);
   // Defense in depth: fsck clamps a logical size past the physical extent
   // (kBadExtent), but a read must never trust size over the bytes actually there.
-  if (offset >= node.data.size()) {
-    return 0u;
-  }
-  n = std::min(n, static_cast<uint32_t>(node.data.size()) - offset);
-  RelaxedCopyFrom(out, node.data.data() + offset, n);
-  return n;
+  size_t n = std::min<size_t>(node.size, node.data.size());
+  return std::span<const uint8_t>(node.data.data(), n);
 }
 
 Status SharedFs::Truncate(uint32_t ino, uint32_t new_size) {

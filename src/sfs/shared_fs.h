@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,14 @@ class SharedFs {
 
   Status WriteAt(uint32_t ino, uint32_t offset, const uint8_t* data, uint32_t len);
   Result<uint32_t> ReadAt(uint32_t ino, uint32_t offset, uint8_t* out, uint32_t len) const;
+  // A read-only view of a regular file's bytes, bounded by both its logical size
+  // and its physical extent: what ReadAt(ino, 0, ..., size) would copy, without
+  // the copy. On a replica it first makes the whole file resident, exactly as
+  // that ReadAt would. The view is valid until the next mutation of this
+  // partition. Bytes under a guest mapping may change under it (another core's
+  // stores); a reader that can race those reads them with relaxed loads
+  // (src/base/atomic_mem.h).
+  Result<std::span<const uint8_t>> View(uint32_t ino) const;
   // Shrinking zeroes the dropped tail so a later regrow reads zeros (POSIX truncate
   // semantics), not another segment's stale bytes. The physical extent is kept, so
   // DataPtr stays stable for mapped pages.
@@ -287,6 +296,8 @@ class SharedFs {
   };
 
   Result<uint32_t> AllocInode();
+  // View without the replica's residency pull (ReadAt runs its own, ranged).
+  Result<std::span<const uint8_t>> LocalView(uint32_t ino) const;
   Result<uint32_t> WalkDir(const std::string& dir_path) const;
   // The child of directory |dir| named |name|, 0 if none.
   uint32_t FindChild(uint32_t dir, std::string_view name) const;

@@ -59,6 +59,15 @@ Result<std::vector<uint8_t>> Vfs::ReadFile(const std::string& path) const {
   return memfs_->ReadFile(resolved);
 }
 
+Result<std::span<const uint8_t>> Vfs::ViewSharedFile(const std::string& path) const {
+  ASSIGN_OR_RETURN(std::string resolved, Resolve(path));
+  if (!OnSharedPartition(resolved)) {
+    return InvalidArgument("vfs: not on the shared partition: " + path);
+  }
+  ASSIGN_OR_RETURN(SfsStat st, sfs_->Stat(SfsRelative(resolved)));
+  return sfs_->View(st.ino);
+}
+
 Status Vfs::WriteFile(const std::string& path, const std::vector<uint8_t>& data) {
   ASSIGN_OR_RETURN(std::string resolved, Resolve(path));
   if (OnSharedPartition(resolved)) {

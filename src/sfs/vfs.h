@@ -10,6 +10,7 @@
 #define SRC_SFS_VFS_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,9 @@ class Vfs {
   Result<std::string> Resolve(const std::string& path) const;
 
   Result<std::vector<uint8_t>> ReadFile(const std::string& path) const;
+  // ReadFile without the copy, for files on the shared partition only: a
+  // SharedFs::View of the resolved file, valid until the partition next mutates.
+  Result<std::span<const uint8_t>> ViewSharedFile(const std::string& path) const;
   Status WriteFile(const std::string& path, const std::vector<uint8_t>& data);
   Status WriteFile(const std::string& path, const std::string& text);
   bool Exists(const std::string& path) const;

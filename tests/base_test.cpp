@@ -1,6 +1,10 @@
 // Unit tests for src/base: Status/Result, byte (de)serialization, string/path helpers.
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/base/atomic_mem.h"
 #include "src/base/bytes.h"
 #include "src/base/layout.h"
 #include "src/base/status.h"
@@ -129,6 +133,30 @@ TEST_P(BytesTruncationTest, EveryPrefixFailsCleanly) {
   }
 }
 INSTANTIATE_TEST_SUITE_P(Cuts, BytesTruncationTest, ::testing::Range(0, 30));
+
+// The relaxed copies align on the shared side whatever the private side's
+// alignment (a page view into a received frame sits at any offset), and copy
+// exactly what memcpy would.
+TEST(AtomicMemTest, RelaxedCopiesMatchMemcpyAtEveryAlignment) {
+  std::vector<uint8_t> src(64);
+  for (size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<uint8_t>(i * 37 + 5);
+  }
+  for (size_t src_off = 0; src_off < 4; ++src_off) {
+    for (size_t dst_off = 0; dst_off < 4; ++dst_off) {
+      for (size_t n : {0, 1, 3, 4, 7, 31, 40}) {
+        std::vector<uint8_t> to(64, 0xEE);
+        std::vector<uint8_t> want = to;
+        RelaxedCopyTo(to.data() + dst_off, src.data() + src_off, n);
+        std::memcpy(want.data() + dst_off, src.data() + src_off, n);
+        EXPECT_EQ(to, want) << src_off << " " << dst_off << " " << n;
+        std::vector<uint8_t> from(64, 0xEE);
+        RelaxedCopyFrom(from.data() + dst_off, src.data() + src_off, n);
+        EXPECT_EQ(from, want) << src_off << " " << dst_off << " " << n;
+      }
+    }
+  }
+}
 
 TEST(BytesTest, PatchU32) {
   ByteWriter w;

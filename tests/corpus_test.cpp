@@ -4,6 +4,7 @@
 // Regenerate seeds with `./build/fuzz/hem_make_corpus tests/corpus`; add fuzzer
 // reproducers by dropping the file into the matching subdirectory.
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "fuzz/harness.h"
+#include "src/net/wire.h"
 
 namespace hemlock {
 namespace {
@@ -74,6 +76,33 @@ TEST(CorpusTest, WireSeedsReplayWithoutCrashing) {
     std::vector<uint8_t> bytes = ReadSeed(seed);
     EXPECT_EQ(HemFuzzWire(bytes.data(), bytes.size()), 0);
   }
+}
+
+// Pages decode as views (into the caller's bytes, or into the message's own
+// copy when the buffer is handed over): every wire seed the decoder accepts
+// re-encodes, through the single frame builder, to its own bytes behind the
+// length prefix, whichever way it was decoded.
+TEST(CorpusTest, WireSeedsReencodeToTheSameFrame) {
+  size_t accepted = 0;
+  for (const fs::path& seed : SeedsIn("wire")) {
+    SCOPED_TRACE(seed.filename().string());
+    std::vector<uint8_t> bytes = ReadSeed(seed);
+    Result<WireMsg> viewed = DecodePayload(bytes);
+    Result<WireMsg> owned = DecodePayload(std::vector<uint8_t>(bytes));
+    ASSERT_EQ(viewed.ok(), owned.ok());
+    if (!viewed.ok()) {
+      continue;
+    }
+    ++accepted;
+    std::vector<uint8_t> frame(4);
+    uint32_t len = static_cast<uint32_t>(bytes.size());
+    std::memcpy(frame.data(), &len, 4);
+    frame.insert(frame.end(), bytes.begin(), bytes.end());
+    EXPECT_EQ(EncodeFrame(*viewed), frame);
+    EXPECT_EQ(EncodeFrame(*owned), frame);
+    EXPECT_EQ(*viewed, *owned);
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 // The differential target replays every family: for any seed a decoder

@@ -4,7 +4,9 @@
 // differential identity: the fast block engine and the reference decode-every-step
 // interpreter must produce the same stdout, exit codes, and race reports, schedule
 // for schedule, across a chaos-seed sweep.
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "src/isa/isa.h"
 #include "src/kernel/race.h"
 #include "src/kernel/scheduler.h"
+#include "src/link/loader.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/world.h"
 #include "src/vm/cpu.h"
@@ -770,6 +773,129 @@ TEST(FastPathSmp, CrossCoreSmcMatchesSingleCoreReference) {
   EXPECT_EQ(reference, smp) << "SMC visibility diverged between 1 and 4 cores";
   ASSERT_EQ(reference.size(), 2u);
   EXPECT_EQ(reference[0], "12345->12347\n");
+}
+
+// Attach reads a public module in place (SharedFs::View + LinkedModule::
+// ParseTrailer) while other cores may be storing into the module's data pages.
+// A writer process bumps every cell of an initialized public table (file bytes,
+// not bss, so a parser that copied the image would read them) on one core while a
+// spawner, on another, starts children (once the writer is storing) whose
+// exec-time link attaches that same module through the view. The view parses only the footer and the trailer past
+// the mapped pages, so under TSan nothing is reported; and the run must end as
+// the single-core reference does: the same exit codes and the same ldl counters.
+TEST(FastPathSmp, AttachViewWhileAnotherCoreStoresIntoTheModule) {
+  auto run_once = [](int cores) {
+    HemlockWorld world;
+    world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
+    CompileOptions no_prelude;
+    no_prelude.include_prelude = false;
+    (void)world.vfs().MkdirAll("/shm/lib");
+    EXPECT_TRUE(world
+                    .CompileTo("int cells[64] = {1, 2, 3};\nint started = 0;\nint done = 0;\n"
+                               "int peek(void) { return 7; }\n",
+                               "/shm/lib/store_db.o", no_prelude)
+                    .ok());
+    EXPECT_TRUE(world
+                    .CompileTo(
+                        "extern int cells[64];\n"
+                        "extern int started;\n"
+                        "extern int done;\n"
+                        "int main(void) {\n"
+                        "  int i;\n"
+                        "  sys_cas(&started, 0, 1);\n"
+                        "  while (sys_cas(&done, 1, 1) != 1) {\n"
+                        "    for (i = 0; i < 64; i += 1) {\n"
+                        "      cells[i] = cells[i] + 1;\n"
+                        "    }\n"
+                        "  }\n"
+                        "  return 0;\n"
+                        "}\n",
+                        "/home/user/store_writer.o")
+                    .ok());
+    EXPECT_TRUE(world
+                    .CompileTo("extern int peek(void);\n"
+                               "int main(void) { return peek() - 7; }\n",
+                               "/home/user/attacher.o")
+                    .ok());
+    EXPECT_TRUE(world
+                    .CompileTo(
+                        "extern int started;\n"
+                        "extern int done;\n"
+                        "int main(void) {\n"
+                        "  int k;\n"
+                        "  int pid;\n"
+                        "  int bad;\n"
+                        "  bad = 0;\n"
+                        "  while (sys_cas(&started, 1, 1) != 1) {\n"
+                        "    sys_yield();\n"
+                        "  }\n"
+                        "  for (k = 0; k < 4; k += 1) {\n"
+                        "    pid = sys_spawn(\"/home/user/attacher.hxe\");\n"
+                        "    if (pid <= 0) { bad = bad + 100; }\n"
+                        "    else { bad = bad + sys_waitpid(pid); }\n"
+                        "  }\n"
+                        "  sys_cas(&done, 0, 1);\n"
+                        "  return bad;\n"
+                        "}\n",
+                        "/home/user/spawner.o")
+                    .ok());
+    auto link_one = [&](const char* obj) {
+      LdsOptions lds;
+      lds.inputs.push_back({obj, ShareClass::kStaticPrivate});
+      lds.inputs.push_back({"/shm/lib/store_db.o", ShareClass::kDynamicPublic});
+      return world.Link(lds);
+    };
+    Result<LoadImage> attacher = link_one("/home/user/attacher.o");
+    EXPECT_TRUE(attacher.ok());
+    EXPECT_TRUE(world.vfs().WriteFile("/home/user/attacher.hxe", attacher->Serialize()).ok());
+    Result<LoadImage> writer = link_one("/home/user/store_writer.o");
+    Result<LoadImage> spawner = link_one("/home/user/spawner.o");
+    EXPECT_TRUE(writer.ok() && spawner.ok());
+    // Every process's linker, children included (spawns run under the kernel
+    // lock, so the list needs no lock of its own).
+    std::vector<std::shared_ptr<Ldl>> linkers;
+    world.machine().SetSpawnHandler(
+        [&linkers](Machine& m, const std::string& path) -> Result<int> {
+          ASSIGN_OR_RETURN(ExecResult exec, ExecuteFile(m, path));
+          linkers.push_back(exec.ldl);
+          return exec.pid;
+        });
+    std::vector<int> pids;
+    for (const LoadImage* image : {&*writer, &*spawner}) {
+      Result<ExecResult> run = world.Exec(*image);
+      EXPECT_TRUE(run.ok());
+      pids.push_back(run.ok() ? run->pid : -1);
+      if (run.ok()) {
+        linkers.push_back(run->ldl);
+      }
+    }
+    SchedParams params;
+    params.num_cores = cores;
+    params.quantum = 256;
+    EXPECT_EQ(world.machine().RunScheduled(params, 100'000'000), SchedStatus::kExited)
+        << "cores " << cores;
+    std::vector<uint64_t> outcome;
+    for (int pid : pids) {
+      Process* proc = world.machine().FindProcess(pid);
+      EXPECT_NE(proc, nullptr);
+      outcome.push_back(proc != nullptr ? static_cast<uint64_t>(proc->exit_status()) : 999);
+    }
+    MetricsSnapshot ldl;
+    for (const std::shared_ptr<Ldl>& linker : linkers) {
+      MetricsRegistry::Merge(&ldl, linker->metrics().Snapshot());
+    }
+    ldl.erase("ldl.startup_ns");  // wall-clock, not a count
+    return std::make_pair(outcome, ldl);
+  };
+  auto reference = run_once(1);
+  auto smp = run_once(4);
+  EXPECT_EQ(reference.first, (std::vector<uint64_t>{0, 0}));
+  EXPECT_EQ(smp.first, reference.first);
+  EXPECT_EQ(smp.second, reference.second);
+  // The writer's exec created the module; the spawner and the four children
+  // attached it.
+  EXPECT_EQ(MetricValue(reference.second, "ldl.publics_created"), 1u);
+  EXPECT_EQ(MetricValue(reference.second, "ldl.publics_attached"), 5u);
 }
 
 }  // namespace

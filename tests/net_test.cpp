@@ -5,10 +5,16 @@
 // of the shared-counter scenario is byte-identical to the single-node run, and
 // a client killed mid-lease leaves the authoritative partition SfsCheck-clean
 // with the lease reclaimed.
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,6 +74,11 @@ void WaitForSessions(SegmentServer* server, size_t want) {
 }
 
 // --- Wire format: canonical encoding ---
+
+// Page bytes for the sample messages. A WirePage views its bytes, so they live
+// here, for the whole test binary.
+const std::vector<uint8_t> kFullPageAb(kPageSize, 0xab);
+const std::vector<uint8_t> kShortPage5a(16, 0x5a);
 
 // Every payload the decoder accepts must re-encode to the exact same bytes
 // (EncodePayload(DecodePayload(x)) == x) — the property fuzz_roundtrip checks
@@ -150,7 +161,7 @@ TEST(WireTest, EveryRequestRoundTripsCanonically) {
   flush.op = WireOp::kFlush;
   flush.ino = 2;
   flush.size = 8192;
-  flush.pages.push_back(WirePage{0, 0, std::vector<uint8_t>(kPageSize, 0xab)});
+  flush.pages.push_back(WirePage{0, 0, kFullPageAb});
   flush.pages.push_back(WirePage{1, 0, {}});  // all-zero page travels empty
   msgs.push_back(flush);
 
@@ -264,7 +275,7 @@ TEST(WireTest, EveryReplyRoundTripsCanonically) {
   fetch.reply_to = static_cast<uint8_t>(WireOp::kFetch);
   fetch.ino = 3;
   fetch.size = 4097;
-  fetch.pages.push_back(WirePage{0, 7, std::vector<uint8_t>(16, 0x5a)});
+  fetch.pages.push_back(WirePage{0, 7, kShortPage5a});
   fetch.pages.push_back(WirePage{1, 0, {}});
   msgs.push_back(fetch);
 
@@ -436,7 +447,7 @@ TEST(WireTest, ByteFlipsNeverBreakCanonicality) {
   fetch.ino = 3;
   fetch.size = 4097;
   fetch.invals = SampleInvals();
-  fetch.pages.push_back(WirePage{0, 3, std::vector<uint8_t>(16, 0x5a)});
+  fetch.pages.push_back(WirePage{0, 3, kShortPage5a});
   std::vector<uint8_t> enc = EncodePayload(fetch);
   for (size_t pos = 0; pos < enc.size(); ++pos) {
     for (uint8_t delta : {1, 0x80, 0xff}) {
@@ -600,6 +611,145 @@ TEST(NetIntegrationTest, MetadataAndPagesFlowBetweenClients) {
                           sizeof(kBye))
                   .ok());
   EXPECT_STREQ(server_buf, kBye);
+}
+
+// Reads one frame off |fd| as raw bytes, length prefix included.
+std::vector<uint8_t> RecvRawFrame(int fd) {
+  auto recv_all = [fd](uint8_t* out, size_t len) {
+    size_t got = 0;
+    while (got < len) {
+      ssize_t n = ::recv(fd, out + got, len - got, 0);
+      if (n <= 0) {
+        return false;
+      }
+      got += static_cast<size_t>(n);
+    }
+    return true;
+  };
+  std::vector<uint8_t> frame(4);
+  if (!recv_all(frame.data(), 4)) {
+    return {};
+  }
+  uint32_t len = 0;
+  std::memcpy(&len, frame.data(), 4);
+  frame.resize(4 + len);
+  if (!recv_all(frame.data() + 4, len)) {
+    return {};
+  }
+  return frame;
+}
+
+// The server builds a FETCH reply frame straight from its extent, copying each
+// page once. That frame must be byte-identical to EncodeFrame of the equivalent
+// message whose pages own copies of the same bytes, for each page shape: the
+// all-zero page (sent as the empty marker), a short last page, a page past the
+// extent, and a 37-page batch. The client decodes pages as views into the
+// received frame and installs from them; afterwards its replica holds the
+// server's bytes and its twins match (a flush finds nothing dirty).
+TEST(NetIntegrationTest, FetchReplyFromTheExtentMatchesTheOwningEncoding) {
+  auto fs = std::make_unique<SharedFs>();
+  Result<uint32_t> mixed = fs->Create("/mixed.bin");
+  Result<uint32_t> table = fs->Create("/table.bin");
+  ASSERT_TRUE(mixed.ok() && table.ok());
+  std::vector<uint8_t> mixed_bytes(2 * kPageSize + 100, 0);  // page 0 all zero
+  for (size_t i = kPageSize; i < mixed_bytes.size(); ++i) {
+    mixed_bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  std::vector<uint8_t> table_bytes(37 * kPageSize);
+  for (size_t i = 0; i < table_bytes.size(); ++i) {
+    table_bytes[i] = static_cast<uint8_t>((i >> 12) + i * 13 + 1);
+  }
+  ASSERT_TRUE(fs->WriteAt(*mixed, 0, mixed_bytes.data(),
+                          static_cast<uint32_t>(mixed_bytes.size())).ok());
+  ASSERT_TRUE(fs->WriteAt(*table, 0, table_bytes.data(),
+                          static_cast<uint32_t>(table_bytes.size())).ok());
+  // What a reply must carry for page |idx| of |file|, as an owning copy.
+  auto expected_page = [](const std::vector<uint8_t>& file, uint32_t idx) {
+    size_t off = size_t{idx} * kPageSize;
+    if (off >= file.size()) {
+      return std::vector<uint8_t>();  // past the extent: the empty marker
+    }
+    std::vector<uint8_t> page(file.begin() + off,
+                              file.begin() + std::min(file.size(), off + kPageSize));
+    bool zero = std::all_of(page.begin(), page.end(), [](uint8_t b) { return b == 0; });
+    return zero ? std::vector<uint8_t>() : page;
+  };
+
+  SegmentServer server(std::move(fs));
+  ASSERT_TRUE(server.Listen("127.0.0.1", 0).ok());
+  ASSERT_TRUE(server.Start().ok());
+  Result<Conn> conn = DialTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  WireMsg hello;
+  hello.op = WireOp::kHello;
+  ASSERT_TRUE(conn->Send(hello).ok());
+  Result<WireMsg> welcome = conn->Recv();
+  ASSERT_TRUE(welcome.ok() && welcome->op == WireOp::kReply) << welcome.status().ToString();
+
+  struct Case {
+    const char* what;
+    uint32_t ino;
+    const std::vector<uint8_t>* file;
+    std::vector<uint32_t> pages;
+  };
+  std::vector<uint32_t> batch(37);
+  for (uint32_t i = 0; i < 37; ++i) {
+    batch[i] = i;
+  }
+  const std::vector<Case> cases = {
+      {"all-zero page", *mixed, &mixed_bytes, {0}},
+      {"short last page", *mixed, &mixed_bytes, {2}},
+      {"pages past the extent", *mixed, &mixed_bytes, {3, kWirePagesPerFile - 1}},
+      {"37-page batch", *table, &table_bytes, batch},
+  };
+  uint32_t seq = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    WireMsg fetch;
+    fetch.op = WireOp::kFetch;
+    fetch.seq = ++seq;
+    fetch.ino = c.ino;
+    fetch.page_list = c.pages;
+    ASSERT_TRUE(conn->Send(fetch).ok());
+    std::vector<uint8_t> frame = RecvRawFrame(conn->fd());
+    ASSERT_GT(frame.size(), 4u);
+    Result<WireMsg> reply = DecodePayload(frame.data() + 4, frame.size() - 4);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->pages.size(), c.pages.size());
+    WireMsg owning = *reply;
+    std::vector<std::vector<uint8_t>> copies;
+    copies.reserve(c.pages.size());
+    for (size_t i = 0; i < c.pages.size(); ++i) {
+      const WirePage& got = reply->pages[i];
+      EXPECT_EQ(got.index, c.pages[i]);
+      // The decoded page is a view into the received frame, not a copy of it.
+      if (!got.bytes.empty()) {
+        EXPECT_GE(got.bytes.data(), frame.data() + 4);
+        EXPECT_LE(got.bytes.data() + got.bytes.size(), frame.data() + frame.size());
+      }
+      copies.push_back(expected_page(*c.file, c.pages[i]));
+      owning.pages[i].bytes = copies.back();
+    }
+    EXPECT_EQ(EncodeFrame(owning), frame);
+  }
+  conn->Close();
+
+  HemlockWorld b;
+  NetClient cb;
+  ASSERT_TRUE(cb.Connect("127.0.0.1", server.port(), &b.machine()).ok());
+  for (const auto& [ino, bytes] : {std::pair{*mixed, &mixed_bytes}, {*table, &table_bytes}}) {
+    Result<std::span<const uint8_t>> view = b.sfs().View(ino);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_TRUE(std::ranges::equal(*view, *bytes)) << "inode " << ino;
+  }
+  MetricsSnapshot fetched = b.machine().metrics().Snapshot();
+  EXPECT_EQ(MetricValue(fetched, "net.client.pages_fetched"), 3u + 37u);
+  ASSERT_TRUE(cb.FlushAll().ok());
+  EXPECT_EQ(MetricValue(b.machine().metrics().Snapshot(), "net.client.pages_flushed"), 0u)
+      << "a twin differs from the extent it was installed into";
+  cb.Disconnect();
+  WaitForSessions(&server, 0);
+  server.Stop();
 }
 
 TEST(NetIntegrationTest, TwoNodeCounterRunMatchesSingleNodeByteForByte) {

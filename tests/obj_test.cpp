@@ -1,7 +1,12 @@
 // Unit tests for the HOF object format and the ObjectBuilder, plus the HXE/HML
 // link-time formats from src/link/image.h.
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/base/layout.h"
 #include "src/isa/isa.h"
 #include "src/link/image.h"
 #include "src/obj/object_file.h"
@@ -259,6 +264,74 @@ TEST(ImageFormatTest, PlainBytesAreNotAModuleFile) {
   EXPECT_FALSE(LinkedModule::DeserializeFile(plain).ok());
   std::vector<uint8_t> tiny = {1, 2};
   EXPECT_FALSE(LinkedModule::LooksLikeModuleFile(tiny));
+}
+
+// The trailer view (ParseTrailer, what ldl attaches with) and the copying parser
+// (DeserializeFile, what lds and the tools read with) are one parser: on every
+// prefix cut of a sample module file and every single-byte flip in its trailer
+// and footer, they accept and reject the same inputs and agree on the metadata.
+// Only DeserializeFile copies the image.
+TEST(ImageFormatTest, TrailerViewAcceptsExactlyWhatTheCopyingParserAccepts) {
+  LinkedModule mod;
+  mod.name = "viewed";
+  mod.base = 0x30200000;
+  mod.text_size = 40;
+  mod.data_size = 12;
+  mod.bss_size = 4096;
+  mod.payload.resize(52, 0x5A);
+  mod.exports = {AbsSymbol{"entry", 0x30200000, true}, AbsSymbol{"table", 0x30200028, false}};
+  mod.pending = {PendingReloc{RelocType::kWord32, 0x30200028, "helper", 4},
+                 PendingReloc{RelocType::kJump26, 0x30200004, "far", 0}};
+  mod.module_list = {"helper.o", "far.o"};
+  mod.search_path = {"/shm/lib", "/shm/alt"};
+  mod.template_hash = 0x1122334455667788ull;
+  const std::vector<uint8_t> file = mod.SerializeFile();
+  const size_t trailer_off = PageCeil(mod.MemSize());
+  ASSERT_GT(file.size(), trailer_off);
+
+  int accepted = 0;
+  auto check_same = [&](const std::vector<uint8_t>& bytes, const std::string& what) {
+    Result<LinkedModule> view = LinkedModule::ParseTrailer(bytes);
+    Result<LinkedModule> copy = LinkedModule::DeserializeFile(bytes);
+    ASSERT_EQ(view.ok(), copy.ok()) << what;
+    if (!view.ok()) {
+      EXPECT_EQ(view.status().code(), copy.status().code()) << what;
+      EXPECT_EQ(view.status().message(), copy.status().message()) << what;
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(view->name, copy->name) << what;
+    EXPECT_EQ(view->base, copy->base) << what;
+    EXPECT_EQ(view->text_size, copy->text_size) << what;
+    EXPECT_EQ(view->data_size, copy->data_size) << what;
+    EXPECT_EQ(view->bss_size, copy->bss_size) << what;
+    EXPECT_EQ(view->exports, copy->exports) << what;
+    EXPECT_EQ(view->pending, copy->pending) << what;
+    EXPECT_EQ(view->module_list, copy->module_list) << what;
+    EXPECT_EQ(view->search_path, copy->search_path) << what;
+    EXPECT_EQ(view->template_hash, copy->template_hash) << what;
+    EXPECT_TRUE(view->payload.empty()) << what;
+    ASSERT_EQ(copy->payload.size(), size_t{copy->text_size} + copy->data_size) << what;
+    EXPECT_TRUE(std::equal(copy->payload.begin(), copy->payload.end(), bytes.begin())) << what;
+  };
+
+  check_same(file, "intact");
+  ASSERT_EQ(accepted, 1);
+  // Each prefix is its own buffer, shrunk to size, so a read past it is caught.
+  for (size_t cut = 0; cut < file.size(); ++cut) {
+    check_same(std::vector<uint8_t>(file.begin(), file.begin() + cut),
+               "cut at " + std::to_string(cut));
+  }
+  EXPECT_EQ(accepted, 1) << "a strict prefix of a module file parsed";
+  for (size_t pos = trailer_off; pos < file.size(); ++pos) {
+    for (uint8_t delta : {0x01, 0x80, 0xFF}) {
+      std::vector<uint8_t> flipped = file;
+      flipped[pos] = static_cast<uint8_t>(flipped[pos] ^ delta);
+      check_same(flipped, "flip at " + std::to_string(pos) + " by " + std::to_string(delta));
+    }
+  }
+  // Some flips land in names and addends and still parse; both parsers saw them.
+  EXPECT_GT(accepted, 1);
 }
 
 }  // namespace

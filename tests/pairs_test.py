@@ -5,7 +5,8 @@ Two stand-in "binaries" print readings from a canned list, one per run, and log
 the arguments they were given. The cases pin what pairs.py records (every
 reading, wins, medians, the parent's IQR), the alternating run order, the
 --exact list it passes from e2ebench/claims.json, a failed run's exit code, a
-run that prints no result, and an unknown workload.
+run that prints no result, an unknown workload, and the drift line it prints
+against the file it is about to overwrite (with and without one).
 """
 
 import json
@@ -62,7 +63,7 @@ class PairsTest(unittest.TestCase):
         return path
 
     def run_pairs(self, parent, change, *extra):
-        out = os.path.join(self.tmp.name, "BENCH_lazy_startup.json")
+        out = self.out_path()
         proc = subprocess.run([sys.executable, SCRIPT, parent, change, "--workload",
                                "lazy_startup", "--seconds", "2", "--out", out, *extra],
                               capture_output=True, text=True)
@@ -71,6 +72,9 @@ class PairsTest(unittest.TestCase):
             with open(out) as f:
                 record = json.load(f)
         return proc, record
+
+    def out_path(self):
+        return os.path.join(self.tmp.name, "BENCH_lazy_startup.json")
 
     def logged(self):
         with open(self.log) as f:
@@ -137,6 +141,28 @@ class PairsTest(unittest.TestCase):
         self.assertEqual(seed["wins"], 1)
         self.assertEqual(seed["change_median"], 105)
         self.assertIn("change none", proc.stdout)
+
+    def test_prints_drift_against_the_previous_file_before_overwriting_it(self):
+        with open(self.out_path(), "w") as f:
+            json.dump({"seeds": {"1": {"change_median": 125.0, "parent_median": 80.0}}}, f)
+        parent = self.fake("parent", [[100, True]] * 3)
+        change = self.fake("change", [[110, True]] * 3)
+        proc, record = self.run_pairs(parent, change, "--seeds", "1,9973", "--pairs", "1")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        # The previous change median (125) against this run's parent median (100).
+        self.assertIn("drift: seed 1: previous change median 125, this run's parent median "
+                      "100 (-20.0%)", proc.stdout)
+        self.assertIn("drift: seed 9973: no previous change median", proc.stdout)
+        self.assertLess(proc.stdout.index("drift: seed 1"), proc.stdout.index("wrote "))
+        self.assertEqual(record["seeds"]["1"]["parent_median"], 100)  # then overwritten
+
+    def test_prints_that_there_is_no_previous_file(self):
+        parent = self.fake("parent", [[100, True]])
+        change = self.fake("change", [[110, True]])
+        proc, record = self.run_pairs(parent, change, "--seeds", "1", "--pairs", "1")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("drift: no previous readings in " + self.out_path(), proc.stdout)
+        self.assertEqual(record["seeds"]["1"]["change_median"], 110)
 
     def test_unknown_workload_is_usage_error(self):
         parent = self.fake("parent", [])

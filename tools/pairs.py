@@ -15,7 +15,9 @@ Per seed the file records every pair (all of e2ebench's metrics for each side;
 null for a side that printed no result) and, for ops_per_s over the pairs where
 both sides printed one, the pairs the change won, both medians, the parent's
 interquartile range and the median gain. FILE defaults to
-bench/results/BENCH_<workload>.json.
+bench/results/BENCH_<workload>.json. Before it overwrites FILE, it prints per
+seed the previous file's change median next to this run's parent median: the
+same code measured on two occasions, so host drift between them shows.
 
 Exit codes: 0 every run was correct, 1 a run failed or printed no result
 (the pair is still written, and the remaining pairs still run), 2 bad usage.
@@ -86,6 +88,25 @@ def summarize(pairs):
     }
 
 
+def print_drift(out, record):
+    """Prints, per seed, the change median recorded in |out| (the previous
+    run) next to this run's parent median."""
+    try:
+        with open(out) as f:
+            previous = json.load(f)
+    except (OSError, json.JSONDecodeError):
+        print(f"drift: no previous readings in {out}")
+        return
+    for seed, entry in record["seeds"].items():
+        before = previous.get("seeds", {}).get(seed, {}).get("change_median")
+        now = entry.get("parent_median")
+        if before is None or now is None:
+            print(f"drift: seed {seed}: no previous change median to compare")
+            continue
+        print(f"drift: seed {seed}: previous change median {before:.4g}, this run's parent "
+              f"median {now:.4g} ({now / before - 1:+.1%})")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_bin")
@@ -141,6 +162,7 @@ def main():
                   f"{entry['wins']}/{entry['pairs']}, parent IQR {entry['parent_iqr']:.4g}")
         record["seeds"][str(seed)] = entry
 
+    print_drift(out, record)
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     with open(out, "w") as f:
         json.dump(record, f, indent=1)
