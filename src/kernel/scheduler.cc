@@ -1,6 +1,8 @@
 #include "src/kernel/scheduler.h"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "src/base/strings.h"
 
@@ -18,40 +20,17 @@ uint64_t SplitMix64(uint64_t* state) {
 
 }  // namespace
 
-const char* SchedPolicyName(SchedPolicy policy) {
-  switch (policy) {
-    case SchedPolicy::kRoundRobin:
-      return "rr";
-    case SchedPolicy::kRandom:
-      return "random";
-  }
-  return "?";
-}
-
 Result<SchedParams> ParseSchedSpec(const std::string& spec) {
   SchedParams params;
-  if (spec == "rr") {
-    params.policy = SchedPolicy::kRoundRobin;
-    return params;
+  params.policy = spec == "rr" ? SchedPolicy::kRoundRobin : SchedPolicy::kRandom;
+  if (spec == "rr" || spec == "random") return params;
+  const std::string digits = spec.rfind("random:", 0) == 0 ? spec.substr(7) : "";
+  if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "bad scheduler spec '" + spec + "' (want rr|random[:seed])");
   }
-  if (spec == "random") {
-    params.policy = SchedPolicy::kRandom;
-    return params;
-  }
-  const std::string prefix = "random:";
-  if (spec.rfind(prefix, 0) == 0) {
-    params.policy = SchedPolicy::kRandom;
-    const std::string digits = spec.substr(prefix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "bad scheduler seed in '" + spec + "'");
-    }
-    params.seed = std::stoull(digits);
-    return params;
-  }
-  return Status(ErrorCode::kInvalidArgument,
-                "unknown scheduler spec '" + spec + "' (want rr|random[:seed])");
+  params.seed = std::stoull(digits);
+  return params;
 }
 
 Scheduler::Scheduler(MetricsRegistry* metrics)
@@ -62,157 +41,172 @@ Scheduler::Scheduler(MetricsRegistry* metrics)
       c_wakes_(metrics->Counter("vm.sched.wakes")),
       c_futex_waits_(metrics->Counter("vm.sched.futex_waits")),
       c_deadlocks_(metrics->Counter("vm.sched.deadlocks")),
-      c_steals_(metrics->Counter("vm.sched.steals")) {
-  cores_.resize(1);
-  BindCoreCounters(0, &cores_[0]);
-}
-
-void Scheduler::BindCoreCounters(int core, CoreQueue* q) {
-  q->dispatches = metrics_->Counter(StrFormat("vm.sched.core.%d.dispatches", core));
-  q->steals = metrics_->Counter(StrFormat("vm.sched.core.%d.steals", core));
-  q->ticks = metrics_->Counter(StrFormat("vm.sched.core.%d.ticks", core));
+      c_steals_(metrics->Counter("vm.sched.steals")),
+      c_local_switches_(metrics->Counter("vm.sched.local_switches")) {
+  ConfigureCores(1);
 }
 
 void Scheduler::Configure(SchedPolicy policy, uint64_t seed) {
   policy_ = policy;
-  // Mix the seed so random:0 and random:1 diverge immediately.
-  rng_state_ = seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
+  seed_ = seed;
+  // Mix the seed so random:0 and random:1 diverge; core 0 draws a one-core stream.
+  for (int c = 0; c < num_cores_; ++c) {
+    Core(c).rng = seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull +
+                  static_cast<uint64_t>(c) * 0xBF58476D1CE4E5B9ull;
+  }
 }
 
 void Scheduler::ConfigureCores(int num_cores) {
   if (num_cores < 1) num_cores = 1;
   if (num_cores == num_cores_) return;
-  // Drain every queued pid (priority order, FIFO within a class) so nothing is
-  // lost across the resize, then re-home them under the new core count. Old
-  // placements may name cores that no longer exist, so all of them go.
+  // Drain every queued pid (core by core, in queue order), forget every
+  // placement (it may name a core that no longer exists), and re-home them.
   std::vector<std::pair<int, int>> queued;  // (priority, pid)
-  for (const CoreQueue& core : cores_) {
-    for (const auto& [prio, deque] : core.ready) {
-      for (int pid : deque) queued.emplace_back(prio, pid);
+  for (const auto& core : cores_) {
+    for (int pid = core->head; pid >= 0; pid = At(pid).next) {
+      queued.emplace_back(At(pid).priority, pid);
     }
   }
-  ready_set_.clear();
-  affinity_.clear();
+  for (Slot& slot : slots_) slot = Slot{slot.proc};
+  cores_.resize(static_cast<size_t>(num_cores));
+  for (int c = 0; c < num_cores; ++c) {
+    cores_[static_cast<size_t>(c)] = std::make_unique<CoreQueue>();
+    Core(c).dispatches = metrics_->Counter(StrFormat("vm.sched.core.%d.dispatches", c));
+    Core(c).steals = metrics_->Counter(StrFormat("vm.sched.core.%d.steals", c));
+    Core(c).ticks = metrics_->Counter(StrFormat("vm.sched.core.%d.ticks", c));
+  }
   num_cores_ = num_cores;
   next_core_ = 0;
-  cores_.clear();
-  cores_.resize(static_cast<size_t>(num_cores_));
-  for (int c = 0; c < num_cores_; ++c) {
-    BindCoreCounters(c, &cores_[static_cast<size_t>(c)]);
-  }
-  for (const auto& [prio, pid] : queued) {
-    Enqueue(pid, prio);
-  }
+  Configure(policy_, seed_);
+  for (const auto& [priority, pid] : queued) Enqueue(pid, priority);
 }
 
-Scheduler::ReadyQueue* Scheduler::HomeQueue(int pid) {
-  auto it = affinity_.find(pid);
-  if (it == affinity_.end()) {
+Scheduler::Slot& Scheduler::SlotOf(int pid) {
+  if (static_cast<size_t>(pid) >= slots_.size()) {
+    // Growing moves every record, so no core may be inside its queue.
+    for (auto& core : cores_) core->mu.lock();
+    slots_.resize(std::max(static_cast<size_t>(pid) + 1, 2 * slots_.size()));
+    for (auto& core : cores_) core->mu.unlock();
+  }
+  return At(pid);
+}
+
+void Scheduler::Push(CoreQueue& q, int pid, int priority) {
+  // Behind the last pid of a class at or above |priority|.
+  int prev = q.tail;
+  while (prev >= 0 && At(prev).priority < priority) prev = At(prev).prev;
+  int next = prev >= 0 ? At(prev).next : q.head;
+  Slot& slot = At(pid);
+  std::tie(slot.prev, slot.next, slot.priority) = std::tuple(prev, next, priority);
+  slot.queued = true;
+  (prev >= 0 ? At(prev).next : q.head) = pid;
+  (next >= 0 ? At(next).prev : q.tail) = pid;
+  ++q.count;
+}
+
+void Scheduler::Unlink(CoreQueue& q, int pid) {
+  Slot& slot = At(pid);
+  (slot.prev >= 0 ? At(slot.prev).next : q.head) = slot.next;
+  (slot.next >= 0 ? At(slot.next).prev : q.tail) = slot.prev;
+  slot.prev = slot.next = -1;
+  slot.queued = false;
+  --q.count;
+}
+
+int Scheduler::Pop(CoreQueue& q) {
+  if (q.count == 0) return -1;
+  int pid = q.head;
+  if (policy_ == SchedPolicy::kRandom) {
+    for (uint64_t skip = SplitMix64(&q.rng) % q.count; skip > 0; --skip) pid = At(pid).next;
+  }
+  Unlink(q, pid);
+  return pid;
+}
+
+void Scheduler::Place(int pid, int priority, bool woken) {
+  Slot& slot = SlotOf(pid);
+  if (slot.core < 0) {
     // First sighting: place round-robin so initial load spreads evenly.
-    it = affinity_.emplace(pid, next_core_).first;
+    slot.core = next_core_;
     next_core_ = (next_core_ + 1) % num_cores_;
   }
-  return &cores_[static_cast<size_t>(it->second)].ready;
-}
-
-void Scheduler::Enqueue(int pid, int priority) {
-  if (!ready_set_.insert(pid).second) return;
-  (*HomeQueue(pid))[priority].push_back(pid);
-}
-
-void Scheduler::Preempt(int pid, int priority) {
-  ++*c_preemptions_;
-  Enqueue(pid, priority);
-}
-
-void Scheduler::EraseFrom(ReadyQueue* q, int pid) {
-  for (auto& [prio, deque] : *q) {
-    deque.erase(std::remove(deque.begin(), deque.end(), pid), deque.end());
-  }
-}
-
-std::deque<int>* Scheduler::TopClass(ReadyQueue* q) {
-  for (auto& [prio, deque] : *q) {
-    if (!deque.empty()) return &deque;
-  }
-  return nullptr;
-}
-
-size_t Scheduler::CountOf(const ReadyQueue& q) {
-  size_t n = 0;
-  for (const auto& [prio, deque] : q) n += deque.size();
-  return n;
+  CoreQueue& q = Core(slot.core);
+  std::lock_guard<std::mutex> leaf(q.mu);
+  // The wake and the queuing are one step under the leaf lock, so a switch
+  // never finds a woken pid both unqueued and still marked waiting.
+  if (woken) slot.waiting = false;
+  if (!slot.queued) Push(q, pid, priority);
 }
 
 void Scheduler::Remove(int pid) {
-  if (ready_set_.erase(pid) > 0) {
-    for (CoreQueue& core : cores_) EraseFrom(&core.ready, pid);
+  if (static_cast<size_t>(pid) < slots_.size() && At(pid).core >= 0) {
+    CoreQueue& q = Core(At(pid).core);
+    std::lock_guard<std::mutex> leaf(q.mu);
+    if (At(pid).queued) Unlink(q, pid);
+    At(pid) = Slot{};
   }
-  affinity_.erase(pid);
   CancelFutexWait(pid);
   other_waiters_.erase(pid);
 }
 
-int Scheduler::PopFrom(ReadyQueue* q) {
-  std::deque<int>* top = TopClass(q);
-  if (top == nullptr) return -1;
-  if (policy_ == SchedPolicy::kRandom) {
-    // Uniform pick over every pid in |q|, ignoring priority. Collect in queue
-    // iteration order (deterministic) so the pick is a pure function of the seed.
-    std::vector<int> pids;
-    for (const auto& [prio, deque] : *q) pids.insert(pids.end(), deque.begin(), deque.end());
-    int pid = pids[SplitMix64(&rng_state_) % pids.size()];
-    EraseFrom(q, pid);
-    return pid;
-  }
-  int pid = top->front();
-  top->pop_front();
-  return pid;
-}
-
 int Scheduler::PickNext(int core) {
-  if (ready_set_.empty()) return -1;
-  CoreQueue& own = cores_[static_cast<size_t>(core)];
-  int pid = PopFrom(&own.ready);
+  CoreQueue& own = Core(core);
+  int pid = [&] {
+    std::lock_guard<std::mutex> leaf(own.mu);
+    return Pop(own);
+  }();
   if (pid < 0) {
-    // Own queue dry: steal from the back of the most loaded sibling, so the
-    // victim keeps its FIFO front and the thief takes the youngest work.
+    // Own queue dry: steal the last pid of the most loaded sibling's top class
+    // (the victim keeps its FIFO front). Loads are read one leaf lock at a
+    // time; the kernel lock keeps out other thieves and enqueues.
     int victim = -1;
-    size_t victim_load = 0;
+    size_t load = 0;
     for (int c = 0; c < num_cores_; ++c) {
-      if (c == core) continue;
-      size_t load = CountOf(cores_[static_cast<size_t>(c)].ready);
-      if (load > victim_load) {
-        victim_load = load;
-        victim = c;
-      }
+      std::lock_guard<std::mutex> leaf(Core(c).mu);
+      if (c != core && Core(c).count > load) std::tie(victim, load) = std::pair(c, Core(c).count);
     }
     if (victim < 0) return -1;
-    std::deque<int>* top = TopClass(&cores_[static_cast<size_t>(victim)].ready);
-    pid = top->back();
-    top->pop_back();
-    affinity_[pid] = core;  // stolen work re-homes to the thief
+    std::lock_guard<std::mutex> leaf(Core(victim).mu);
+    if ((pid = Core(victim).head) < 0) return -1;
+    while (At(pid).next >= 0 && At(At(pid).next).priority == At(pid).priority) pid = At(pid).next;
+    Unlink(Core(victim), pid);
+    At(pid).core = core;  // stolen work re-homes to the thief
     ++*c_steals_;
     ++*own.steals;
   }
-  ready_set_.erase(pid);
   ++*c_switches_;
   ++*own.dispatches;
   return pid;
 }
 
-void Scheduler::CountCoreTicks(int core, uint64_t ticks) {
-  *cores_[static_cast<size_t>(core)].ticks += ticks;
+int Scheduler::SwitchOnCore(int core, int pid, int priority, Process** next) {
+  CoreQueue& q = Core(core);
+  std::lock_guard<std::mutex> leaf(q.mu);
+  Push(q, pid, priority);
+  ++q.preemptions;
+  int picked;
+  do {
+    // A pid preempted as it blocked is still queued: picking it is a dispatch
+    // that finds it blocked, as on the kernel path. |pid| ends the loop.
+    picked = Pop(q);
+    ++q.switches;
+    ++*q.dispatches;
+  } while (At(picked).waiting);
+  *next = At(picked).proc;
+  return picked;
 }
 
-int Scheduler::CoreOf(int pid) const {
-  auto it = affinity_.find(pid);
-  return it == affinity_.end() ? -1 : it->second;
+void Scheduler::FoldCoreCounters(int core) {
+  *c_switches_ += std::exchange(Core(core).switches, 0);
+  uint64_t local = std::exchange(Core(core).preemptions, 0);
+  *c_preemptions_ += local;
+  *c_local_switches_ += local;
 }
 
 void Scheduler::BlockOnFutex(int pid, uint32_t addr) {
   ++*c_blocks_;
   ++*c_futex_waits_;
+  SlotOf(pid).waiting = true;
   futex_waiters_[addr].push_back(pid);
   ++waiter_slots_[WaiterSlot(addr)];
 }
@@ -244,6 +238,7 @@ void Scheduler::CancelFutexWait(int pid) {
 
 void Scheduler::NoteBlocked(int pid) {
   ++*c_blocks_;
+  SlotOf(pid).waiting = true;
   other_waiters_.insert(pid);
 }
 
@@ -251,33 +246,21 @@ void Scheduler::NoteWoken(int pid) {
   if (other_waiters_.erase(pid) > 0) ++*c_wakes_;
 }
 
-size_t Scheduler::ReadyCount() const { return ready_set_.size(); }
-
-size_t Scheduler::FutexWaiterCount() const {
+size_t Scheduler::ReadyCount() const {
   size_t n = 0;
-  for (const auto& [addr, q] : futex_waiters_) n += q.size();
+  for (const auto& core : cores_) {
+    std::lock_guard<std::mutex> leaf(core->mu);
+    n += core->count;
+  }
   return n;
-}
-
-std::vector<int> Scheduler::FutexWaitersAt(uint32_t addr) const {
-  auto it = futex_waiters_.find(addr);
-  if (it == futex_waiters_.end()) return {};
-  return std::vector<int>(it->second.begin(), it->second.end());
 }
 
 std::vector<std::string> Scheduler::DescribeWaiters() const {
   std::vector<std::string> lines;
-  char buf[64];
   for (const auto& [addr, q] : futex_waiters_) {
-    for (int pid : q) {
-      snprintf(buf, sizeof buf, "pid %d: futex 0x%08X", pid, addr);
-      lines.push_back(buf);
-    }
+    for (int pid : q) lines.push_back(StrFormat("pid %d: futex 0x%08X", pid, addr));
   }
-  for (int pid : other_waiters_) {
-    snprintf(buf, sizeof buf, "pid %d: wait", pid);
-    lines.push_back(buf);
-  }
+  for (int pid : other_waiters_) lines.push_back(StrFormat("pid %d: wait", pid));
   return lines;
 }
 

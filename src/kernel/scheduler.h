@@ -1,39 +1,38 @@
-// The preemptive scheduler for the simulated kernel.
+// The preemptive scheduler for the simulated kernel: the run and wait queues in
+// front of the Machine's dispatch loop (docs/CONCURRENCY.md).
+//   * Runnable pids wait in per-priority FIFO classes, higher classes first.
+//     A blocked process is off the ready queues entirely and is never polled;
+//     the event that ends its wait (child exit, futex wake, creation-lock
+//     release) enqueues it again. Futex wait queues are FIFO per address.
+//   * kRoundRobin is the production policy; kRandom is a seeded uniform pick
+//     over every ready pid, ignoring priority — a "chaos schedule".
+//   * ConfigureCores(N) gives each of N cores a queue (one core is N = 1), with
+//     pid -> core affinity. A core picks from its own queue and steals from the
+//     most loaded sibling when dry. A wake routes the waiter to its affine core.
+//   * Pids are dense: each pid's links, class and affinity sit in one flat
+//     array, and a queue is an intrusive list, so queuing allocates nothing.
 //
-// Run/wait queues in front of the Machine's dispatch loop:
-//   * runnable processes live in per-priority FIFO ready queues (higher priority
-//     classes run first; round-robin within a class);
-//   * blocked processes are *off* the ready queues entirely — a waiting process is
-//     never polled, it is made runnable again by the event that satisfies its wait
-//     (child exit, futex wake, creation-lock release);
-//   * futex wait queues are keyed by shared-region address, FIFO per address;
-//   * two pluggable policies: kRoundRobin (fair, production default) and kRandom
-//     (seeded uniform pick over every ready process, ignoring priority — a "chaos
-//     schedule" for deterministic interleaving fuzzing of sync code).
+// The scheduler tracks pids, and keeps each pid's Process* only to hand it back;
+// the Machine drives every state transition. Locking: each core's queue has a
+// leaf lock, taken last by every call that touches the queue. SwitchOnCore
+// takes only that lock, so a core ends a quantum on its own queue without the
+// Machine's kernel lock. Every other call is made with the kernel lock held,
+// which serializes the cross-core work: placement, enqueues onto any core,
+// steals, removal and the wait queues. The calls that change a futex queue
+// (BlockOnFutex, TakeFutexWaiters, CancelFutexWait, Remove) also run under the
+// Machine's sync-word lock, so MayHaveFutexWaiters may be asked under it alone.
 //
-// Per-core run queues (docs/CONCURRENCY.md): ConfigureCores(N) sizes the ready
-// structure to N queues with pid -> core affinity; one core (the default) is just
-// N = 1. A core picks from its own queue first and *steals* from the most loaded
-// sibling when its own is dry, so work spreads without a global queue bottleneck.
-// Wait queues stay global — a wake routes the waiter back to its affine core.
-//
-// The scheduler is deliberately dumb about Process internals: it tracks pids only.
-// The Machine drives every state transition (enqueue on runnable, block on wait,
-// remove on exit) and is responsible for keeping the two views consistent. Every
-// scheduler call is made with the Machine's kernel lock held — the scheduler
-// itself takes no locks. The calls that change a futex queue (BlockOnFutex,
-// TakeFutexWaiters, CancelFutexWait, Remove) also run under the Machine's
-// sync-word lock, so MayHaveFutexWaiters may be asked under that lock alone.
-//
-// Observability: every transition bumps a "vm.sched.*" counter in the machine's
-// registry (switches, preemptions, blocks, wakes, futex waits/wakes, deadlocks,
-// steals); each core adds "vm.sched.core.<n>.*" (dispatches, steals, ticks).
+// Every transition bumps a "vm.sched.*" counter in the machine's registry; each
+// core adds "vm.sched.core.<n>.*" (dispatches, steals, ticks).
 #ifndef SRC_KERNEL_SCHEDULER_H_
 #define SRC_KERNEL_SCHEDULER_H_
 
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,12 +42,12 @@
 
 namespace hemlock {
 
+class Process;
+
 enum class SchedPolicy : uint8_t {
   kRoundRobin,  // FIFO within the highest non-empty priority class
   kRandom,      // seeded uniform pick over all ready pids (priority ignored)
 };
-
-const char* SchedPolicyName(SchedPolicy policy);
 
 // One scheduling configuration, as selected by hemrun --sched/--quantum/--cores.
 struct SchedParams {
@@ -63,45 +62,52 @@ Result<SchedParams> ParseSchedSpec(const std::string& spec);
 
 class Scheduler {
  public:
-  // Registers the "vm.sched.*" counters in |metrics|, which must outlive the
-  // scheduler.
+  // Registers the "vm.sched.*" counters in |metrics|, which must outlive it.
   explicit Scheduler(MetricsRegistry* metrics);
 
-  Scheduler(const Scheduler&) = delete;
-  Scheduler& operator=(const Scheduler&) = delete;
-
-  // Selects the policy and reseeds the chaos RNG. Ready/wait queues are preserved
-  // (a re-run of the same machine continues with whatever is still queued).
+  // Selects the policy and reseeds the chaos RNG; queued pids stay queued.
   void Configure(SchedPolicy policy, uint64_t seed);
-  SchedPolicy policy() const { return policy_; }
-
-  // Sizes the per-core run queues. Queued pids are redistributed and every pid's
-  // placement is forgotten, so each lands afresh on one of the new cores.
-  // Registers the "vm.sched.core.<n>.*" counters.
+  // Sizes the per-core run queues. Every placement is forgotten, so each queued
+  // pid lands afresh on one of the new cores.
   void ConfigureCores(int num_cores);
-  int num_cores() const { return num_cores_; }
 
-  // --- Ready-queue transitions (driven by the Machine) ---
+  // Records the process |pid| names (SwitchOnCore hands it back) and queues it
+  // as waiting, so no core switches to it without the kernel lock until the
+  // Enqueue made once the process is built.
+  void Admit(int pid, Process* proc, int priority) {
+    SlotOf(pid) = Slot{proc, -1, -1, priority, -1, false, /*waiting=*/true};
+    Place(pid, priority, /*woken=*/false);
+  }
 
   // Adds |pid| to the back of its priority's ready queue on its affine core
-  // (round-robin placement on first sighting). No-op if already queued.
-  void Enqueue(int pid, int priority);
-  // Re-queues a preempted process (quantum exhausted, still runnable).
-  void Preempt(int pid, int priority);
+  // (round-robin placement on first sighting). No-op if already queued. A wake
+  // of a blocked pid (or its first enqueue) ends its wait.
+  void Enqueue(int pid, int priority) { Place(pid, priority, /*woken=*/true); }
+  // Re-queues a preempted process (quantum exhausted).
+  void Preempt(int pid, int priority) {
+    ++*c_preemptions_;
+    Place(pid, priority, /*woken=*/false);
+  }
   // Removes |pid| from every queue (process exited or was killed).
   void Remove(int pid);
 
   // Picks the next pid for |core| and removes it from the ready queues: pops from
-  // the core's own queue; when that is dry, steals from the back of the most
-  // loaded sibling's queue (counted in vm.sched.steals and the thief's
-  // vm.sched.core.<n>.steals) and re-homes the pid's affinity. Returns -1 when no
-  // process is ready on any core. Counted in vm.sched.switches.
+  // the core's own queue, or else steals from the back of the most loaded
+  // sibling's (vm.sched.steals) and re-homes the pid. -1 when no pid is ready.
   int PickNext(int core);
 
-  // Charges |ticks| retired on |core| to vm.sched.core.<n>.ticks.
-  void CountCoreTicks(int core, uint64_t ticks);
-
-  // --- Wait queues ---
+  // A quantum end on |core| without the kernel lock: Preempt(|pid|) then
+  // PickNext(|core|) as one step under the core's leaf lock alone, on the core's
+  // own queue (|pid| runs on |core|, so that is its affine queue, and the pop
+  // finds at least |pid|). Returns the next pid and sets |*next| to its Admit
+  // record; a waiting pid it pops counts as a dispatch and is passed over. The
+  // counts wait in the core's tally.
+  int SwitchOnCore(int core, int pid, int priority, Process** next);
+  // Called by |core|'s own thread: the first adds the core's tally to the
+  // machine-wide counters (vm.sched.local_switches counts SwitchOnCore calls),
+  // the second charges |ticks| retired on the core to vm.sched.core.<n>.ticks.
+  void FoldCoreCounters(int core);
+  void CountCoreTicks(int core, uint64_t ticks) { *Core(core).ticks += ticks; }
 
   // Parks |pid| on the futex queue for |addr| (it must not be on a ready queue;
   // call Remove first if needed). FIFO per address.
@@ -114,65 +120,74 @@ class Scheduler {
   // False only when no process is parked on |addr|. Backed by a waiter count per
   // hashed address that the three calls above keep, so addresses sharing a slot
   // can make it answer true for an empty queue, never false for a full one.
-  bool MayHaveFutexWaiters(uint32_t addr) const {
-    return waiter_slots_[WaiterSlot(addr)] != 0;
-  }
+  bool MayHaveFutexWaiters(uint32_t addr) const { return waiter_slots_[WaiterSlot(addr)] != 0; }
 
   // A process blocked on something that is not a futex (waitpid). The scheduler
   // only needs the count for deadlock detection; the Machine keeps the detail.
   void NoteBlocked(int pid);
   void NoteWoken(int pid);
 
-  // --- Introspection ---
-
   size_t ReadyCount() const;
   // Total processes blocked on a futex address.
-  size_t FutexWaiterCount() const;
-  // Processes blocked on non-futex waits (waitpid).
-  size_t OtherWaiterCount() const { return other_waiters_.size(); }
-  // Pids currently parked on |addr|.
-  std::vector<int> FutexWaitersAt(uint32_t addr) const;
+  size_t FutexWaiterCount() const {
+    return std::accumulate(std::begin(waiter_slots_), std::end(waiter_slots_), size_t{0});
+  }
   // One line per wait entry, for deadlock reports: "pid 3: futex 0x30000040".
   std::vector<std::string> DescribeWaiters() const;
   // The core |pid| is placed on or last ran on (-1 when it has no placement).
-  int CoreOf(int pid) const;
+  int CoreOf(int pid) const { return pid < std::ssize(slots_) ? slots_[pid].core : -1; }
 
   void CountDeadlock() { ++*c_deadlocks_; }
 
  private:
-  using ReadyQueue = std::map<int, std::deque<int>, std::greater<int>>;
-
-  // Pops one pid from |q| under the current policy: FIFO within the highest
-  // priority class, or a seeded uniform pick over all of |q| for kRandom.
-  int PopFrom(ReadyQueue* q);
-  static void EraseFrom(ReadyQueue* q, int pid);
-  // The highest priority class of |q| holding a pid; null when |q| is empty.
-  // Classes stay in the map once emptied, so a re-queue allocates nothing.
-  static std::deque<int>* TopClass(ReadyQueue* q);
-  static size_t CountOf(const ReadyQueue& q);
-  // The ready queue a new enqueue of |pid| should land on.
-  ReadyQueue* HomeQueue(int pid);
-
-  SchedPolicy policy_ = SchedPolicy::kRoundRobin;
-  uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
-
-  // Every queued pid, across all cores; guards against double-enqueue.
-  std::set<int> ready_set_;
-
-  // One run queue per core: priority (descending) -> FIFO of pids.
+  // One pid's record. |core| (its affinity, the only queue it can be on) and
+  // |proc| belong to the kernel lock, the rest to that core's leaf lock.
+  // |waiting| runs from a block (futex, address, waitpid) to the Enqueue of its
+  // wake; a process preempted as it blocks is queued with it set. Only a pid
+  // that is not queued can start waiting, so setting it needs no leaf lock.
+  struct Slot {
+    Process* proc = nullptr;
+    int prev = -1;
+    int next = -1;
+    int priority = 0;
+    int core = -1;
+    bool queued = false;
+    bool waiting = false;
+  };
+  // A core's ready queue: an intrusive list in descending priority, FIFO within
+  // a class, under |mu|, the core's leaf lock (nothing is acquired under it).
   struct CoreQueue {
-    ReadyQueue ready;
-    // This core's "vm.sched.core.<n>.*" counters.
-    uint64_t* dispatches = nullptr;
+    mutable std::mutex mu;
+    int head = -1;
+    int tail = -1;
+    size_t count = 0;
+    uint64_t rng = 0;  // kRandom's draws on this core
+    uint64_t switches = 0;  // SwitchOnCore's tally
+    uint64_t preemptions = 0;
+    uint64_t* dispatches = nullptr;  // this core's "vm.sched.core.<n>.*" counters
     uint64_t* steals = nullptr;
     uint64_t* ticks = nullptr;
   };
-  // Points |core|'s counter handles at its "vm.sched.core.<n>.*" counters.
-  void BindCoreCounters(int core, CoreQueue* q);
-  int num_cores_ = 1;
-  std::vector<CoreQueue> cores_;
-  std::map<int, int> affinity_;  // pid -> core it last ran (or was placed) on
-  int next_core_ = 0;            // round-robin placement for unseen pids
+
+  // |pid|'s record; the array grows (under every leaf lock) on first sight.
+  Slot& SlotOf(int pid);
+  Slot& At(int pid) { return slots_[static_cast<size_t>(pid)]; }
+  CoreQueue& Core(int core) { return *cores_[static_cast<size_t>(core)]; }
+  // List surgery; the caller holds |q|'s leaf lock.
+  void Push(CoreQueue& q, int pid, int priority);
+  void Unlink(CoreQueue& q, int pid);
+  // Pops the head of |q|, or for kRandom a seeded uniform pick over |q| in list
+  // order. -1 when |q| is empty.
+  int Pop(CoreQueue& q);
+  // Enqueue and Preempt; |woken| clears the waiting flag.
+  void Place(int pid, int priority, bool woken);
+
+  SchedPolicy policy_ = SchedPolicy::kRoundRobin;
+  uint64_t seed_ = 0;
+  std::vector<Slot> slots_;  // by pid
+  int num_cores_ = 0;
+  std::vector<std::unique_ptr<CoreQueue>> cores_;
+  int next_core_ = 0;  // round-robin placement for unseen pids
 
   // Futex wait queues: address -> FIFO of pids.
   std::map<uint32_t, std::deque<int>> futex_waiters_;
@@ -191,6 +206,7 @@ class Scheduler {
   uint64_t* c_futex_waits_;
   uint64_t* c_deadlocks_;
   uint64_t* c_steals_;
+  uint64_t* c_local_switches_;
 };
 
 }  // namespace hemlock

@@ -502,6 +502,9 @@ WireMsg SegmentServer::Err(Session& s, WireOp reply_to, const Status& st) {
 WireMsg SegmentServer::HandleMount(Session& s) {
   WireMsg reply = Ack(s, WireOp::kMount);
   for (uint32_t ino = 2; ino <= kSfsMaxInodes; ++ino) {
+    if (!fs_->InodeInUse(ino)) {
+      continue;  // most of the table: skip it before StatInode builds a NotFound
+    }
     Result<SfsStat> st = fs_->StatInode(ino);
     if (!st.ok()) {
       continue;

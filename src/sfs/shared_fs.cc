@@ -215,7 +215,7 @@ Result<SfsStat> SharedFs::Stat(const std::string& path) const {
 }
 
 Result<SfsStat> SharedFs::StatInode(uint32_t ino) const {
-  if (ino == 0 || ino > kSfsMaxInodes || inodes_[ino].type == SfsNodeType::kFree) {
+  if (!InodeInUse(ino)) {
     return NotFound("sfs: bad inode " + std::to_string(ino));
   }
   const Inode& node = inodes_[ino];

@@ -111,6 +111,11 @@ class SharedFs {
   // DataPtr stays stable for mapped pages.
   Status Truncate(uint32_t ino, uint32_t new_size);
   Result<SfsStat> StatInode(uint32_t ino) const;
+  // Whether |ino| names a file, directory or symlink: StatInode's success,
+  // without building the NotFound a free inode gets.
+  bool InodeInUse(uint32_t ino) const {
+    return ino != 0 && ino <= kSfsMaxInodes && inodes_[ino].type != SfsNodeType::kFree;
+  }
 
   // --- The address mapping (the paper's kernel extensions) ---
 

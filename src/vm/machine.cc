@@ -139,7 +139,11 @@ SharedFs::ShootdownGuard Machine::BeginShootdown() {
   // kernel lock with it held, so this unique acquisition drains them and cannot
   // deadlock (lock order kernel_mu_ -> world_mu_).
   ++*m_shootdowns_;
+  // A core switching at a quantum end keeps world_mu_ shared unless it sees us
+  // waiting (the rwlock may favour readers).
+  shootdowns_waiting_.fetch_add(1, std::memory_order_relaxed);
   auto* lock = new std::unique_lock<std::shared_mutex>(world_mu_);
+  shootdowns_waiting_.fetch_sub(1, std::memory_order_relaxed);
   return SharedFs::ShootdownGuard(lock, [](void* p) {
     delete static_cast<std::unique_lock<std::shared_mutex>*>(p);
   });
@@ -167,7 +171,7 @@ void Machine::ReplaceSfs(std::unique_ptr<SharedFs> sfs) {
 void Machine::WireProcessVm(Process& proc) {
   // TLB, block-cache, and JIT counters go to the process's private cells (bumped
   // from the guest loop, outside the kernel lock under SMP); FlushVmCounters
-  // folds them into the vm.* registry rows at each dispatch end.
+  // folds them into the vm.* registry rows. Cells 11 and 12 are BillChunk's.
   proc.space_->WireVmCounters(&proc.vm_cells_[0], &proc.vm_cells_[1], &proc.vm_cells_[2]);
   proc.exec_cache_.WireCounters(&proc.vm_cells_[3], &proc.vm_cells_[4], &proc.vm_cells_[5]);
   proc.machine_ = this;
@@ -188,7 +192,7 @@ Process& Machine::CreateProcess() {
   WireProcessVm(*proc);
   Process& ref = *proc;
   procs_[pid] = std::move(proc);
-  scheduler_.Enqueue(pid, ref.priority_);
+  scheduler_.Admit(pid, &ref, ref.priority_);
   if (race_) {
     race_->OnProcessStart(pid, /*parent=*/-1);
   }
@@ -220,18 +224,25 @@ SchedStatus Machine::RunProcess(int pid, uint64_t max_steps) {
 }
 
 void Machine::ChargeTicks(Process& proc, uint64_t n) {
-  ticks_ += n;
+  ticks_.fetch_add(n, std::memory_order_relaxed);
   proc.charged_ += n;
 }
 
+void Machine::BillChunk(Process& proc, uint64_t steps, uint64_t served) {
+  proc.vm_cells_[11] += served;  // vm.syscalls
+  proc.vm_cells_[12] += served;  // vm.syscalls.in_place
+  proc.steps_ += steps - served;
+  ChargeTicks(proc, steps - served + served * syscall_cost_);
+}
+
 void Machine::FlushVmCounters(Process& proc) {
-  uint64_t* dst[11] = {m_tlb_hits_,    m_tlb_misses_,    m_tlb_flushes_,
-                       m_icache_hits_, m_icache_misses_, m_icache_invalidations_,
-                       m_jit_compiled_, m_jit_chained_,  m_jit_deopts_,
-                       m_jit_bailouts_, m_jit_arena_bytes_};
-  for (int i = 0; i < 11; ++i) {
-    *dst[i] += proc.vm_cells_[i];
-    proc.vm_cells_[i] = 0;
+  uint64_t* dst[13] = {m_tlb_hits_,     m_tlb_misses_,     m_tlb_flushes_,
+                       m_icache_hits_,  m_icache_misses_,  m_icache_invalidations_,
+                       m_jit_compiled_, m_jit_chained_,    m_jit_deopts_,
+                       m_jit_bailouts_, m_jit_arena_bytes_, m_syscalls_,
+                       m_syscalls_in_place_};
+  for (int i = 0; i < 13; ++i) {
+    *dst[i] += std::exchange(proc.vm_cells_[i], 0);
   }
 }
 
@@ -241,13 +252,15 @@ void Machine::FlushVmCounters(Process& proc) {
 thread_local std::unique_lock<std::mutex>* tl_active_kernel_lock = nullptr;
 
 SchedStatus Machine::DriveProcess(Process& proc, uint64_t max_steps,
-                                  std::unique_lock<std::mutex>& lk) {
+                                  std::unique_lock<std::mutex>& lk, bool on_core) {
   proc.charged_ = 0;
   std::unique_lock<std::mutex>* prev = tl_active_kernel_lock;
   tl_active_kernel_lock = &lk;
-  SchedStatus result = DriveProcessLoop(proc, max_steps, lk);
+  SchedStatus result = DriveProcessLoop(proc, max_steps, lk, on_core);
   tl_active_kernel_lock = prev;
-  FlushVmCounters(proc);
+  if (lk.owns_lock()) {
+    FlushVmCounters(proc);
+  }
   return result;
 }
 
@@ -261,7 +274,7 @@ std::shared_ptr<void> Machine::EnterNetWait() {
 }
 
 SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
-                                      std::unique_lock<std::mutex>& lk) {
+                                      std::unique_lock<std::mutex>& lk, bool on_core) {
   int pid = proc.pid();
   Cpu cpu(&proc.space());
   RaceObserver observer(race_.get(), pid);
@@ -282,33 +295,42 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
   }
   uint64_t budget = max_steps;
   while (budget > 0) {
-    if (proc.state_ == ProcState::kZombie) {
-      return SchedStatus::kExited;
+    if (!lk.owns_lock() && proc.state_ != ProcState::kRunnable) {
+      // A quantum-end switch handed over a parent whose waited-for child has
+      // exited: the reap below needs the kernel lock.
+      world_mu_.unlock_shared();
+      lk.lock();
     }
-    if (proc.state_ == ProcState::kWaiting) {
-      if (proc.wait_kind_ == WaitKind::kChild) {
-        // Try to reap the waited-for child.
-        Process* child = FindProcess(proc.wait_target_);
-        if (child != nullptr && child->state_ == ProcState::kZombie) {
-          ReapChild(proc, proc.wait_target_);
+    if (lk.owns_lock()) {
+      if (proc.state_ == ProcState::kZombie) {
+        return SchedStatus::kExited;
+      }
+      if (proc.state_ == ProcState::kWaiting) {
+        if (proc.wait_kind_ == WaitKind::kChild) {
+          // Try to reap the waited-for child.
+          Process* child = FindProcess(proc.wait_target_);
+          if (child != nullptr && child->state_ == ProcState::kZombie) {
+            ReapChild(proc, proc.wait_target_);
+          } else {
+            return SchedStatus::kBlocked;
+          }
         } else {
+          // Futex/address waits clear on their wake event, never by polling.
           return SchedStatus::kBlocked;
         }
-      } else {
-        // Futex/address waits clear on their wake event, never by polling.
-        return SchedStatus::kBlocked;
       }
+      // Guest code runs outside the kernel lock, in parallel with the other
+      // cores, under a shared hold of the world lock (a shootdown's unique
+      // acquisition drains us out of here before host pointers move).
+      lk.unlock();
+      world_mu_.lock_shared();
     }
     uint64_t steps = 0;
     Fault fault;
     StopReason reason;
-    // Guest code runs outside the kernel lock, in parallel with the other cores,
-    // under a shared hold of the world lock (a shootdown's unique acquisition
-    // drains us out of here before host pointers move). A syscall the
-    // interpreter tiers stop on is served right here when it can be, like the
-    // JIT's in-place calls: while the budget can pay its step and keep one.
-    lk.unlock();
-    world_mu_.lock_shared();
+    // A syscall the interpreter tiers stop on is served right here when it can
+    // be, like the JIT's in-place calls: while the budget can pay its step and
+    // keep one.
     while (true) {
       uint64_t chunk = 0;
       reason = cpu.Run(&proc.cpu(), budget - steps, &chunk, &fault);
@@ -319,16 +341,15 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
       }
       ++steps;  // the syscall's budget step
     }
+    // Bill the calls served in place like kernel-path ones. Each put a budget
+    // step into |steps| that is not an instruction.
+    BillChunk(proc, steps, std::exchange(proc.in_place_syscalls_, 0));
+    if (reason == StopReason::kSteps && on_core &&
+        shootdowns_waiting_.load(std::memory_order_relaxed) == 0) {
+      return SchedStatus::kOutOfGas;  // the quantum end: CoreLoop switches
+    }
     world_mu_.unlock_shared();
     lk.lock();
-    // Bill the calls served in place like kernel-path ones, now that the
-    // machine-wide cells are ours again. Each put a budget step into |steps|
-    // that is not an instruction.
-    uint64_t served = std::exchange(proc.in_place_syscalls_, 0);
-    BillSyscalls(proc, served);
-    *m_syscalls_in_place_ += served;
-    proc.steps_ += steps - served;
-    ChargeTicks(proc, steps - served);
     budget = budget > steps ? budget - steps : 0;
     switch (reason) {
       case StopReason::kSteps:
@@ -388,19 +409,20 @@ SchedStatus Machine::ReportDeadlock() {
 SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_steps) {
   scheduler_.Configure(params.policy, params.seed);
   scheduler_.ConfigureCores(params.num_cores);
-  // Catch up on processes created (or woken) outside a scheduled run.
+  // Catch up on processes created (or woken) outside a scheduled run; the
+  // Enqueue also lets a core switch to a newly created one.
   for (const auto& [pid, proc] : procs_) {
     if (proc->state_ == ProcState::kRunnable) {
       scheduler_.Enqueue(pid, proc->priority_);
     }
   }
-  const int num_cores = scheduler_.num_cores();
+  const int num_cores = std::max(1, params.num_cores);  // as ConfigureCores clamps
   bool was_scheduled = scheduled_run_;
   scheduled_run_ = true;
   smp_stop_ = false;
   smp_running_cores_ = 0;
   smp_idle_cores_ = 0;
-  smp_spent_ = 0;
+  smp_start_ticks_ = ticks();
   smp_budget_ = max_total_steps;
   smp_quantum_ = params.quantum == 0 ? 4096 : params.quantum;
   smp_result_ = SchedStatus::kOutOfGas;
@@ -421,6 +443,11 @@ SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_
   }
   smp_active_.store(false, std::memory_order_relaxed);
   scheduled_run_ = was_scheduled;
+  // Quantum-end switches leave the counter cells of the processes they switch
+  // away from unfolded.
+  for (auto& [pid, proc] : procs_) {
+    FlushVmCounters(*proc);
+  }
   SchedStatus result = smp_result_;
   // Budget gone but nothing left alive: that is a completed run, not an
   // out-of-gas one — callers test "== kExited" at any core count.
@@ -439,47 +466,72 @@ SchedStatus Machine::RunScheduled(const SchedParams& params, uint64_t max_total_
 
 void Machine::CoreLoop(int core) {
   std::unique_lock<std::mutex> lk(kernel_mu_);
+  // Set when a quantum-end switch handed this core its next process: the core
+  // then holds world_mu_ shared instead of the kernel lock.
+  Process* proc = nullptr;
   while (true) {
-    if (smp_stop_) {
-      return;
-    }
-    if (smp_spent_ >= smp_budget_) {
-      smp_stop_ = true;  // smp_result_ stays kOutOfGas
-      smp_cv_.notify_all();
-      return;
-    }
-    int pid = scheduler_.PickNext(core);
-    if (pid < 0) {
-      if (smp_running_cores_ == 0) {
-        // No queue has work and no core is running that could produce a wake:
-        // the run is over (all exited) or wedged (live waiters remain).
-        smp_result_ = LiveProcessCount() == 0 ? SchedStatus::kExited : ReportDeadlock();
-        smp_stop_ = true;
+    if (proc == nullptr) {
+      scheduler_.FoldCoreCounters(core);
+      if (smp_stop_) {
+        return;
+      }
+      if (SmpSpent() >= smp_budget_) {
+        smp_stop_ = true;  // smp_result_ stays kOutOfGas
         smp_cv_.notify_all();
         return;
       }
-      // A sibling is still running and may enqueue work (futex wake, fork). The
-      // timeout is a backstop against a missed notify, not the wake mechanism.
-      ++smp_idle_cores_;
-      smp_cv_.wait_for(lk, std::chrono::milliseconds(1));
-      --smp_idle_cores_;
-      continue;
+      int pid = scheduler_.PickNext(core);
+      if (pid < 0) {
+        if (smp_running_cores_ == 0) {
+          // No queue has work and no core is running that could produce a
+          // wake: the run is over (all exited) or wedged (live waiters remain).
+          smp_result_ = LiveProcessCount() == 0 ? SchedStatus::kExited : ReportDeadlock();
+          smp_stop_ = true;
+          smp_cv_.notify_all();
+          return;
+        }
+        // A sibling is still running and may enqueue work (futex wake, fork).
+        // The timeout is a backstop against a missed notify, not the wake
+        // mechanism.
+        ++smp_idle_cores_;
+        smp_cv_.wait_for(lk, std::chrono::milliseconds(1));
+        --smp_idle_cores_;
+        continue;
+      }
+      proc = FindProcess(pid);
+      if (proc == nullptr || proc->state_ == ProcState::kZombie) {
+        proc = nullptr;
+        continue;  // exited while queued
+      }
+      ++smp_running_cores_;
     }
-    Process* proc = FindProcess(pid);
-    if (proc == nullptr || proc->state_ == ProcState::kZombie) {
-      continue;  // exited while queued
-    }
-    ++smp_running_cores_;
-    SchedStatus st = DriveProcess(*proc, std::min(smp_quantum_, smp_budget_ - smp_spent_), lk);
-    --smp_running_cores_;
-    smp_spent_ += proc->charged_;
+    uint64_t spent = SmpSpent();
+    SchedStatus st = DriveProcess(
+        *proc, spent < smp_budget_ ? std::min(smp_quantum_, smp_budget_ - spent) : 0, lk,
+        /*on_core=*/true);
     scheduler_.CountCoreTicks(core, proc->charged_);
-    if (st == SchedStatus::kOutOfGas) {
-      scheduler_.Preempt(pid, proc->priority_);
+    if (!lk.owns_lock()) {
+      // The quantum ran out in guest code. Switch on this core's own queue,
+      // still under world_mu_ — unless the budget is gone or a parked core
+      // could take work, which the kernel path below hands out.
+      if (SmpSpent() < smp_budget_ && smp_idle_cores_.load(std::memory_order_relaxed) == 0) {
+        Process* next = nullptr;
+        scheduler_.SwitchOnCore(core, proc->pid(), proc->priority_, &next);
+        proc = next;
+        continue;
+      }
+      world_mu_.unlock_shared();
+      lk.lock();
+      FlushVmCounters(*proc);
     }
-    if (scheduler_.ReadyCount() > 0 && smp_idle_cores_ > 0) {
+    --smp_running_cores_;
+    if (st == SchedStatus::kOutOfGas) {
+      scheduler_.Preempt(proc->pid(), proc->priority_);
+    }
+    if (smp_idle_cores_ > 0 && scheduler_.ReadyCount() > 0) {
       smp_cv_.notify_all();  // this dispatch may have made work for a parked core
     }
+    proc = nullptr;
   }
 }
 
@@ -748,13 +800,9 @@ const Machine::SysEntry* Machine::LookupSyscall(uint32_t number, uint32_t a0, Er
   return &kTable[number];
 }
 
-void Machine::BillSyscalls(Process& proc, uint64_t n) {
-  *m_syscalls_ += n;
-  ChargeTicks(proc, n * syscall_cost_);
-}
-
 void Machine::DoSyscall(Process& proc) {
-  BillSyscalls(proc, 1);
+  ++*m_syscalls_;
+  ChargeTicks(proc, syscall_cost_);
   auto& regs = proc.cpu_.regs;
   ErrorCode err = ErrorCode::kOk;
   const SysEntry* sys = LookupSyscall(regs[kRegV0], regs[kRegA0], &err);
@@ -923,6 +971,7 @@ Machine::SysResult Machine::SysFork(Process& proc, uint32_t, uint32_t, uint32_t)
   // Child returns 0 from the fork syscall.
   child->cpu_.regs[kRegV0] = 0;
   child->cpu_.regs[kRegV1] = 0;
+  scheduler_.Admit(child_pid, child.get(), proc.priority_);
   procs_[child_pid] = std::move(child);
   scheduler_.Enqueue(child_pid, proc.priority_);
   if (race_) {
@@ -1040,7 +1089,7 @@ Machine::SysResult Machine::SysYield(Process& proc, uint32_t, uint32_t, uint32_t
 }
 
 Machine::SysResult Machine::SysTime(Process&, uint32_t, uint32_t, uint32_t) {
-  return {static_cast<uint32_t>(ticks_)};
+  return {static_cast<uint32_t>(ticks())};
 }
 
 Machine::SysResult Machine::SysLockFile(Process& proc, uint32_t fd, uint32_t lock, uint32_t) {

@@ -148,19 +148,20 @@ class Process {
   bool in_user_handler_ = false;
   CpuState saved_context_;  // context interrupted by the user handler
   uint64_t steps_ = 0;
-  // Syscalls served in place (Machine::SyscallInPlace) since the dispatch loop
-  // last billed them; each also took a budget step counted in the chunk's steps.
+  // Syscalls served in place (Machine::SyscallInPlace) during the current guest
+  // chunk; each also took a budget step counted in the chunk's steps.
   uint64_t in_place_syscalls_ = 0;
   Machine* machine_ = nullptr;  // for the JIT's in-place syscall hook
   // Ticks charged during the current DriveProcess dispatch (steps + syscall and
   // fault costs); the scheduler loops read it after each quantum.
   uint64_t charged_ = 0;
   // Private cells behind this process's vm.tlb.* / vm.icache.* / vm.jit.*
-  // counters. The TLB, block cache, and JIT bump these from the guest loop —
-  // outside the kernel lock under SMP — so they cannot share the machine-wide
-  // registry cells; each quantum's totals are folded into the registry at
-  // dispatch end (FlushVmCounters).
-  uint64_t vm_cells_[11] = {};
+  // counters and its in-place syscalls (vm.syscalls, vm.syscalls.in_place).
+  // The TLB, block cache, JIT and dispatch loop bump these outside the kernel
+  // lock under SMP, so they cannot share the machine-wide registry cells; they
+  // are folded into the registry when a dispatch ends on the kernel path, at
+  // exit and at the end of a run (FlushVmCounters), never per quantum.
+  uint64_t vm_cells_[13] = {};
   ExecCache exec_cache_;
   // The process's code arena + translations (per-process, like the block cache);
   // null when the tier is disabled or the host cannot run generated code.
@@ -215,6 +216,8 @@ class Machine {
   std::shared_ptr<void> EnterNetWait();
 
   // Creates an empty process (no mappings, pc = 0). Loaders (src/link) populate it.
+  // It is queued, but no core switches to it before the scheduler's Enqueue
+  // that follows (sys_spawn's, or RunScheduled's for processes made outside).
   Process& CreateProcess();
   Process* FindProcess(int pid);
 
@@ -261,7 +264,7 @@ class Machine {
   void KillProcess(int pid, int status, const std::string& reason);
 
   // Simulated wall clock: total instructions retired machine-wide.
-  uint64_t ticks() const { return ticks_; }
+  uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
 
   // Selects the reference decode-every-step interpreter instead of the fast block
   // engine (hemrun --slow-interp; env HEMLOCK_SLOW_INTERP=1). Semantics are
@@ -307,10 +310,16 @@ class Machine {
   // the end of a guest chunk through the next loop-top state check, so a
   // process this core parked cannot be re-dispatched elsewhere until this call
   // returns.
+  //
+  // For a core loop (|on_core|) there is one exception, the quantum end: when
+  // the guest used up |max_steps| and no shootdown waits, DriveProcess returns
+  // kOutOfGas with |lk| released and world_mu_ still held shared, for the core
+  // to switch on its own queue (CoreLoop). It may also be entered that way,
+  // with the process the switch handed over.
   SchedStatus DriveProcess(Process& proc, uint64_t max_steps,
-                           std::unique_lock<std::mutex>& lk);
+                           std::unique_lock<std::mutex>& lk, bool on_core = false);
   SchedStatus DriveProcessLoop(Process& proc, uint64_t max_steps,
-                               std::unique_lock<std::mutex>& lk);
+                               std::unique_lock<std::mutex>& lk, bool on_core);
   // One core's dispatch loop: picks from |core|'s queue until stop, budget, or
   // deadlock.
   void CoreLoop(int core);
@@ -320,10 +329,13 @@ class Machine {
   SharedFs::ShootdownGuard BeginShootdown();
   // Advances the simulated clock and bills the current dispatch.
   void ChargeTicks(Process& proc, uint64_t n);
-  // Bills |n| syscalls, served in place or not: vm.syscalls and their cost in ticks.
-  void BillSyscalls(Process& proc, uint64_t n);
-  // Folds |proc|'s private vm.tlb.*/vm.icache.*/vm.jit.* cells into the registry.
+  // Bills a guest chunk of |steps| budget steps, |served| of them syscalls served
+  // in place: the instructions, the calls and their cost in ticks. Needs no lock.
+  void BillChunk(Process& proc, uint64_t steps, uint64_t served);
+  // Folds |proc|'s private counter cells into the registry.
   void FlushVmCounters(Process& proc);
+  // Ticks charged since the scheduled run began.
+  uint64_t SmpSpent() const { return ticks() - smp_start_ticks_; }
   // Aims |proc|'s TLB/block-cache/JIT counter taps at its private cells and
   // builds its JIT when the tier is on (CreateProcess and fork share this).
   void WireProcessVm(Process& proc);
@@ -437,7 +449,8 @@ class Machine {
   uint64_t* m_shootdowns_ = nullptr;
   std::map<int, std::unique_ptr<Process>> procs_;
   int next_pid_ = 1;
-  uint64_t ticks_ = 0;
+  // Charged without the kernel lock by a core that bills a guest chunk.
+  std::atomic<uint64_t> ticks_{0};
   uint64_t syscall_cost_ = 200;
   uint64_t fault_cost_ = 2000;
   std::vector<std::function<void(Process&)>> exit_hooks_;
@@ -452,21 +465,26 @@ class Machine {
 
   // --- Scheduled-run state (docs/CONCURRENCY.md) ---
   //
-  // Three locks, in the orders kernel_mu_ -> world_mu_(unique),
-  // kernel_mu_ -> sync_mu_ and world_mu_(shared) -> sync_mu_:
+  // Four locks, in the orders kernel_mu_ -> world_mu_(unique),
+  // kernel_mu_ -> sync_mu_, world_mu_(shared) -> sync_mu_, and each of those
+  // -> a core's leaf lock (the scheduler's, always taken last):
   //   * kernel_mu_ — the big kernel lock. A core holds it at all times except
-  //     while its guest runs; every kernel structure above (procs_, ticks_,
-  //     scheduler_, SFS metadata, trace) is protected by it during a run.
-  //   * world_mu_ — held *shared* by each core while its guest runs, and while
-  //     it serves a syscall in place. Taking it unique is the shootdown: it
-  //     drains every core out of guest code before a host pointer those cores
-  //     may cache (SFS extents, TLB targets) is moved. A core never takes
-  //     kernel_mu_ while holding world_mu_ shared, so the shootdown (kernel lock
-  //     held, world unique wanted) cannot deadlock.
-  //   * sync_mu_ — a leaf: every kernel read or write of a sync word (sys_cas,
+  //     while its guest runs and while it switches at a quantum end; every
+  //     kernel structure above (procs_, scheduler_ bar SwitchOnCore, SFS
+  //     metadata, trace) is protected by it during a run.
+  //   * world_mu_ — held *shared* by each core while its guest runs, while it
+  //     serves a syscall in place, and across a quantum-end switch. Taking it
+  //     unique is the shootdown: it drains every core out of guest code before
+  //     a host pointer those cores may cache (SFS extents, TLB targets) is
+  //     moved. A core never takes kernel_mu_ while holding world_mu_ shared, so
+  //     the shootdown (kernel lock held, world unique wanted) cannot deadlock;
+  //     a core that sees shootdowns_waiting_ drops world_mu_ at its next
+  //     quantum end instead of switching under it.
+  //   * sync_mu_ — every kernel read or write of a sync word (sys_cas,
   //     sys_futex_wait's check-and-park) and every change to a futex queue runs
   //     under it, so an in-place sys_futex_wake that finds no waiter under it
-  //     cannot miss a park. Nothing is acquired while it is held.
+  //     cannot miss a park. Only a core's leaf lock is taken under it.
+  //   * a core's leaf lock — guards that core's ready queue (Scheduler).
   std::mutex kernel_mu_;
   std::shared_mutex world_mu_;
   std::mutex sync_mu_;
@@ -474,8 +492,11 @@ class Machine {
   std::atomic<bool> smp_active_{false};  // >1 core running; read by BeginShootdown
   bool smp_stop_ = false;
   int smp_running_cores_ = 0;          // cores currently inside DriveProcess
-  int smp_idle_cores_ = 0;             // cores parked on smp_cv_ (the only ones to notify)
-  uint64_t smp_spent_ = 0;
+  // Cores parked on smp_cv_ (the only ones to notify). Changed under kernel_mu_;
+  // a quantum-end switch reads it to leave spare work to the kernel path.
+  std::atomic<int> smp_idle_cores_{0};
+  std::atomic<int> shootdowns_waiting_{0};  // BeginShootdown callers not yet in
+  uint64_t smp_start_ticks_ = 0;
   uint64_t smp_budget_ = 0;
   uint64_t smp_quantum_ = 4096;
   SchedStatus smp_result_ = SchedStatus::kOutOfGas;

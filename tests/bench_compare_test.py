@@ -5,7 +5,7 @@ Exercises every row kind of the gate table and the failure modes CI actually
 hits: missing files, truncated JSON, a bench run missing one series, a zero
 cores=1 rate on a throttled host, a binary's run missing a gated row, a row
 its bench skipped with an error, both sides of the warm-start and remote
-gates, and the paper's rwho claims alone. Each case pins the exit code
+gates, the paper's rwho claims alone, and repeated runs gated on the median. Each case pins the exit code
 (0 pass / 1 regression / 2 unreadable input) and the shape of the message.
 """
 
@@ -37,6 +37,21 @@ def bench_json(binary, rows=(), num_cpus=8):
 def smp_json(rows, num_cpus=8):
     return bench_json("bench_contention",
                       [{"name": n, "items_per_second": r} for n, r in rows], num_cpus)
+
+
+def smp_reps_json(ratios, num_cpus=8):
+    """bench_contention run with --benchmark_repetitions=len(ratios): one
+    cores=1/cores=4 row pair per repetition at the given ratio, followed by the
+    aggregate rows Google Benchmark appends (a _median that would pass alone)."""
+    rows = []
+    for i, ratio in enumerate(ratios):
+        rows += [{"name": "BM_SmpScaling/1/real_time", "run_type": "iteration",
+                  "repetition_index": i, "items_per_second": 1e7},
+                 {"name": "BM_SmpScaling/4/real_time", "run_type": "iteration",
+                  "repetition_index": i, "items_per_second": ratio * 1e7}]
+    rows += [{"name": f"BM_SmpScaling/{c}/real_time_median", "run_type": "aggregate",
+              "aggregate_name": "median", "items_per_second": 9e9} for c in (1, 4)]
+    return bench_json("bench_contention", rows, num_cpus)
 
 
 def manifest_json(**row):
@@ -210,6 +225,33 @@ class BenchCompareTest(unittest.TestCase):
             [("BM_SmpScaling/1", 1e7), ("BM_SmpScaling/4", 1e7)], num_cpus=1))
         self.assertEqual(p.returncode, 0, p.stderr)
         self.assertIn("not gated", p.stdout)
+
+    # --- repetitions: the gate reads the median and prints the IQR ---
+
+    def test_one_slow_repetition_does_not_fail_the_median(self):
+        p = self.gate(contention=smp_reps_json([3.0, 2.9, 1.5, 3.1, 3.0]))
+        self.assertEqual(p.returncode, 0, p.stderr)
+        self.assertIn("smp_scaling: 3.00x at or above floor 2.50x", p.stdout)
+        self.assertIn("median of 5, IQR 0.10", p.stdout)
+        # The slow repetition alone would have failed the floor.
+        alone = self.gate(contention=smp_reps_json([1.5]))
+        self.assertEqual(alone.returncode, 1, alone.stderr)
+        self.assertIn("smp_scaling: 1.50x below floor 2.50x", alone.stderr)
+
+    def test_median_below_the_floor_fails(self):
+        p = self.gate(contention=smp_reps_json([2.0, 2.4, 3.4, 2.2, 2.6]))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("smp_scaling: 2.40x below floor 2.50x", p.stderr)
+        self.assertIn("median of 5, IQR 0.40", p.stderr)
+
+    def test_a_repetition_missing_its_denominator_fails(self):
+        rows = smp_reps_json([3.0, 3.0])
+        rows["benchmarks"] = [r for r in rows["benchmarks"]
+                              if not (r["name"] == "BM_SmpScaling/1/real_time"
+                                      and r.get("repetition_index") == 1)]
+        p = self.gate(contention=rows)
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("BM_SmpScaling/1.items_per_second is None", p.stderr)
 
     # --- stable linking's warm start ---
 

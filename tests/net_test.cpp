@@ -23,6 +23,7 @@
 
 #include "src/base/bytes.h"
 #include "src/base/faults.h"
+#include "src/base/strings.h"
 #include "src/net/chaos.h"
 #include "src/net/client.h"
 #include "src/net/coherence.h"
@@ -1216,6 +1217,65 @@ TEST(NetIntegrationTest, RetransmittedEffectfulRequestIsReplayedNotReapplied) {
   server.Stop();
   MetricsSnapshot ms = server.metrics().Snapshot();
   EXPECT_EQ(MetricValue(ms, "net.server.replays"), 1u);
+}
+
+// MOUNT skips free inodes without probing them through StatInode; the reply
+// must list exactly what a probe of every inode lists, holes included.
+TEST(NetIntegrationTest, MountReplyListsEveryLiveInodeAroundFreedOnes) {
+  auto fs = std::make_unique<SharedFs>();
+  ASSERT_TRUE(fs->Mkdir("/dir").ok());
+  for (const char* name : {"/dir/a.bin", "/dir/b.bin", "/c.bin", "/d.bin", "/e.bin"}) {
+    ASSERT_TRUE(fs->Create(name).ok()) << name;
+  }
+  ASSERT_TRUE(fs->Symlink("/link", "/dir/a.bin").ok());
+  Result<uint32_t> e = fs->Lookup("/e.bin");
+  ASSERT_TRUE(e.ok());
+  const uint8_t bytes[5] = {1, 2, 3, 4, 5};
+  ASSERT_TRUE(fs->WriteAt(*e, 0, bytes, sizeof(bytes)).ok());
+  // Free two inodes in the middle of the table.
+  ASSERT_TRUE(fs->Unlink("/dir/b.bin").ok());
+  ASSERT_TRUE(fs->Unlink("/c.bin").ok());
+  SegmentServer server(std::move(fs));
+
+  // The node list as a probe of every inode builds it.
+  std::vector<WireNode> want;
+  SharedFs& sfs = server.sfs();
+  for (uint32_t ino = 2; ino <= kSfsMaxInodes; ++ino) {
+    Result<SfsStat> st = sfs.StatInode(ino);
+    if (!st.ok()) continue;
+    WireNode node;
+    node.ino = ino;
+    node.type = static_cast<uint8_t>(st->type);
+    node.size = st->size;
+    node.pending = sfs.CreationPending(ino) ? 1 : 0;
+    node.path = *sfs.InodeToPath(ino);
+    Result<uint32_t> parent = sfs.Lookup(PathDirname(node.path));
+    node.parent = parent.ok() ? *parent : 1;
+    if (st->type == SfsNodeType::kSymlink) node.target = *sfs.ReadLink(node.path);
+    want.push_back(node);
+  }
+  ASSERT_EQ(want.size(), 5u);  // /dir, a.bin, d.bin, e.bin and /link
+
+  ASSERT_TRUE(server.Listen("127.0.0.1", 0).ok());
+  ASSERT_TRUE(server.Start().ok());
+  Result<Conn> conn = DialTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(conn.ok());
+  WireMsg hello;
+  hello.op = WireOp::kHello;
+  hello.version = kWireVersion;
+  ASSERT_TRUE(conn->Send(hello).ok());
+  ASSERT_TRUE(conn->Recv().ok());
+  WireMsg mount;
+  mount.op = WireOp::kMount;
+  mount.seq = 1;
+  ASSERT_TRUE(conn->Send(mount).ok());
+  Result<WireMsg> reply = conn->Recv();
+  ASSERT_TRUE(reply.ok());
+  ASSERT_EQ(reply->op, WireOp::kReply) << StatusFromWire(*reply).ToString();
+  EXPECT_EQ(reply->nodes, want);
+  conn->Close();
+  WaitForSessions(&server, 0);
+  server.Stop();
 }
 
 TEST(NetIntegrationTest, HelloV1IsRefusedCleanly) {

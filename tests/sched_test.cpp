@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/world.h"
 #include "src/vm/machine.h"
@@ -136,7 +139,7 @@ TEST(Scheduler, FutexQueueIsFifoPerAddress) {
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0], 2);
   EXPECT_EQ(sched.FutexWaiterCount(), 1u);
-  EXPECT_EQ(sched.FutexWaitersAt(0x30000080), std::vector<int>{3});
+  EXPECT_EQ(sched.TakeFutexWaiters(0x30000080, 10), std::vector<int>{3});
 }
 
 TEST(Scheduler, CancelFutexWaitRemovesWaiter) {
@@ -633,6 +636,245 @@ TEST(RunScheduledSmp, SixteenSeedDifferentialSweepMatchesSingleCore) {
     for (const std::string& out : reference) {
       EXPECT_EQ(out, "counter=200\n") << "seed " << seed;
     }
+  }
+}
+
+
+// A wake that lands on a core while that core is switching at a quantum end.
+// Four pairs of processes hand a futex word back and forth (each turn is a
+// sys_cas, a sys_futex_wake of the partner and a sys_futex_wait), and one
+// spinner per core keeps every core busy, so no core goes idle and each
+// quantum end is a switch on the core's own queue under its leaf lock. Pids
+// are placed round-robin, so most wakes enqueue onto another core's queue,
+// often while that core is mid-switch. With a tiny quantum the run must end
+// as the one-core run does: same exit codes and output, nobody left waiting.
+TEST(RunScheduledSmp, WakeOntoACoreMidSwitchIsNeverLost) {
+  constexpr int kPlayers = 8;
+  constexpr int kSpinners = 4;
+  auto run_once = [&](int cores) {
+    HemlockWorld world;
+    CompileOptions no_prelude;
+    no_prelude.include_prelude = false;
+    EXPECT_TRUE(world
+                    .CompileTo("int next_id = 0;\nint finished = 0;\nint words[4];\n",
+                               "/shm/lib/pingpong_db.o", no_prelude)
+                    .ok());
+    // A read is a sys_cas that cannot match, so every access to a shared word
+    // goes through the kernel's sync-word path.
+    std::string player =
+        "extern int next_id;\n"
+        "extern int finished;\n"
+        "extern int words[4];\n"
+        "int main() {\n"
+        "  int me; int w; int t; int v;\n"
+        "  me = 0;\n"
+        "  while (sys_cas(&next_id, me, me + 1) != me) { me = me + 1; }\n"
+        "  w = me / 2;\n"
+        "  t = sys_cas(&words[w], -1, -1);\n"
+        "  while (t < 100) {\n"
+        "    if (t % 2 == me % 2) {\n"
+        "      sys_cas(&words[w], t, t + 1);\n"
+        "      sys_futex_wake(&words[w], 1);\n"
+        "    } else {\n"
+        "      sys_futex_wait(&words[w], t);\n"
+        "    }\n"
+        "    t = sys_cas(&words[w], -1, -1);\n"
+        "  }\n"
+        "  v = 0;\n"
+        "  while (sys_cas(&finished, v, v + 1) != v) { v = v + 1; }\n"
+        "  putint(t);\n"
+        "  return 0;\n"
+        "}\n";
+    std::string spinner =
+        "extern int finished;\n"
+        "int main() {\n"
+        "  while (sys_cas(&finished, 8, 8) != 8) { }\n"
+        "  puts(\"spun\");\n"
+        "  return 0;\n"
+        "}\n";
+    EXPECT_TRUE(world.CompileTo(player, "/home/user/player.o").ok());
+    EXPECT_TRUE(world.CompileTo(spinner, "/home/user/spinner.o").ok());
+    std::vector<int> pids;
+    for (const char* obj : {"/home/user/player.o", "/home/user/spinner.o"}) {
+      LdsOptions lds;
+      lds.inputs.push_back({obj, ShareClass::kStaticPrivate});
+      lds.inputs.push_back({"/shm/lib/pingpong_db.o", ShareClass::kDynamicPublic});
+      Result<LoadImage> image = world.Link(lds);
+      EXPECT_TRUE(image.ok()) << image.status().ToString();
+      int copies = pids.empty() ? kPlayers : kSpinners;
+      for (int p = 0; p < copies && image.ok(); ++p) {
+        Result<ExecResult> run = world.Exec(*image);
+        EXPECT_TRUE(run.ok());
+        pids.push_back(run.ok() ? run->pid : -1);
+      }
+    }
+    SchedParams params;
+    params.num_cores = cores;
+    params.quantum = 16;
+    EXPECT_EQ(world.machine().RunScheduled(params, 400'000'000), SchedStatus::kExited)
+        << "cores " << cores;
+    EXPECT_EQ(world.machine().scheduler().FutexWaiterCount(), 0u) << "cores " << cores;
+    EXPECT_GT(world.machine().metrics().Get("vm.sched.local_switches"), 0u) << "cores " << cores;
+    std::vector<std::string> outcome;
+    for (int pid : pids) {
+      Process* proc = world.machine().FindProcess(pid);
+      outcome.push_back(proc == nullptr ? "<gone>"
+                                        : StrFormat("%d:%s", proc->exit_status(),
+                                                    proc->stdout_text().c_str()));
+    }
+    return outcome;
+  };
+  std::vector<std::string> reference = run_once(1);
+  EXPECT_EQ(reference.front(), "0:100");
+  EXPECT_EQ(reference.back(), "0:spun");
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ(run_once(4), reference) << "attempt " << attempt;
+  }
+}
+
+// --- --cores 1 is pinned ---
+//
+// A one-core run is the reference every differential compares against, so its
+// schedule must not move when the scheduler's internals do. Each case runs one
+// of the differential programs (tests/programs) at --cores 1 and folds what the
+// schedule decides into one line: every vm.sched.* counter, then each exit in
+// order as pid@machine-ticks (the tick at which a process exits depends on
+// every dispatch before it), then each process's output. The expected lines
+// were recorded before quantum ends switched without the kernel lock.
+std::string ReadProgram(const std::string& name) {
+  std::ifstream in(std::string(HEMLOCK_PROGRAMS_DIR) + "/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string OneCoreSchedule(const std::string& program, int procs, uint64_t quantum,
+                            const std::string& sched) {
+  HemlockWorld world;
+  CompileOptions no_prelude;
+  no_prelude.include_prelude = false;
+  EXPECT_TRUE(world.CompileTo(ReadProgram("counter.hc"), "/shm/lib/counter.o", no_prelude).ok());
+  EXPECT_TRUE(world.CompileTo(ReadProgram("hemsync.hc"), "/shm/lib/hemsync.o", no_prelude).ok());
+  EXPECT_TRUE(world.CompileTo(ReadProgram(program), "/home/user/main.o").ok());
+  LdsOptions lds;
+  lds.inputs.push_back({"/home/user/main.o", ShareClass::kStaticPrivate});
+  lds.inputs.push_back({"/shm/lib/counter.o", ShareClass::kDynamicPublic});
+  lds.inputs.push_back({"/shm/lib/hemsync.o", ShareClass::kDynamicPublic});
+  Result<LoadImage> image = world.Link(lds);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  if (!image.ok()) return "";
+  std::vector<int> pids;
+  for (int p = 0; p < procs; ++p) {
+    Result<ExecResult> run = world.Exec(*image);
+    EXPECT_TRUE(run.ok());
+    if (run.ok()) pids.push_back(run->pid);
+  }
+  std::string exits;
+  Machine& machine = world.machine();
+  machine.AddExitHook([&](Process& proc) {
+    exits += StrFormat(" %d@%llu", proc.pid(), static_cast<unsigned long long>(machine.ticks()));
+  });
+  Result<SchedParams> params = ParseSchedSpec(sched);
+  EXPECT_TRUE(params.ok());
+  params->quantum = quantum;
+  EXPECT_EQ(machine.RunScheduled(*params, 200'000'000), SchedStatus::kExited);
+  std::string line;
+  for (const auto& [name, value] : machine.metrics().Snapshot()) {
+    // local_switches splits preemptions by path, and came after the recording.
+    if (name.rfind("vm.sched.", 0) == 0 && name != "vm.sched.local_switches") {
+      line += StrFormat("%s=%llu ", name.c_str(), static_cast<unsigned long long>(value));
+    }
+  }
+  line += "|" + exits + " |";
+  for (int pid : pids) {
+    Process* proc = machine.FindProcess(pid);
+    line += StrFormat(" %s", proc != nullptr ? proc->stdout_text().c_str() : "<gone>");
+  }
+  return line;
+}
+
+struct PinnedSchedule {
+  const char* program;
+  int procs;
+  uint64_t quantum;
+  const char* sched;
+  const char* expected;
+};
+
+TEST(OneCorePinned, CountersAndDispatchOrderMatchTheRecordedRuns) {
+  const PinnedSchedule kCases[] = {
+      {"locked.hc", 2, 64, "rr",
+       "vm.sched.blocks=0 vm.sched.core.0.dispatches=316 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=119203 vm.sched.deadlocks=0 vm.sched.futex_waits=0 "
+       "vm.sched.preemptions=314 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=316 vm.sched.wakes=0 "
+       "| 1@118753 2@119203 | 100 100"},
+      {"locked.hc", 2, 64, "random:1",
+       "vm.sched.blocks=35 vm.sched.core.0.dispatches=350 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=117376 vm.sched.deadlocks=0 vm.sched.futex_waits=35 "
+       "vm.sched.preemptions=313 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=350 vm.sched.wakes=35 "
+       "| 1@113631 2@117376 | 96 100"},
+      {"locked.hc", 2, 64, "random:2",
+       "vm.sched.blocks=32 vm.sched.core.0.dispatches=347 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=116498 vm.sched.deadlocks=0 vm.sched.futex_waits=32 "
+       "vm.sched.preemptions=313 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=347 vm.sched.wakes=32 "
+       "| 2@110875 1@116498 | 100 94"},
+      {"locked.hc", 2, 64, "random:5",
+       "vm.sched.blocks=31 vm.sched.core.0.dispatches=346 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=116937 vm.sched.deadlocks=0 vm.sched.futex_waits=31 "
+       "vm.sched.preemptions=313 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=346 vm.sched.wakes=31 "
+       "| 1@114807 2@116937 | 97 100"},
+      {"locked.hc", 2, 64, "random:9",
+       "vm.sched.blocks=28 vm.sched.core.0.dispatches=343 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=115620 vm.sched.deadlocks=0 vm.sched.futex_waits=28 "
+       "vm.sched.preemptions=313 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=343 vm.sched.wakes=28 "
+       "| 2@110410 1@115620 | 100 92"},
+      {"rendezvous.hc", 4, 128, "rr",
+       "vm.sched.blocks=92 vm.sched.core.0.dispatches=335 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=208359 vm.sched.deadlocks=0 vm.sched.futex_waits=92 "
+       "vm.sched.preemptions=239 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=335 vm.sched.wakes=92 "
+       "| 1@206791 3@207271 4@207751 2@208359 | 200 200 200 200"},
+      {"rendezvous.hc", 4, 128, "random:1",
+       "vm.sched.blocks=80 vm.sched.core.0.dispatches=335 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=211380 vm.sched.deadlocks=0 vm.sched.futex_waits=80 "
+       "vm.sched.preemptions=251 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=335 vm.sched.wakes=80 "
+       "| 3@209428 1@210164 4@210644 2@211380 | 200 200 200 200"},
+      {"rendezvous.hc", 4, 128, "random:2",
+       "vm.sched.blocks=88 vm.sched.core.0.dispatches=367 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=236075 vm.sched.deadlocks=0 vm.sched.futex_waits=88 "
+       "vm.sched.preemptions=275 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=367 vm.sched.wakes=88 "
+       "| 4@232958 2@234859 1@235467 3@236075 | 200 200 200 200"},
+      {"rendezvous.hc", 4, 128, "random:5",
+       "vm.sched.blocks=79 vm.sched.core.0.dispatches=329 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=208178 vm.sched.deadlocks=0 vm.sched.futex_waits=79 "
+       "vm.sched.preemptions=246 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=329 vm.sched.wakes=79 "
+       "| 3@204430 2@204910 1@207442 4@208178 | 200 200 200 200"},
+      {"rendezvous.hc", 4, 128, "random:9",
+       "vm.sched.blocks=91 vm.sched.core.0.dispatches=339 vm.sched.core.0.steals=0 "
+       "vm.sched.core.0.ticks=209762 vm.sched.deadlocks=0 vm.sched.futex_waits=91 "
+       "vm.sched.preemptions=244 vm.sched.shootdowns=0 vm.sched.steals=0 "
+       "vm.sched.switches=339 vm.sched.wakes=91 "
+       "| 1@207554 3@208290 2@209154 4@209762 | 200 200 200 200"},
+  };
+  for (const PinnedSchedule& c : kCases) {
+    EXPECT_EQ(OneCoreSchedule(c.program, c.procs, c.quantum, c.sched), c.expected)
+        << c.program << " --sched " << c.sched;
+  }
+}
+
+TEST(OneCorePinned, ChaosScheduleReproducesRunToRun) {
+  for (const char* sched : {"random:5", "random:9"}) {
+    EXPECT_EQ(OneCoreSchedule("rendezvous.hc", 4, 128, sched),
+              OneCoreSchedule("rendezvous.hc", 4, 128, sched))
+        << sched;
   }
 }
 

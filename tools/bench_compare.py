@@ -9,6 +9,12 @@ per-run counter. GATES below is the whole policy: ratio rows, whose cpus field
 is the CPU-count relaxation, and a counter-tolerance row. Each row names the
 bench binary whose rows it reads.
 
+A run made with --benchmark_repetitions=N holds N rows per benchmark. A ratio is
+then taken within each repetition, and the gate reads the median of the N
+ratios, printed with their interquartile range (IQR); one slow repetition on a
+shared host moves neither. Counters gate on their median too. Google
+Benchmark's aggregate rows (_mean, _median, ...) are ignored.
+
   Ratio     NUM, or NUM over DEN, must stay at or above a floor (or at or below
             a ceiling); NUM and DEN each name a (benchmark, field).
             minus  a (benchmark, field) subtracted from NUM before dividing.
@@ -26,8 +32,8 @@ bench binary whose rows it reads.
             TOLERANCE of it.
 
 Each BENCH file's rows are pooled by the binary that wrote them (Google
-Benchmark's context.executable) and by name ("/real_time" and "/manual_time"
-suffixes dropped). A gate applies when its binary's run is among the inputs,
+Benchmark's context.executable), by name ("/real_time" and "/manual_time"
+suffixes dropped) and by repetition index. A gate applies when its binary's run is among the inputs,
 and then fails if its row is missing from that run. A row that a bench skipped
 with an error (error_occurred) fails whether a gate reads it or not.
 
@@ -38,6 +44,7 @@ import argparse
 import collections
 import json
 import os
+import statistics
 import sys
 
 TOLERANCE = 0.20
@@ -127,16 +134,27 @@ def read_json(path):
 
 
 def pool_rows(paths):
-    """Binary name -> benchmark name -> row, each row tagged with host_cpus."""
-    runs = collections.defaultdict(dict)
+    """Binary name -> benchmark name -> repetition index -> row, each row
+    tagged with host_cpus. Aggregate rows are left out."""
+    runs = collections.defaultdict(lambda: collections.defaultdict(dict))
     for path in paths:
         data = read_json(path)
         context = data.get("context", {})
         rows = runs[os.path.basename(context.get("executable", path))]
         for b in data.get("benchmarks", []):
+            if b.get("run_type") == "aggregate":
+                continue
             name = b["name"].removesuffix("/manual_time").removesuffix("/real_time")
-            rows[name] = dict(b, host_cpus=context.get("num_cpus", 1))
+            rows[name][b.get("repetition_index", 0)] = dict(
+                b, host_cpus=context.get("num_cpus", 1))
     return runs
+
+
+def median_and_iqr(values):
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return statistics.median(values), q3 - q1
 
 
 def report(verdict, name, message):
@@ -148,7 +166,8 @@ def check_errors(runs):
     """Fails every row that its bench skipped with an error."""
     failures = []
     for binary, rows in sorted(runs.items()):
-        for name, row in rows.items():
+        for name, reps in rows.items():
+            row = next((r for r in reps.values() if r.get("error_occurred")), {})
             if row.get("error_occurred"):
                 failures += report("FAIL", "errors", f"{binary} {name}: "
                                    f"{row.get('error_message', 'no message')}")
@@ -157,35 +176,44 @@ def check_errors(runs):
 
 def check_ratio(gate, rows, base):
     operands = [gate.num] + [o for o in (gate.minus, gate.den) if o]
-    missing = [f"{b}.{f}" for b, f in operands if rows.get(b, {}).get(f) is None]
+    missing = [f"{b}.{f}" for b, f in operands
+               if not rows.get(b) or any(r.get(f) is None for r in rows[b].values())]
     if missing:
         return report("FAIL", gate.name,
                       f"{' and '.join(missing)} missing from the {gate.binary} run")
-    row = rows[gate.num[0]]
-    value = row[gate.num[1]]
-    if gate.minus:
-        value -= rows[gate.minus[0]][gate.minus[1]]
-    if gate.den:
-        den = rows[gate.den[0]][gate.den[1]]
-        if den <= 0:
-            return report("FAIL", gate.name, f"{gate.den[0]}.{gate.den[1]} is {den}; "
-                          "nothing to compare against (throttled host or broken run?)")
-        value /= den
-    if gate.needs and row.get(gate.needs, 0) <= 0:
-        return report("FAIL", gate.name, f"{gate.needs}={row.get(gate.needs, 0)}: "
+    reps = sorted(rows[gate.num[0]])
+    values = []
+    for rep in reps:
+        operand = lambda o: rows[o[0]].get(rep, {}).get(o[1])  # noqa: E731
+        value = operand(gate.num)
+        if gate.minus:
+            value -= operand(gate.minus)
+        if gate.den:
+            den = operand(gate.den)
+            if den is None or den <= 0:
+                return report("FAIL", gate.name, f"{gate.den[0]}.{gate.den[1]} is {den}; "
+                              "nothing to compare against (throttled host or broken run?)")
+            value /= den
+        values.append(value)
+    value, iqr = median_and_iqr(values)
+    spread = f"median of {len(values)}, IQR {iqr:.2f}"
+    num_rows = rows[gate.num[0]].values()
+    if gate.needs and any(r.get(gate.needs, 0) <= 0 for r in num_rows):
+        return report("FAIL", gate.name, f"{gate.needs}=0: "
                       "the run never exercised what this gate measures")
-    if gate.when and row.get(gate.when, 0) <= 0:
+    if gate.when and any(r.get(gate.when, 0) <= 0 for r in num_rows):
         return report("skip", gate.name, f"{gate.when}=0 on this host; "
-                      f"{value:.2f}x recorded, not gated")
+                      f"{value:.2f}x recorded, not gated ({spread})")
     if gate.ceiling is not None:
         ok = value <= gate.ceiling
         return report("ok" if ok else "FAIL", gate.name, f"{value:.2f}x "
-                      f"{'within' if ok else 'exceeds'} ceiling {gate.ceiling:.2f}x")
-    floor, cpus = gate.floor, row["host_cpus"]
+                      f"{'within' if ok else 'exceeds'} ceiling {gate.ceiling:.2f}x "
+                      f"({spread})")
+    floor, cpus = gate.floor, rows[gate.num[0]][reps[0]]["host_cpus"]
     if gate.cpus and cpus < gate.cpus:
         if cpus < 2:
             return report("skip", gate.name, f"host has {cpus} cpu(s); "
-                          f"{value:.2f}x recorded, not gated")
+                          f"{value:.2f}x recorded, not gated ({spread})")
         floor /= 2  # the host has at most half the cores the bench asks for
     base_value = base.get(gate.num[0], {}).get(gate.num[1])
     if gate.den is None and base_value is not None:
@@ -193,7 +221,7 @@ def check_ratio(gate, rows, base):
     ok = value >= floor
     return report("ok" if ok else "FAIL", gate.name, f"{value:.2f}x "
                   f"{'at or above' if ok else 'below'} floor {floor:.2f}x "
-                  f"(host cpus {cpus})")
+                  f"(host cpus {cpus}; {spread})")
 
 
 def check_counters(gate, rows, base):
@@ -206,7 +234,8 @@ def check_counters(gate, rows, base):
         for counter in gate.counters:
             if counter not in b:
                 continue
-            old, new = b[counter], rows[name].get(counter, 0.0)
+            old = b[counter]
+            new, _ = median_and_iqr([r.get(counter, 0.0) for r in rows[name].values()])
             ok = abs(new - old) <= TOLERANCE * abs(old) if old else new == 0
             failures += report("ok" if ok else "FAIL", gate.name,
                                f"{name}.{counter} baseline={old:.1f} current={new:.1f}")
@@ -219,7 +248,8 @@ def main():
     parser.add_argument("baseline")
     parser.add_argument("bench", nargs="+")
     args = parser.parse_args()
-    base = {b["name"]: b for b in read_json(args.baseline).get("benchmarks", [])}
+    base = {b["name"]: b for b in read_json(args.baseline).get("benchmarks", [])
+            if b.get("run_type") != "aggregate"}
     runs = pool_rows(args.bench)
     failures = check_errors(runs)
     if not any(gate.binary in runs for gate in GATES):
