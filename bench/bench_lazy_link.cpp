@@ -10,11 +10,12 @@
 // shared helper module, so each carries one undefined reference and is mapped without
 // access permissions). The program touches the first K of them.
 //
-// Rows, swept over touched fraction K/M:
-//   Lazy  — paper behaviour: resolution work proportional to K (plus K faults)
-//   Eager — resolve the whole graph at startup: flat cost proportional to M
+// Rows, swept over touched fraction K/M; a row fails unless its faults are its mode's:
+//   Lazy  — paper behaviour: resolution work proportional to K (K link faults)
+//   Eager — resolve the whole graph at startup: flat cost proportional to M (none)
+//   Function-lazy — the SunOS jump-table scheme: K first-call (PLT) bindings
 // Expected crossover: lazy wins for K << M, converges to eager (plus fault overhead)
-// as K -> M.
+// as K -> M. lazy/1, one fault, is the per-fault overhead datapoint.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -114,6 +115,12 @@ void BM_LinkRun(benchmark::State& state, Mode mode) {
     faults = run->ldl->metrics().Get("ldl.link_faults");
     plt = run->ldl->metrics().Get("ldl.plt_faults");
     relocs = run->ldl->metrics().Get("ldl.relocs_applied");
+    if (faults != (mode == Mode::kLazy ? touched : 0) ||
+        plt != (mode == Mode::kFunctionLazy ? touched : 0)) {
+      state.SkipWithError(StrFormat("%d link and %d PLT faults", static_cast<int>(faults),
+                                    static_cast<int>(plt)).c_str());
+      return;
+    }
   }
   state.counters["touched"] = touched;
   state.counters["modules"] = kModules;
@@ -121,30 +128,6 @@ void BM_LinkRun(benchmark::State& state, Mode mode) {
   state.counters["plt_faults"] = static_cast<double>(plt);
   state.counters["relocs_applied"] = static_cast<double>(relocs);
 }
-
-// Per-fault overhead microbench: one partially linked module, repeatedly re-executed
-// so every run pays exactly one resolution fault (the "slower than SunOS jump tables,
-// but works for data and needs no compiler support" datapoint).
-void BM_PerFaultOverhead(benchmark::State& state) {
-  for (auto _ : state) {
-    std::unique_ptr<HemlockWorld> world = BuildWorld(1);
-    Result<LoadImage> image = world->Link(LinkOptions());
-    if (!image.ok()) {
-      state.SkipWithError("link failed");
-      return;
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    Result<ExecResult> run = world->Exec(*image, ExecOptions{});
-    if (!run.ok() || !world->RunToExit(run->pid).ok()) {
-      state.SkipWithError("run failed");
-      return;
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
-    state.counters["link_faults"] = static_cast<double>(run->ldl->metrics().Get("ldl.link_faults"));
-  }
-}
-BENCHMARK(BM_PerFaultOverhead)->UseManualTime();
 
 struct Registrar {
   Registrar() {

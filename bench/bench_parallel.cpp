@@ -16,12 +16,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 
+#include "bench/scratch_store.h"
 #include "src/kernel/scheduler.h"
 #include "src/link/loader.h"
-#include "src/posix/posix_store.h"
 #include "src/runtime/world.h"
 
 namespace hemlock {
@@ -31,14 +31,8 @@ constexpr uint32_t kOpsPerWorker = 100000;
 
 void BM_SharedCounters(benchmark::State& state) {
   int workers = static_cast<int>(state.range(0));
-  std::string dir = "/tmp/hemlock_bench_par_" + std::to_string(::getpid());
-  (void)::system(("rm -rf " + dir).c_str());
-  Result<std::unique_ptr<PosixStore>> store = PosixStore::Open(dir);
-  if (!store.ok()) {
-    state.SkipWithError("store open failed");
-    return;
-  }
-  Result<PosixSegment> seg = (*store)->Create("counters", 4096);
+  ScratchStore scratch("par");
+  Result<PosixSegment> seg = scratch.store->Create("counters", 4096);
   if (!seg.ok()) {
     state.SkipWithError("segment create failed");
     return;
@@ -74,7 +68,6 @@ void BM_SharedCounters(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * workers * kOpsPerWorker);
   state.counters["workers"] = workers;
-  (void)::system(("rm -rf " + dir).c_str());
 }
 BENCHMARK(BM_SharedCounters)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
@@ -201,8 +194,9 @@ void BM_SmpSharedCounters(benchmark::State& state) {
       state.SkipWithError("workers did not drain");
       return;
     }
-    // Lost-update check: each slot is private to one worker, so the sum must be
-    // exact even though no lock is taken.
+    // Lost-update check: each slot is private to the one worker whose sys_cas
+    // claimed it, so each must hold exactly that worker's bumps though no lock
+    // is taken.
     Result<uint32_t> addr = ldl->LookupRootSymbol("slots");
     Process* proc = world.machine().FindProcess(first_pid);
     if (!addr.ok() || proc == nullptr) {
@@ -216,11 +210,8 @@ void BM_SmpSharedCounters(benchmark::State& state) {
       state.SkipWithError("slots unreadable");
       return;
     }
-    uint64_t total = 0;
-    for (uint32_t slot : slots) {
-      total += slot;
-    }
-    if (total != static_cast<uint64_t>(kSmpWorkers) * kSmpOpsPerWorker) {
+    if (std::any_of(std::begin(slots), std::end(slots),
+                    [](uint32_t slot) { return slot != kSmpOpsPerWorker; })) {
       state.SkipWithError("lost updates in per-worker slots");
       return;
     }
@@ -240,32 +231,26 @@ BENCHMARK(BM_SmpSharedCounters)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillis
 
 // Presto setup cost: create the per-job shared segment and attach from a worker.
 void BM_PrestoSetup(benchmark::State& state) {
-  std::string dir = "/tmp/hemlock_bench_presto_" + std::to_string(::getpid());
-  (void)::system(("rm -rf " + dir).c_str());
-  Result<std::unique_ptr<PosixStore>> store = PosixStore::Open(dir);
-  if (!store.ok()) {
-    state.SkipWithError("store open failed");
-    return;
-  }
+  ScratchStore scratch("presto");
+  PosixStore* store = scratch.store.get();
   int job = 0;
   for (auto _ : state) {
     std::string name = "job" + std::to_string(job++);
-    Result<PosixSegment> seg = (*store)->Create(name, 64 * 1024);
+    Result<PosixSegment> seg = store->Create(name, 64 * 1024);
     if (!seg.ok()) {
       state.SkipWithError("create failed");
       return;
     }
-    Result<PosixSegment> attached = (*store)->Attach(name);
+    Result<PosixSegment> attached = store->Attach(name);
     if (!attached.ok()) {
       state.SkipWithError("attach failed");
       return;
     }
-    if (!(*store)->Remove(name).ok()) {
+    if (!store->Remove(name).ok()) {
       state.SkipWithError("remove failed");
       return;
     }
   }
-  (void)::system(("rm -rf " + dir).c_str());
 }
 BENCHMARK(BM_PrestoSetup);
 

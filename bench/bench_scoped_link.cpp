@@ -3,12 +3,14 @@
 //
 // Linking a single module can start a chain reaction through a DAG of module lists;
 // scoped resolution walks each module's own scope first, then its ancestors'. This
-// bench regenerates two properties:
+// bench regenerates two properties, and fails a row (SkipWithError) that breaks one:
 //   * the cost of resolving a full DAG as depth and fanout grow (each internal module
-//     references one symbol from each child);
+//     references one symbol from each child). A unique_symbols row must link every
+//     module of the tree and exit with the sum of all its leaves' values;
 //   * conflict immunity: with scoped linking, sub-trees that export identically named
-//     symbols still resolve to their own definitions, where a flat namespace must
-//     error or arbitrarily pick one (counted, not timed).
+//     symbols still resolve to their own definitions, where a flat namespace binds
+//     every reference to one of them. A duplicate_symbols row must exit with the
+//     value scoped resolution gives: each parent's leaf_fn is its own first child.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -81,10 +83,25 @@ void BM_ResolveDag(benchmark::State& state, bool duplicate_leaves) {
   spec.depth = static_cast<uint32_t>(state.range(0));
   spec.fanout = static_cast<uint32_t>(state.range(1));
   spec.duplicate_leaves = duplicate_leaves;
+  // The whole tree's module count, and what its root returns. Leaf i returns
+  // i + 1: the root sums them all, or with duplicate names each parent p calls
+  // its own first child, leaf p * f, once per child.
+  const int f = static_cast<int>(spec.fanout);
+  int leaves = 1;
+  size_t tree_modules = 1;
+  for (uint32_t d = 0; d < spec.depth; ++d) {
+    leaves *= f;
+    tree_modules += leaves;
+  }
+  int expected = leaves * (leaves + 1) / 2;
+  if (duplicate_leaves) {
+    expected = 0;
+    for (int p = 0; p < leaves / f; ++p) expected += f * (p * f + 1);
+  }
 
   // Fresh world per iteration: resolution of public modules persists in their files,
   // so first-run DAG resolution needs pristine modules each time (build untimed).
-  uint64_t modules = 0;
+  size_t modules = 0;
   for (auto _ : state) {
     auto world = std::make_unique<HemlockWorld>();
     BuildTree(world.get(), spec, 0, 0, "/shm/tree");
@@ -118,6 +135,16 @@ void BM_ResolveDag(benchmark::State& state, bool duplicate_leaves) {
     }
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     modules = run->ldl->ModuleCount();
+    std::string error;
+    if (*status != expected) {
+      error = StrFormat("exit %d, scoped resolution gives %d", *status, expected);
+    } else if (!duplicate_leaves && modules != tree_modules) {
+      error = StrFormat("linked %zu of the tree's %zu modules", modules, tree_modules);
+    }
+    if (!error.empty()) {
+      state.SkipWithError(error.c_str());
+      return;
+    }
   }
   state.counters["depth"] = spec.depth;
   state.counters["fanout"] = spec.fanout;

@@ -123,7 +123,7 @@ int Scheduler::Pop(CoreQueue& q) {
   return pid;
 }
 
-void Scheduler::Place(int pid, int priority, bool woken) {
+void Scheduler::Enqueue(int pid, int priority) {
   Slot& slot = SlotOf(pid);
   if (slot.core < 0) {
     // First sighting: place round-robin so initial load spreads evenly.
@@ -132,9 +132,6 @@ void Scheduler::Place(int pid, int priority, bool woken) {
   }
   CoreQueue& q = Core(slot.core);
   std::lock_guard<std::mutex> leaf(q.mu);
-  // The wake and the queuing are one step under the leaf lock, so a switch
-  // never finds a woken pid both unqueued and still marked waiting.
-  if (woken) slot.waiting = false;
   if (!slot.queued) Push(q, pid, priority);
 }
 
@@ -184,14 +181,9 @@ int Scheduler::SwitchOnCore(int core, int pid, int priority, Process** next) {
   std::lock_guard<std::mutex> leaf(q.mu);
   Push(q, pid, priority);
   ++q.preemptions;
-  int picked;
-  do {
-    // A pid preempted as it blocked is still queued: picking it is a dispatch
-    // that finds it blocked, as on the kernel path. |pid| ends the loop.
-    picked = Pop(q);
-    ++q.switches;
-    ++*q.dispatches;
-  } while (At(picked).waiting);
+  ++q.switches;
+  ++*q.dispatches;
+  int picked = Pop(q);
   *next = At(picked).proc;
   return picked;
 }
@@ -206,7 +198,6 @@ void Scheduler::FoldCoreCounters(int core) {
 void Scheduler::BlockOnFutex(int pid, uint32_t addr) {
   ++*c_blocks_;
   ++*c_futex_waits_;
-  SlotOf(pid).waiting = true;
   futex_waiters_[addr].push_back(pid);
   ++waiter_slots_[WaiterSlot(addr)];
 }
@@ -238,7 +229,6 @@ void Scheduler::CancelFutexWait(int pid) {
 
 void Scheduler::NoteBlocked(int pid) {
   ++*c_blocks_;
-  SlotOf(pid).waiting = true;
   other_waiters_.insert(pid);
 }
 

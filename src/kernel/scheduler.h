@@ -71,22 +71,17 @@ class Scheduler {
   // pid lands afresh on one of the new cores.
   void ConfigureCores(int num_cores);
 
-  // Records the process |pid| names (SwitchOnCore hands it back) and queues it
-  // as waiting, so no core switches to it without the kernel lock until the
-  // Enqueue made once the process is built.
-  void Admit(int pid, Process* proc, int priority) {
-    SlotOf(pid) = Slot{proc, -1, -1, priority, -1, false, /*waiting=*/true};
-    Place(pid, priority, /*woken=*/false);
-  }
+  // Records the process |pid| names (SwitchOnCore hands it back) without
+  // queuing it: the Enqueue made once the process is built does that.
+  void Admit(int pid, Process* proc) { SlotOf(pid) = Slot{proc}; }
 
   // Adds |pid| to the back of its priority's ready queue on its affine core
-  // (round-robin placement on first sighting). No-op if already queued. A wake
-  // of a blocked pid (or its first enqueue) ends its wait.
-  void Enqueue(int pid, int priority) { Place(pid, priority, /*woken=*/true); }
+  // (round-robin placement on first sighting). No-op if already queued.
+  void Enqueue(int pid, int priority);
   // Re-queues a preempted process (quantum exhausted).
   void Preempt(int pid, int priority) {
     ++*c_preemptions_;
-    Place(pid, priority, /*woken=*/false);
+    Enqueue(pid, priority);
   }
   // Removes |pid| from every queue (process exited or was killed).
   void Remove(int pid);
@@ -100,8 +95,7 @@ class Scheduler {
   // PickNext(|core|) as one step under the core's leaf lock alone, on the core's
   // own queue (|pid| runs on |core|, so that is its affine queue, and the pop
   // finds at least |pid|). Returns the next pid and sets |*next| to its Admit
-  // record; a waiting pid it pops counts as a dispatch and is passed over. The
-  // counts wait in the core's tally.
+  // record. The counts wait in the core's tally.
   int SwitchOnCore(int core, int pid, int priority, Process** next);
   // Called by |core|'s own thread: the first adds the core's tally to the
   // machine-wide counters (vm.sched.local_switches counts SwitchOnCore calls),
@@ -142,9 +136,6 @@ class Scheduler {
  private:
   // One pid's record. |core| (its affinity, the only queue it can be on) and
   // |proc| belong to the kernel lock, the rest to that core's leaf lock.
-  // |waiting| runs from a block (futex, address, waitpid) to the Enqueue of its
-  // wake; a process preempted as it blocks is queued with it set. Only a pid
-  // that is not queued can start waiting, so setting it needs no leaf lock.
   struct Slot {
     Process* proc = nullptr;
     int prev = -1;
@@ -152,7 +143,6 @@ class Scheduler {
     int priority = 0;
     int core = -1;
     bool queued = false;
-    bool waiting = false;
   };
   // A core's ready queue: an intrusive list in descending priority, FIFO within
   // a class, under |mu|, the core's leaf lock (nothing is acquired under it).
@@ -179,8 +169,6 @@ class Scheduler {
   // Pops the head of |q|, or for kRandom a seeded uniform pick over |q| in list
   // order. -1 when |q| is empty.
   int Pop(CoreQueue& q);
-  // Enqueue and Preempt; |woken| clears the waiting flag.
-  void Place(int pid, int priority, bool woken);
 
   SchedPolicy policy_ = SchedPolicy::kRoundRobin;
   uint64_t seed_ = 0;

@@ -496,7 +496,7 @@ Result<int> Ldl::RegisterLinked(Process& proc, LinkedModule mod, ShareClass cls,
   }
   RETURN_IF_ERROR(MapModule(proc, ref, /*accessible=*/fully_linked || !options_.lazy));
   if (!options_.lazy && !fully_linked) {
-    RETURN_IF_ERROR(ResolveModule(proc, index, /*fault_addr=*/0));
+    RETURN_IF_ERROR(ResolveModule(proc, index));
   }
   return index;
 }
@@ -805,11 +805,8 @@ Result<uint32_t> Ldl::LookupScoped(Process& proc, int index, const std::string& 
   return addr;
 }
 
-Status Ldl::ApplyResolved(Process& proc, RtModule& m, uint32_t page_filter) {
+Status Ldl::ApplyResolved(Process& proc, RtModule& m) {
   for (const PendingReloc& rel : m.relocs) {
-    if (page_filter != 0 && PageFloor(rel.site) != page_filter) {
-      continue;
-    }
     auto it = m.resolved.find(rel.symbol);
     if (it == m.resolved.end()) {
       continue;
@@ -821,20 +818,13 @@ Status Ldl::ApplyResolved(Process& proc, RtModule& m, uint32_t page_filter) {
   return OkStatus();
 }
 
-Status Ldl::ResolveModule(Process& proc, int index, uint32_t fault_addr) {
-  uint32_t page_filter = 0;
-  if (options_.page_granular && fault_addr != 0) {
-    page_filter = PageFloor(fault_addr);
-  }
-  // Phase 1: make lookup decisions for every symbol this module (or page) needs.
+Status Ldl::ResolveModule(Process& proc, int index) {
+  // Phase 1: make lookup decisions for every symbol this module needs.
   // (Indexing modules_ by value each round: lookups may register new modules and
   // invalidate references. The relocations' names stay put; see RtModule.)
   std::vector<uint32_t> needed;
   for (uint32_t i = 0; i < modules_[index].relocs.size(); ++i) {
     const PendingReloc& rel = modules_[index].relocs[i];
-    if (page_filter != 0 && PageFloor(rel.site) != page_filter) {
-      continue;
-    }
     if (modules_[index].resolved.count(rel.symbol) != 0) {
       continue;
     }
@@ -868,12 +858,8 @@ Status Ldl::ResolveModule(Process& proc, int index, uint32_t fault_addr) {
   }
   // Phase 2: apply and open the pages.
   RtModule& m = modules_[index];
-  RETURN_IF_ERROR(ApplyResolved(proc, m, page_filter));
-  if (page_filter != 0) {
-    RETURN_IF_ERROR(proc.space().Protect(page_filter, kPageSize, Prot::kAll));
-  } else {
-    RETURN_IF_ERROR(proc.space().Protect(m.base, m.mem_size, Prot::kAll));
-  }
+  RETURN_IF_ERROR(ApplyResolved(proc, m));
+  RETURN_IF_ERROR(proc.space().Protect(m.base, m.mem_size, Prot::kAll));
   if (m.ino != 0) {
     RETURN_IF_ERROR(UpdatePublicTrailer(m));
   }
@@ -926,7 +912,7 @@ Status Ldl::ResolveAll(Process& proc) {
   while (done < modules_.size()) {
     size_t index = done++;
     if (UnresolvedCountOf(static_cast<int>(index)) > 0 || !options_.lazy) {
-      RETURN_IF_ERROR(ResolveModule(proc, static_cast<int>(index), 0));
+      RETURN_IF_ERROR(ResolveModule(proc, static_cast<int>(index)));
     } else if (!proc.space().IsMapped(modules_[index].base)) {
       RETURN_IF_ERROR(MapModule(proc, modules_[index], /*accessible=*/true));
     } else {
@@ -999,7 +985,7 @@ bool Ldl::HandleFaultImpl(Machine& machine, Process& proc, const Fault& fault) {
     }
     ++*c_link_faults_;
     if (trace_->enabled()) trace_->Emit(TraceKind::kFaultHandled, "link", modules_[touched].name, fault.addr);
-    Status st = ResolveModule(proc, touched, fault.addr);
+    Status st = ResolveModule(proc, touched);
     if (!st.ok()) {
       if (blocked_on_addr_ == 0) {
         HLOG(Warning) << "ldl: lazy link of '" << modules_[touched].name

@@ -57,16 +57,13 @@ struct LdlOptions {
   // Paper behaviour: map partially linked modules inaccessible and resolve on first
   // touch. false = resolve everything transitively at startup (eager).
   bool lazy = true;
-  // Paper behaviour resolves "(all pages of) the module that has just been accessed".
-  // true = resolve only the touched page (finer laziness; more faults).
-  bool page_granular = false;
   // The SunOS jump-table optimization the paper planned to adopt ("modules first
   // accessed by calling a (named) function will be linked without fault-handling
   // overhead" — §3): partially linked modules are mapped *accessible*; their far-call
   // trampolines initially aim at per-symbol sentinel addresses, and the first call
   // resolves just that function and patches the trampoline. Data references are
   // resolved at map time (the SunOS scheme "works only for functions" laziness-wise,
-  // exactly as the paper notes). Overrides page_granular.
+  // exactly as the paper notes).
   bool function_lazy = false;
   // Stable linking (docs/STABLE_LINKING.md): maintain a persistent resolution
   // manifest on the shared partition. Warm starts whose image and module contents
@@ -201,11 +198,11 @@ class Ldl {
   // |pid| and we are inside fault handling (the only context that can block).
   bool CreatorBlocksUs(uint32_t ino, int pid);
 
-  // Resolves the module's references (whole module, or just the page containing
-  // |fault_addr| in page-granular mode) and makes the pages accessible.
-  Status ResolveModule(Process& proc, int index, uint32_t fault_addr);
+  // Resolves all of the module's references (paper: "(all pages of) the module
+  // that has just been accessed") and makes its pages accessible.
+  Status ResolveModule(Process& proc, int index);
   // Applies every reloc whose symbol has a resolution, into this process's memory.
-  Status ApplyResolved(Process& proc, RtModule& m, uint32_t page_filter);
+  Status ApplyResolved(Process& proc, RtModule& m);
 
   // Scoped symbol lookup for references out of module |index|.
   Result<uint32_t> LookupScoped(Process& proc, int index, const std::string& symbol);

@@ -192,7 +192,7 @@ Process& Machine::CreateProcess() {
   WireProcessVm(*proc);
   Process& ref = *proc;
   procs_[pid] = std::move(proc);
-  scheduler_.Admit(pid, &ref, ref.priority_);
+  scheduler_.Admit(pid, &ref);
   if (race_) {
     race_->OnProcessStart(pid, /*parent=*/-1);
   }
@@ -387,6 +387,11 @@ SchedStatus Machine::DriveProcessLoop(Process& proc, uint64_t max_steps,
         KillProcess(pid, 136, StrFormat("division by zero at pc=0x%08x", proc.cpu().pc));
         return SchedStatus::kExited;
     }
+  }
+  // The budget ended on the step of a syscall that blocked. With no budget the
+  // process did not run: a woken waiter handed over then stays queued.
+  if (proc.state_ == ProcState::kWaiting && max_steps > 0) {
+    return SchedStatus::kBlocked;
   }
   return proc.state_ == ProcState::kZombie ? SchedStatus::kExited : SchedStatus::kOutOfGas;
 }
@@ -971,7 +976,7 @@ Machine::SysResult Machine::SysFork(Process& proc, uint32_t, uint32_t, uint32_t)
   // Child returns 0 from the fork syscall.
   child->cpu_.regs[kRegV0] = 0;
   child->cpu_.regs[kRegV1] = 0;
-  scheduler_.Admit(child_pid, child.get(), proc.priority_);
+  scheduler_.Admit(child_pid, child.get());
   procs_[child_pid] = std::move(child);
   scheduler_.Enqueue(child_pid, proc.priority_);
   if (race_) {

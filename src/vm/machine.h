@@ -216,8 +216,8 @@ class Machine {
   std::shared_ptr<void> EnterNetWait();
 
   // Creates an empty process (no mappings, pc = 0). Loaders (src/link) populate it.
-  // It is queued, but no core switches to it before the scheduler's Enqueue
-  // that follows (sys_spawn's, or RunScheduled's for processes made outside).
+  // No core switches to it before the scheduler's Enqueue that follows
+  // (sys_spawn's, or RunScheduled's for processes made outside a run).
   Process& CreateProcess();
   Process* FindProcess(int pid);
 

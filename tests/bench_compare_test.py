@@ -5,7 +5,8 @@ Exercises every row kind of the gate table and the failure modes CI actually
 hits: missing files, truncated JSON, a bench run missing one series, a zero
 cores=1 rate on a throttled host, a binary's run missing a gated row, a row
 its bench skipped with an error, both sides of the warm-start and remote
-gates, the paper's rwho claims alone, and repeated runs gated on the median. Each case pins the exit code
+gates, the paper's rwho and lazy-linking claims alone, and repeated runs gated
+on the median. Each case pins the exit code
 (0 pass / 1 regression / 2 unreadable input) and the shape of the message.
 """
 
@@ -69,14 +70,17 @@ def interp_json(iterations=16, jit_compiled=2.0, jit_speedup=20.0, speedup=3.5):
          "jit_compiled": jit_compiled, "speedup": jit_speedup}])
 
 
-def paper_json(walk_syscalls=lambda hosts: 1, walk_ticks=3697):
-    """bench_paper's rwho rows: 3 syscalls per host plus exit for the files."""
-    rows = []
+def paper_json(walk_syscalls=lambda hosts: 1, walk_ticks=3697, lazy_relocs=4, rows=()):
+    """bench_paper's gated rows, then |rows|: rwho's (3 syscalls per host plus
+    exit for the files) and lazy linking's at one of 32 modules touched."""
+    rows = list(rows)
     for h in (8, 32, 65, 128):
         rows += [{"name": f"SimRwho/files/{h}", "hosts": h,
                   "sim_query_syscalls": 3 * h + 1, "sim_query_ticks": 1672 * h},
                  {"name": f"SimRwho/shared_memory/{h}", "hosts": h,
                   "sim_query_syscalls": walk_syscalls(h), "sim_query_ticks": walk_ticks}]
+    rows += [{"name": "LinkRun/lazy/1/manual_time", "relocs_applied": lazy_relocs},
+             {"name": "LinkRun/eager/1/manual_time", "relocs_applied": 130}]
     return bench_json("bench_paper", rows)
 
 
@@ -160,14 +164,17 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("no input comes from a gated binary (bench_other)", p.stderr)
 
     def test_row_skipped_with_an_error_fails_by_name(self):
-        errored = bench_json("bench_lazy_link", [
-            {"name": "BM_LazyLink/4", "iterations": 1},
-            {"name": "BM_LazyLink/8", "error_occurred": True,
-             "error_message": "program failed"}])
-        p = self.gate(lazy_link=errored)
+        # F2's check: a flat namespace binds every leaf_fn to the first leaf.
+        errored = paper_json(rows=[
+            {"name": "ResolveDag/duplicate_symbols/2/1/manual_time", "iterations": 1},
+            {"name": "ResolveDag/duplicate_symbols/2/2/manual_time", "error_occurred": True,
+             "error_message": "exit 4, scoped resolution gives 8"}])
+        p = self.gate(paper=errored)
         self.assertEqual(p.returncode, 1, p.stderr)
-        self.assertIn("errors: bench_lazy_link BM_LazyLink/8: program failed", p.stderr)
-        self.assertNotIn("BM_LazyLink/4", p.stderr)
+        self.assertIn("errors: bench_paper ResolveDag/duplicate_symbols/2/2: "
+                      "exit 4, scoped resolution gives 8", p.stderr)
+        self.assertNotIn("ResolveDag/duplicate_symbols/2/1", p.stderr)
+        self.assertIn("ok   rwho_query_ticks:", p.stdout)
 
     # --- the paper's claims (bench_paper) ---
 
@@ -175,7 +182,7 @@ class BenchCompareTest(unittest.TestCase):
         p = run(BASELINE, self.write("paper.json", paper_json()))
         self.assertEqual(p.returncode, 0, p.stderr)
         for name in ("rwho_syscalls_saved/65", "rwho_walk_syscalls/128",
-                     "rwho_query_ticks"):
+                     "rwho_query_ticks", "lazy_relocs"):
             self.assertIn(f"ok   {name}:", p.stdout)
         for name in ("interp_speedup", "smp_scaling", "counters"):
             self.assertIn(f"skip {name}: no ", p.stdout)
@@ -187,6 +194,14 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("rwho_syscalls_saved/65: 2.00x below floor 3.00x", p.stderr)
         self.assertIn("rwho_walk_syscalls/65: 66.00x exceeds ceiling 1.00x", p.stderr)
         self.assertIn("rwho_query_ticks: 6.51x below floor 10.00x", p.stderr)
+
+    def test_lazy_run_resolving_the_whole_graph_fails(self):
+        p = run(BASELINE, self.write("paper.json", paper_json(lazy_relocs=130)))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("lazy_relocs: 1.00x exceeds ceiling 0.06x", p.stderr)
+        p = run(BASELINE, self.write("paper.json", paper_json(lazy_relocs=9)))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("lazy_relocs: 0.07x exceeds ceiling 0.06x", p.stderr)
 
     # --- SMP scaling: series/zero handling and the CPU-count relaxation ---
 

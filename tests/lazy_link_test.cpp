@@ -130,18 +130,6 @@ TEST_F(LazyLinkTest, EagerModeLinksEverythingUpFront) {
   EXPECT_EQ(world_.machine().FindProcess(run->pid)->stdout_text(), "35\n");
 }
 
-TEST_F(LazyLinkTest, PageGranularModeAlsoWorks) {
-  LdlOptions page;
-  page.page_granular = true;
-  Result<ExecResult> run = BuildAndExec(kProgram, page);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  Result<int> status = world_.RunToExit(run->pid);
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(*status, 0);
-  EXPECT_EQ(world_.machine().FindProcess(run->pid)->stdout_text(), "35\n");
-  EXPECT_GE(run->ldl->metrics().Get("ldl.link_faults"), 1u);
-}
-
 TEST_F(LazyLinkTest, FunctionLazyBindsOnFirstCall) {
   // The SunOS jump-table optimization (paper: "modules first accessed by calling a
   // (named) function will be linked without fault-handling overhead" — here the
@@ -299,8 +287,8 @@ TEST_F(LazyLinkTest, StrayPointerInSharedRegionStillFaults) {
 
 // A module whose kept value lives in .bss pages past its trampolines, and whose
 // first call out of the module (into B) comes after the value is set. The padding
-// function pushes the trampolines past the first text page, so a page-granular
-// linker binds the call only when it is made.
+// function pushes the trampolines past the first text page, away from the page
+// the module is first touched on.
 std::string BssModuleSource() {
   std::string pad = "int g_pad(int x) {\n";
   for (int i = 0; i < 600; ++i) {
@@ -361,12 +349,6 @@ TEST_F(BssKeptTest, FunctionLazyBindingKeepsBss) {
   LdlOptions plt;
   plt.function_lazy = true;
   EXPECT_EQ(RunWith(plt), "42\n");
-}
-
-TEST_F(BssKeptTest, PageGranularLinkKeepsBss) {
-  LdlOptions page;
-  page.page_granular = true;
-  EXPECT_EQ(RunWith(page), "42\n");
 }
 
 TEST_F(BssKeptTest, DefaultModeKeepsBss) { EXPECT_EQ(RunWith(LdlOptions{}), "42\n"); }

@@ -293,6 +293,38 @@ TEST(RunScheduled, WaitingProcessIsNotPolled) {
   EXPECT_GE(metrics.Get("vm.sched.wakes"), 1u);
 }
 
+TEST(RunProcess, BudgetEndingAtABlockingWaitpidReportsBlocked) {
+  // Stepped one budget step at a time, some call's budget ends exactly on the
+  // waitpid that blocks (the child never runs). That call must say kBlocked: a
+  // scheduler told kOutOfGas would re-queue a process that is waiting.
+  HemlockWorld world;
+  ASSERT_TRUE(world
+                  .CompileTo(
+                      "int main() {\n"
+                      "  int pid;\n"
+                      "  pid = sys_fork();\n"
+                      "  if (pid == 0) { sys_exit(7); }\n"
+                      "  return sys_waitpid(pid);\n"
+                      "}\n",
+                      "/home/user/waiter.o")
+                  .ok());
+  LdsOptions lds;
+  lds.inputs.push_back({"/home/user/waiter.o", ShareClass::kStaticPrivate});
+  Result<LoadImage> image = world.Link(lds);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  Result<ExecResult> run = world.Exec(*image);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  Process* proc = world.machine().FindProcess(run->pid);
+  ASSERT_NE(proc, nullptr);
+  SchedStatus status = SchedStatus::kOutOfGas;
+  for (int step = 0; step < 100'000 && proc->state() == ProcState::kRunnable; ++step) {
+    status = world.machine().RunProcess(run->pid, 1);
+  }
+  ASSERT_EQ(proc->state(), ProcState::kWaiting);
+  EXPECT_EQ(proc->wait_kind(), WaitKind::kChild);
+  EXPECT_EQ(status, SchedStatus::kBlocked);
+}
+
 TEST(RunScheduled, SmallQuantumCountsPreemptions) {
   HemlockWorld world;
   ASSERT_TRUE(world

@@ -72,6 +72,8 @@ Counters = collections.namedtuple("Counters", "name binary counters")
 
 # bench_rwho_sim's host counts (EXPERIMENTS.md E1).
 RWHO_HOSTS = (8, 32, 65, 128)
+# bench_lazy_link.cpp's graph size M, kModules (EXPERIMENTS.md E5).
+LAZY_MODULES = 32
 
 GATES = (
     # The block-cache interpreter over the reference interpreter.
@@ -92,11 +94,11 @@ GATES = (
           den=("BM_RemoteSegmentAccess", "local_ns"), ceiling=1.20,
           needs="pages_fetched"),
     Counters("counters", "bench_interp", DETERMINISTIC_COUNTERS),
-    # The paper's claims (bench_paper); only simulated ticks and syscall
-    # counts, which do not depend on the host. EXPERIMENTS.md E1, rwho as a
-    # program: the file flavour opens, reads and closes one file per host, and
-    # the shared flavour walks the database in place. So a query saves at
-    # least those 3 syscalls per host...
+    # The paper's claims (bench_paper); only simulated ticks, syscall and
+    # relocation counts, which do not depend on the host. EXPERIMENTS.md E1,
+    # rwho as a program: the file flavour opens, reads and closes one file per
+    # host, and the shared flavour walks the database in place. So a query
+    # saves at least those 3 syscalls per host...
     *(Ratio(f"rwho_syscalls_saved/{h}", "bench_paper",
             (f"SimRwho/files/{h}", "sim_query_syscalls"),
             minus=(f"SimRwho/shared_memory/{h}", "sim_query_syscalls"),
@@ -112,6 +114,14 @@ GATES = (
     # hosts: at least 600 / 60 = 10x.
     Ratio("rwho_query_ticks", "bench_paper", ("SimRwho/files/65", "sim_query_ticks"),
           den=("SimRwho/shared_memory/65", "sim_query_ticks"), floor=10.0),
+    # EXPERIMENTS.md E5: lazy linking does the touched fraction's work. The
+    # LAZY_MODULES feature modules are alike, so a run that touches K of them
+    # applies K/M of the relocations an eager run applies to all M. The
+    # ceiling, 2·K/M at K = 1, leaves as much again for the program's own
+    # references and the helper module both modes share; resolving the whole
+    # graph at startup reads 1.
+    Ratio("lazy_relocs", "bench_paper", ("LinkRun/lazy/1", "relocs_applied"),
+          den=("LinkRun/eager/1", "relocs_applied"), ceiling=2 / LAZY_MODULES),
 )
 
 
