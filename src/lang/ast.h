@@ -131,9 +131,12 @@ struct Stmt {
 
 // A global initializer item, const-folded by the code generator. Symbol items become
 // WORD32 relocations — this is how pointer-rich tables (the paper's parser-table and
-// xfig workloads) are built at compile time.
+// xfig workloads) are built at compile time. A plain number literal in an
+// initializer list is held as its value, with no expression node: a large table
+// would otherwise cost a heap node per element.
 struct GlobalInit {
-  std::unique_ptr<Expr> expr;
+  std::unique_ptr<Expr> expr;  // null: the item is |value|
+  int32_t value = 0;
 };
 
 struct GlobalVar {

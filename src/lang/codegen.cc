@@ -246,12 +246,16 @@ class CodeGen {
     // intern string literals, which itself appends to .data, and that must not land
     // inside this variable's cells.
     bool char_array_from_string = type.IsArray() && type.elem->kind == Type::K::kChar &&
-                                  var.inits.size() == 1 &&
+                                  var.inits.size() == 1 && var.inits[0].expr != nullptr &&
                                   var.inits[0].expr->kind == ExprKind::kString;
     std::vector<ConstValue> values;
     if (!char_array_from_string) {
       values.reserve(var.inits.size());
       for (const GlobalInit& init : var.inits) {
+        if (init.expr == nullptr) {
+          values.push_back(ConstValue{init.value, ""});
+          continue;
+        }
         ASSIGN_OR_RETURN(ConstValue cv, ConstEval(*init.expr));
         values.push_back(std::move(cv));
       }

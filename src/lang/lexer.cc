@@ -141,285 +141,278 @@ const std::map<std::string, Tok>& Keywords() {
   return kKeywords;
 }
 
-class LexerImpl {
- public:
-  explicit LexerImpl(const std::string& source) : src_(source) {}
+}  // namespace
 
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
-    while (true) {
-      RETURN_IF_ERROR(SkipWhitespaceAndComments());
-      Token tok;
-      tok.line = line_;
-      tok.col = col_;
+Status Lexer::Next(Token* tok) {
+  RETURN_IF_ERROR(SkipWhitespaceAndComments());
+  tok->kind = Tok::kEof;
+  tok->text.clear();
+  tok->number = 0;
+  tok->line = line_;
+  tok->col = col_;
+  if (AtEnd()) {
+    return OkStatus();
+  }
+  char c = Peek();
+  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) || Peek() == '_')) {
+      tok->text.push_back(Advance());
+    }
+    auto it = Keywords().find(tok->text);
+    if (it != Keywords().end()) {
+      tok->kind = it->second;
+      tok->text.clear();
+    } else {
+      tok->kind = Tok::kIdent;
+    }
+    return OkStatus();
+  }
+  if (std::isdigit(static_cast<unsigned char>(c))) {
+    return LexNumber(tok);
+  }
+  if (c == '"') {
+    return LexString(tok);
+  }
+  if (c == '\'') {
+    return LexCharLit(tok);
+  }
+  return LexPunct(tok);
+}
+
+char Lexer::Advance() {
+  char c = src_[pos_++];
+  if (c == '\n') {
+    ++line_;
+    col_ = 1;
+  } else {
+    ++col_;
+  }
+  return c;
+}
+
+bool Lexer::Match(char c) {
+  if (!AtEnd() && Peek() == c) {
+    Advance();
+    return true;
+  }
+  return false;
+}
+
+Status Lexer::Error(const std::string& msg) const {
+  return InvalidArgument(StrFormat("lex error at %d:%d: %s", line_, col_, msg.c_str()));
+}
+
+Status Lexer::SkipWhitespaceAndComments() {
+  while (!AtEnd()) {
+    char c = Peek();
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      Advance();
+    } else if (c == '/' && PeekNext() == '/') {
+      while (!AtEnd() && Peek() != '\n') {
+        Advance();
+      }
+    } else if (c == '/' && PeekNext() == '*') {
+      Advance();
+      Advance();
+      while (!AtEnd() && !(Peek() == '*' && PeekNext() == '/')) {
+        Advance();
+      }
       if (AtEnd()) {
-        tok.kind = Tok::kEof;
-        out.push_back(tok);
-        return out;
+        return Error("unterminated block comment");
       }
-      char c = Peek();
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string ident;
-        while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) || Peek() == '_')) {
-          ident.push_back(Advance());
-        }
-        auto it = Keywords().find(ident);
-        if (it != Keywords().end()) {
-          tok.kind = it->second;
-        } else {
-          tok.kind = Tok::kIdent;
-          tok.text = ident;
-        }
-      } else if (std::isdigit(static_cast<unsigned char>(c))) {
-        RETURN_IF_ERROR(LexNumber(&tok));
-      } else if (c == '"') {
-        RETURN_IF_ERROR(LexString(&tok));
-      } else if (c == '\'') {
-        RETURN_IF_ERROR(LexCharLit(&tok));
-      } else {
-        RETURN_IF_ERROR(LexPunct(&tok));
-      }
-      out.push_back(std::move(tok));
-    }
-  }
-
- private:
-  bool AtEnd() const { return pos_ >= src_.size(); }
-  char Peek() const { return src_[pos_]; }
-  char PeekNext() const { return pos_ + 1 < src_.size() ? src_[pos_ + 1] : '\0'; }
-  char Advance() {
-    char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
+      Advance();
+      Advance();
     } else {
-      ++col_;
-    }
-    return c;
-  }
-  bool Match(char c) {
-    if (!AtEnd() && Peek() == c) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  Status Error(const std::string& msg) const {
-    return InvalidArgument(StrFormat("lex error at %d:%d: %s", line_, col_, msg.c_str()));
-  }
-
-  Status SkipWhitespaceAndComments() {
-    while (!AtEnd()) {
-      char c = Peek();
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        Advance();
-      } else if (c == '/' && PeekNext() == '/') {
-        while (!AtEnd() && Peek() != '\n') {
-          Advance();
-        }
-      } else if (c == '/' && PeekNext() == '*') {
-        Advance();
-        Advance();
-        while (!AtEnd() && !(Peek() == '*' && PeekNext() == '/')) {
-          Advance();
-        }
-        if (AtEnd()) {
-          return Error("unterminated block comment");
-        }
-        Advance();
-        Advance();
-      } else {
-        break;
-      }
-    }
-    return OkStatus();
-  }
-
-  Status LexNumber(Token* tok) {
-    tok->kind = Tok::kNumber;
-    int64_t value = 0;
-    if (Peek() == '0' && (PeekNext() == 'x' || PeekNext() == 'X')) {
-      Advance();
-      Advance();
-      if (AtEnd() || !std::isxdigit(static_cast<unsigned char>(Peek()))) {
-        return Error("malformed hex literal");
-      }
-      while (!AtEnd() && std::isxdigit(static_cast<unsigned char>(Peek()))) {
-        char c = Advance();
-        int digit = std::isdigit(static_cast<unsigned char>(c))
-                        ? c - '0'
-                        : std::tolower(static_cast<unsigned char>(c)) - 'a' + 10;
-        value = value * 16 + digit;
-        if (value > 0xFFFFFFFFLL) {
-          return Error("hex literal too large");
-        }
-      }
-    } else {
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        value = value * 10 + (Advance() - '0');
-        if (value > 0xFFFFFFFFLL) {
-          return Error("decimal literal too large");
-        }
-      }
-    }
-    tok->number = static_cast<int32_t>(static_cast<uint32_t>(value));
-    return OkStatus();
-  }
-
-  Result<char> LexEscape() {
-    char c = Advance();
-    switch (c) {
-      case 'n':
-        return '\n';
-      case 't':
-        return '\t';
-      case 'r':
-        return '\r';
-      case '0':
-        return '\0';
-      case '\\':
-        return '\\';
-      case '\'':
-        return '\'';
-      case '"':
-        return '"';
-      default:
-        return Error(StrFormat("unknown escape '\\%c'", c));
+      break;
     }
   }
+  return OkStatus();
+}
 
-  Status LexString(Token* tok) {
-    tok->kind = Tok::kString;
-    Advance();  // opening quote
-    while (!AtEnd() && Peek() != '"') {
+Status Lexer::LexNumber(Token* tok) {
+  tok->kind = Tok::kNumber;
+  int64_t value = 0;
+  if (Peek() == '0' && (PeekNext() == 'x' || PeekNext() == 'X')) {
+    Advance();
+    Advance();
+    if (AtEnd() || !std::isxdigit(static_cast<unsigned char>(Peek()))) {
+      return Error("malformed hex literal");
+    }
+    while (!AtEnd() && std::isxdigit(static_cast<unsigned char>(Peek()))) {
       char c = Advance();
-      if (c == '\\') {
-        if (AtEnd()) {
-          return Error("unterminated string");
-        }
-        ASSIGN_OR_RETURN(c, LexEscape());
+      int digit = std::isdigit(static_cast<unsigned char>(c))
+                      ? c - '0'
+                      : std::tolower(static_cast<unsigned char>(c)) - 'a' + 10;
+      value = value * 16 + digit;
+      if (value > 0xFFFFFFFFLL) {
+        return Error("hex literal too large");
       }
-      tok->text.push_back(c);
     }
-    if (AtEnd()) {
-      return Error("unterminated string");
+  } else {
+    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
+      value = value * 10 + (Advance() - '0');
+      if (value > 0xFFFFFFFFLL) {
+        return Error("decimal literal too large");
+      }
     }
-    Advance();  // closing quote
-    return OkStatus();
   }
+  tok->number = static_cast<int32_t>(static_cast<uint32_t>(value));
+  return OkStatus();
+}
 
-  Status LexCharLit(Token* tok) {
-    tok->kind = Tok::kCharLit;
-    Advance();  // opening quote
-    if (AtEnd()) {
-      return Error("unterminated char literal");
-    }
+Result<char> Lexer::LexEscape() {
+  char c = Advance();
+  switch (c) {
+    case 'n':
+      return '\n';
+    case 't':
+      return '\t';
+    case 'r':
+      return '\r';
+    case '0':
+      return '\0';
+    case '\\':
+      return '\\';
+    case '\'':
+      return '\'';
+    case '"':
+      return '"';
+    default:
+      return Error(StrFormat("unknown escape '\\%c'", c));
+  }
+}
+
+Status Lexer::LexString(Token* tok) {
+  tok->kind = Tok::kString;
+  Advance();  // opening quote
+  while (!AtEnd() && Peek() != '"') {
     char c = Advance();
     if (c == '\\') {
       if (AtEnd()) {
-        return Error("unterminated char literal");
+        return Error("unterminated string");
       }
       ASSIGN_OR_RETURN(c, LexEscape());
     }
-    tok->number = static_cast<int32_t>(c);
-    if (AtEnd() || Advance() != '\'') {
+    tok->text.push_back(c);
+  }
+  if (AtEnd()) {
+    return Error("unterminated string");
+  }
+  Advance();  // closing quote
+  return OkStatus();
+}
+
+Status Lexer::LexCharLit(Token* tok) {
+  tok->kind = Tok::kCharLit;
+  Advance();  // opening quote
+  if (AtEnd()) {
+    return Error("unterminated char literal");
+  }
+  char c = Advance();
+  if (c == '\\') {
+    if (AtEnd()) {
       return Error("unterminated char literal");
     }
-    return OkStatus();
+    ASSIGN_OR_RETURN(c, LexEscape());
   }
-
-  Status LexPunct(Token* tok) {
-    char c = Advance();
-    switch (c) {
-      case '(':
-        tok->kind = Tok::kLParen;
-        return OkStatus();
-      case ')':
-        tok->kind = Tok::kRParen;
-        return OkStatus();
-      case '{':
-        tok->kind = Tok::kLBrace;
-        return OkStatus();
-      case '}':
-        tok->kind = Tok::kRBrace;
-        return OkStatus();
-      case '[':
-        tok->kind = Tok::kLBracket;
-        return OkStatus();
-      case ']':
-        tok->kind = Tok::kRBracket;
-        return OkStatus();
-      case ';':
-        tok->kind = Tok::kSemi;
-        return OkStatus();
-      case ',':
-        tok->kind = Tok::kComma;
-        return OkStatus();
-      case '~':
-        tok->kind = Tok::kTilde;
-        return OkStatus();
-      case '^':
-        tok->kind = Tok::kCaret;
-        return OkStatus();
-      case '.':
-        tok->kind = Tok::kDot;
-        return OkStatus();
-      case '?':
-        tok->kind = Tok::kQuestion;
-        return OkStatus();
-      case ':':
-        tok->kind = Tok::kColon;
-        return OkStatus();
-      case '+':
-        tok->kind = Match('=') ? Tok::kPlusAssign : (Match('+') ? Tok::kPlusPlus : Tok::kPlus);
-        return OkStatus();
-      case '-':
-        tok->kind = Match('=')   ? Tok::kMinusAssign
-                    : Match('-') ? Tok::kMinusMinus
-                    : Match('>') ? Tok::kArrow
-                                 : Tok::kMinus;
-        return OkStatus();
-      case '*':
-        tok->kind = Tok::kStar;
-        return OkStatus();
-      case '/':
-        tok->kind = Tok::kSlash;
-        return OkStatus();
-      case '%':
-        tok->kind = Tok::kPercent;
-        return OkStatus();
-      case '&':
-        tok->kind = Match('&') ? Tok::kAmpAmp : Tok::kAmp;
-        return OkStatus();
-      case '|':
-        tok->kind = Match('|') ? Tok::kPipePipe : Tok::kPipe;
-        return OkStatus();
-      case '!':
-        tok->kind = Match('=') ? Tok::kNotEq : Tok::kBang;
-        return OkStatus();
-      case '=':
-        tok->kind = Match('=') ? Tok::kEqEq : Tok::kAssign;
-        return OkStatus();
-      case '<':
-        tok->kind = Match('=') ? Tok::kLe : (Match('<') ? Tok::kShl : Tok::kLt);
-        return OkStatus();
-      case '>':
-        tok->kind = Match('=') ? Tok::kGe : (Match('>') ? Tok::kShr : Tok::kGt);
-        return OkStatus();
-      default:
-        return Error(StrFormat("unexpected character '%c'", c));
-    }
+  tok->number = static_cast<int32_t>(c);
+  if (AtEnd() || Advance() != '\'') {
+    return Error("unterminated char literal");
   }
+  return OkStatus();
+}
 
-  const std::string& src_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-};
+Status Lexer::LexPunct(Token* tok) {
+  char c = Advance();
+  switch (c) {
+    case '(':
+      tok->kind = Tok::kLParen;
+      return OkStatus();
+    case ')':
+      tok->kind = Tok::kRParen;
+      return OkStatus();
+    case '{':
+      tok->kind = Tok::kLBrace;
+      return OkStatus();
+    case '}':
+      tok->kind = Tok::kRBrace;
+      return OkStatus();
+    case '[':
+      tok->kind = Tok::kLBracket;
+      return OkStatus();
+    case ']':
+      tok->kind = Tok::kRBracket;
+      return OkStatus();
+    case ';':
+      tok->kind = Tok::kSemi;
+      return OkStatus();
+    case ',':
+      tok->kind = Tok::kComma;
+      return OkStatus();
+    case '~':
+      tok->kind = Tok::kTilde;
+      return OkStatus();
+    case '^':
+      tok->kind = Tok::kCaret;
+      return OkStatus();
+    case '.':
+      tok->kind = Tok::kDot;
+      return OkStatus();
+    case '?':
+      tok->kind = Tok::kQuestion;
+      return OkStatus();
+    case ':':
+      tok->kind = Tok::kColon;
+      return OkStatus();
+    case '+':
+      tok->kind = Match('=') ? Tok::kPlusAssign : (Match('+') ? Tok::kPlusPlus : Tok::kPlus);
+      return OkStatus();
+    case '-':
+      tok->kind = Match('=')   ? Tok::kMinusAssign
+                  : Match('-') ? Tok::kMinusMinus
+                  : Match('>') ? Tok::kArrow
+                               : Tok::kMinus;
+      return OkStatus();
+    case '*':
+      tok->kind = Tok::kStar;
+      return OkStatus();
+    case '/':
+      tok->kind = Tok::kSlash;
+      return OkStatus();
+    case '%':
+      tok->kind = Tok::kPercent;
+      return OkStatus();
+    case '&':
+      tok->kind = Match('&') ? Tok::kAmpAmp : Tok::kAmp;
+      return OkStatus();
+    case '|':
+      tok->kind = Match('|') ? Tok::kPipePipe : Tok::kPipe;
+      return OkStatus();
+    case '!':
+      tok->kind = Match('=') ? Tok::kNotEq : Tok::kBang;
+      return OkStatus();
+    case '=':
+      tok->kind = Match('=') ? Tok::kEqEq : Tok::kAssign;
+      return OkStatus();
+    case '<':
+      tok->kind = Match('=') ? Tok::kLe : (Match('<') ? Tok::kShl : Tok::kLt);
+      return OkStatus();
+    case '>':
+      tok->kind = Match('=') ? Tok::kGe : (Match('>') ? Tok::kShr : Tok::kGt);
+      return OkStatus();
+    default:
+      return Error(StrFormat("unexpected character '%c'", c));
+  }
+}
 
-}  // namespace
-
-Result<std::vector<Token>> Lex(const std::string& source) { return LexerImpl(source).Run(); }
+Result<std::vector<Token>> Lex(const std::string& source) {
+  Lexer lexer(source);
+  std::vector<Token> out;
+  do {
+    out.emplace_back();
+    RETURN_IF_ERROR(lexer.Next(&out.back()));
+  } while (out.back().kind != Tok::kEof);
+  return out;
+}
 
 }  // namespace hemlock

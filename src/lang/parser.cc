@@ -1,5 +1,7 @@
 #include "src/lang/parser.h"
 
+#include <cassert>
+
 #include "src/base/strings.h"
 #include "src/lang/lexer.h"
 
@@ -7,11 +9,37 @@ namespace hemlock {
 
 namespace {
 
+// Pulls tokens from the lexer through a window of the current token and two of
+// lookahead, so the parser holds three tokens however long the source is.
 class ParserImpl {
  public:
-  explicit ParserImpl(const std::vector<Token>& tokens) : toks_(tokens) {}
+  explicit ParserImpl(const std::string& source) : lexer_(source) {
+    for (size_t i = 0; i < kLookahead + 1; ++i) {
+      Pull(&window_[i]);
+    }
+  }
 
   Result<std::unique_ptr<Program>> Run() {
+    Result<std::unique_ptr<Program>> program = ParseProgram();
+    // The error reported must not depend on how far the parser read: a lex error
+    // anywhere in the source outranks a parse error, so drain the stream.
+    Token rest;
+    while (!program.ok() && lex_status_.ok() && !lexed_eof_) {
+      Pull(&rest);
+    }
+    if (!lex_status_.ok()) {
+      return lex_status_;
+    }
+    return program;
+  }
+
+ private:
+  static constexpr size_t kLookahead = 2;
+  // One slot more than the window, so the token Advance() hands out survives the
+  // refill that Advance() itself does.
+  static constexpr size_t kSlots = 4;
+
+  Result<std::unique_ptr<Program>> ParseProgram() {
     auto program = std::make_unique<Program>();
     program_ = program.get();
     while (!Check(Tok::kEof)) {
@@ -20,13 +48,32 @@ class ParserImpl {
     return program;
   }
 
- private:
-  const Token& Peek() const { return toks_[pos_]; }
-  const Token& PeekAhead(size_t n) const {
-    size_t i = pos_ + n;
-    return i < toks_.size() ? toks_[i] : toks_.back();
+  // Lexes the next token into |slot|. After a lex error the stream reads as its
+  // end; Run() reports the error.
+  void Pull(Token* slot) {
+    if (lex_status_.ok()) {
+      lex_status_ = lexer_.Next(slot);
+    }
+    if (!lex_status_.ok()) {
+      slot->kind = Tok::kEof;
+    }
+    lexed_eof_ = slot->kind == Tok::kEof;
   }
-  const Token& Advance() { return toks_[pos_ < toks_.size() - 1 ? pos_++ : pos_]; }
+
+  const Token& Peek() const { return window_[head_]; }
+  const Token& PeekAhead(size_t n) const {
+    assert(n <= kLookahead);
+    return window_[(head_ + n) % kSlots];
+  }
+  // Consumes the current token. The reference stays valid, and its text may be
+  // moved from, until the next Advance(). At the end of the source the lexer
+  // keeps yielding kEof, so advancing past it reads kEof again.
+  Token& Advance() {
+    Token& tok = window_[head_];
+    head_ = (head_ + 1) % kSlots;
+    Pull(&window_[(head_ + kLookahead) % kSlots]);
+    return tok;
+  }
   bool Check(Tok kind) const { return Peek().kind == kind; }
   bool Match(Tok kind) {
     if (Check(kind)) {
@@ -71,7 +118,7 @@ class ParserImpl {
       if (!Check(Tok::kIdent)) {
         return Error("expected struct name");
       }
-      std::string name = Advance().text;
+      std::string name = std::move(Advance().text);
       auto it = program_->structs.find(name);
       if (it == program_->structs.end()) {
         return Error("unknown struct '" + name + "'");
@@ -121,7 +168,7 @@ class ParserImpl {
       return Error("expected declarator name");
     }
     int line = Peek().line;
-    std::string name = Advance().text;
+    std::string name = std::move(Advance().text);
     if (Check(Tok::kLParen)) {
       return ParseFunction(std::move(type), std::move(name), is_static, is_extern, line);
     }
@@ -130,7 +177,7 @@ class ParserImpl {
 
   Status ParseStructDef() {
     Advance();  // struct
-    std::string name = Advance().text;
+    std::string name = std::move(Advance().text);
     if (program_->structs.count(name) != 0) {
       return Error("duplicate struct '" + name + "'");
     }
@@ -147,7 +194,7 @@ class ParserImpl {
       if (!Check(Tok::kIdent)) {
         return Error("expected field name");
       }
-      std::string fname = Advance().text;
+      std::string fname = std::move(Advance().text);
       ASSIGN_OR_RETURN(ftype, MaybeArraySuffix(std::move(ftype)));
       if (ftype->IsStruct() && ftype->sdef.get() == sdef.get()) {
         return Error("struct '" + name + "' contains itself");
@@ -190,7 +237,7 @@ class ParserImpl {
       if (!Check(Tok::kIdent)) {
         return Error("expected parameter name");
       }
-      std::string pname = Advance().text;
+      std::string pname = std::move(Advance().text);
       if (Match(Tok::kLBracket)) {
         // Array parameters decay to pointers.
         Match(Tok::kNumber);
@@ -235,7 +282,12 @@ class ParserImpl {
         if (Match(Tok::kLBrace)) {
           while (!Check(Tok::kRBrace)) {
             GlobalInit item;
-            ASSIGN_OR_RETURN(item.expr, ParseAssignment());
+            if ((Check(Tok::kNumber) || Check(Tok::kCharLit)) &&
+                (PeekAhead(1).kind == Tok::kComma || PeekAhead(1).kind == Tok::kRBrace)) {
+              item.value = Advance().number;  // a plain literal: no expression node
+            } else {
+              ASSIGN_OR_RETURN(item.expr, ParseAssignment());
+            }
             var.inits.push_back(std::move(item));
             if (!Check(Tok::kRBrace)) {
               RETURN_IF_ERROR(Expect(Tok::kComma, "','"));
@@ -253,7 +305,7 @@ class ParserImpl {
         if (!Check(Tok::kIdent)) {
           return Error("expected declarator name");
         }
-        name = Advance().text;
+        name = std::move(Advance().text);
         continue;
       }
       break;
@@ -295,7 +347,7 @@ class ParserImpl {
       if (!Check(Tok::kIdent)) {
         return Error("expected variable name");
       }
-      std::string name = Advance().text;
+      std::string name = std::move(Advance().text);
       ASSIGN_OR_RETURN(type, MaybeArraySuffix(std::move(type)));
       auto s = std::make_unique<Stmt>();
       s->kind = StmtKind::kVarDecl;
@@ -576,7 +628,7 @@ class ParserImpl {
         mem->kind = ExprKind::kMember;
         mem->line = line;
         mem->arrow = arrow;
-        mem->text = Advance().text;
+        mem->text = std::move(Advance().text);
         mem->lhs = std::move(e);
         e = std::move(mem);
       } else if (Check(Tok::kPlusPlus) || Check(Tok::kMinusMinus)) {
@@ -606,14 +658,14 @@ class ParserImpl {
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kString;
       e->line = line;
-      e->text = Advance().text;
+      e->text = std::move(Advance().text);
       return e;
     }
     if (Check(Tok::kIdent)) {
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kIdent;
       e->line = line;
-      e->text = Advance().text;
+      e->text = std::move(Advance().text);
       return e;
     }
     if (Match(Tok::kLParen)) {
@@ -624,20 +676,18 @@ class ParserImpl {
     return Error("expected an expression");
   }
 
-  const std::vector<Token>& toks_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Status lex_status_;
+  bool lexed_eof_ = false;
+  Token window_[kSlots];
+  size_t head_ = 0;
   Program* program_ = nullptr;
 };
 
 }  // namespace
 
-Result<std::unique_ptr<Program>> Parse(const std::vector<Token>& tokens) {
-  return ParserImpl(tokens).Run();
-}
-
 Result<std::unique_ptr<Program>> ParseSource(const std::string& source) {
-  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(source));
-  return Parse(tokens);
+  return ParserImpl(source).Run();
 }
 
 }  // namespace hemlock

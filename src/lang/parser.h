@@ -4,18 +4,14 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/lang/ast.h"
-#include "src/lang/token.h"
 
 namespace hemlock {
 
-// Parses a full translation unit.
-Result<std::unique_ptr<Program>> Parse(const std::vector<Token>& tokens);
-
-// Convenience: lex + parse.
+// Parses a full translation unit, pulling tokens from the lexer as it goes. A lex
+// error anywhere in |source| is the error reported, even after a parse error.
 Result<std::unique_ptr<Program>> ParseSource(const std::string& source);
 
 }  // namespace hemlock

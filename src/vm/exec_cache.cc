@@ -29,6 +29,11 @@ void ExecCache::WireCounters(uint64_t* hits, uint64_t* misses, uint64_t* invalid
   invalidations_ = invalidations;
 }
 
+void ExecCache::Release() {
+  std::unordered_map<uint32_t, DecodedBlock>().swap(blocks_);
+  epoch_ = ~0ull;
+}
+
 const DecodedBlock* ExecCache::Lookup(uint32_t pc, AddressSpace* space) {
   uint64_t epoch = space->CodeEpoch();
   if (epoch != epoch_) {

@@ -46,6 +46,11 @@ class ExecCache {
 
   uint64_t blocks() const { return blocks_.size(); }
 
+  // Frees every decoded block, and the map's buckets with them, without counting
+  // an invalidation. The counter wiring stays, so the cache remains usable; the
+  // next Lookup starts cold. For a process that will not run again.
+  void Release();
+
  private:
   // Blow the cache when the map grows absurd (runaway jump targets); keeps worst-
   // case memory bounded without an eviction policy on the hot path.

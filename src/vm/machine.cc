@@ -559,6 +559,11 @@ void Machine::ExitProcess(Process& proc, int status) {
   // Flush now, not just at dispatch end: a process killed from outside any run
   // would otherwise take its counter cells to the grave at reap time.
   FlushVmCounters(proc);
+  // A zombie never runs again, so what only a running process uses goes now
+  // rather than at reap. Exit runs on the process's own core after it left
+  // guest code, or outside a run, so no Cpu is using either.
+  proc.exec_cache_.Release();
+  proc.jit_.reset();
   {
     std::lock_guard<std::mutex> sync(sync_mu_);  // may leave a futex queue
     scheduler_.Remove(proc.pid());

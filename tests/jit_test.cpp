@@ -631,6 +631,44 @@ TEST(JitEndToEnd, ByteIdenticalToTheReferenceInterpreter) {
   EXPECT_EQ(MetricValue(slow->metrics, "vm.jit.compiled_blocks"), 0u);
 }
 
+TEST(JitEndToEnd, ExitReleasesTheArenaAndDecodedBlocks) {
+  // A zombie keeps its exit status until reaped, but never runs again: its code
+  // arena and decoded blocks go at exit, whether it exits on its own or is killed
+  // between dispatches, and releasing them moves no counter.
+  HemlockWorld world;
+  world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
+  world.machine().set_jit_enabled(true);   // pin: CI sets HEMLOCK_JIT=0
+  world.machine().set_jit_threshold(1);
+  ASSERT_TRUE(world.CompileTo(kHotLoopProg, "/home/user/hot.o").ok());
+  Result<LoadImage> image = world.Link({.inputs = {{"hot.o", ShareClass::kStaticPrivate}}});
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const MetricsRegistry& metrics = world.machine().metrics();
+  for (bool killed : {false, true}) {
+    SCOPED_TRACE(killed ? "killed between dispatches" : "exited");
+    Result<ExecResult> run = world.Exec(*image);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    Process* proc = world.machine().FindProcess(run->pid);
+    ASSERT_NE(proc, nullptr);
+    EXPECT_EQ(proc->jit() != nullptr, Jit::HostSupported());
+    if (killed) {
+      EXPECT_EQ(world.machine().RunProcess(run->pid, 20'000), SchedStatus::kOutOfGas);
+      EXPECT_GT(proc->exec_cache().blocks(), 0u);
+      world.machine().KillProcess(run->pid, 9, "killed between dispatches");
+    } else {
+      ASSERT_TRUE(world.RunToExit(run->pid).ok());
+    }
+    EXPECT_EQ(proc->state(), ProcState::kZombie);
+    EXPECT_EQ(proc->jit(), nullptr);
+    EXPECT_EQ(proc->exec_cache().blocks(), 0u);
+    EXPECT_GT(metrics.Get("vm.icache.misses"), 0u);
+    // A released cache still decodes on demand.
+    EXPECT_NE(proc->exec_cache().Lookup(proc->cpu().pc, &proc->space()), nullptr);
+    EXPECT_EQ(proc->exec_cache().blocks(), 1u);
+  }
+  // Neither release counted as a flush of a live cache.
+  EXPECT_EQ(metrics.Get("vm.icache.invalidations"), 0u);
+}
+
 TEST(JitEndToEnd, LdlMapFaultBetweenDispatchesMatchesTheReference) {
   // A hot loop warms the TLB tags on private pages, then follows a pointer into
   // a plain SFS file the program never mapped: ldl's fault handler maps the

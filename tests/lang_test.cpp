@@ -2,6 +2,7 @@
 // executing compiled programs on the simulated machine).
 #include <gtest/gtest.h>
 
+#include "src/base/strings.h"
 #include "src/lang/compiler.h"
 #include "src/lang/lexer.h"
 #include "src/lang/parser.h"
@@ -108,6 +109,18 @@ TEST(ParserTest, ErrorsAreDiagnosed) {
   EXPECT_FALSE(ParseSource("int a[0];").ok());
   EXPECT_FALSE(ParseSource("extern int x = 1;").ok());
   EXPECT_FALSE(ParseSource("int f(void) { return 1 }").ok());
+}
+
+TEST(ParserTest, LexErrorAfterAParseErrorIsTheOneReported) {
+  // The parser pulls tokens as it goes, yet a lex error later in the source
+  // outranks an earlier parse error: the error does not depend on how far the
+  // parser read.
+  Result<std::unique_ptr<Program>> prog = ParseSource("int x = ;\nint y;\nint z = @;\n");
+  ASSERT_FALSE(prog.ok());
+  EXPECT_EQ(prog.status().message(), "lex error at 3:10: unexpected character '@'");
+  prog = ParseSource("int x = ;\nint y;\nint z = 1;\n");
+  ASSERT_FALSE(prog.ok());
+  EXPECT_EQ(prog.status().message(), "parse error at 1:9: expected an expression (found ';')");
 }
 
 TEST(ParserTest, MultiDeclarators) {
@@ -483,6 +496,71 @@ TEST(CompilerTest, LargeButInRangeFunctionCompilesAndRuns) {
   Result<ExecResult> run = world.Exec(*image);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(*world.RunToExit(run->pid), 2000 & 127);
+}
+
+// A 70,000-item initializer mixing the items stored as values (decimal, hex and
+// char literals followed by ',' or '}') with the ones that stay expressions
+// (negative, folded, parenthesized, string and symbol items, and literals that
+// start a longer expression), next to short lists, a struct and a
+// string-initialized char array.
+std::string LargeInitializerSource() {
+  std::string src =
+      "int fn(void) { return 1; }\n"
+      "int arr[8];\n"
+      "char name[12] = \"hemlock\";\n"
+      "int pair[2] = {7};\n"
+      "char tag[3] = {'z', 0x41};\n"
+      "struct pt { char c; int x; };\n"
+      "struct pt origin = {'o', -1};\n"
+      "int table[70000] = {";
+  static const char* const kChars[] = {"'a'", "'\\n'", "'\\0'", "'\\\\'", "'\\''", "'Z'"};
+  static const char* const kSymbols[] = {"fn", "arr", "&arr[3]", "arr + 4", "\"s\"", "&pair"};
+  uint32_t x = 12345;
+  for (int i = 0; i < 69999; ++i) {
+    x = x * 1103515245u + 12345u;
+    uint32_t v = x >> 8;
+    switch (i % 9) {
+      case 0:
+        src += StrFormat("%u", v % 100000);
+        break;
+      case 1:
+        src += StrFormat("-%u", v % 100000);
+        break;
+      case 2:
+        src += StrFormat("0x%x", x);
+        break;
+      case 3:
+        src += kChars[v % 6];
+        break;
+      case 4:
+        src += StrFormat("%u+%u", v % 100, v % 7);
+        break;
+      case 5:
+        src += kSymbols[v % 6];
+        break;
+      case 6:
+        src += StrFormat("(%u)", v % 1000);
+        break;
+      case 7:
+        src += StrFormat("%u*2", v % 1000);
+        break;
+      default:
+        src += StrFormat("%u", v);
+        break;
+    }
+    src += i % 16 == 15 ? ",\n" : ", ";
+  }
+  src += "9};\nint main(void) { return table[0]; }\n";
+  return src;
+}
+
+TEST(CompilerTest, LargeInitializerBytesPinned) {
+  Result<ObjectFile> obj = CompileHemC(LargeInitializerSource(), "table.o");
+  ASSERT_TRUE(obj.ok()) << obj.status().ToString();
+  std::vector<uint8_t> bytes = obj->Serialize();
+  // Recorded from the compiler that built an expression node for every item.
+  EXPECT_EQ(bytes.size(), 419303u);
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0xa119c51b0273bbb5ull);
 }
 
 TEST(CompilerTest, SearchMetadataEmbedded) {

@@ -3,7 +3,8 @@
 
 Two stand-in "binaries" print readings from a canned list, one per run, and log
 the arguments they were given. The cases pin what pairs.py records (every
-reading, wins, medians, the parent's IQR), the alternating run order, the
+reading and, per end-to-end metric of BENCHMARK.json, wins by the metric's
+direction, ties, medians, the parent's IQR), the alternating run order, the
 --exact list it passes from e2ebench/claims.json, a failed run's exit code, a
 run that prints no result, an unknown workload, and the drift line it prints
 against the file it is about to overwrite (with and without one).
@@ -22,13 +23,14 @@ SCRIPT = os.path.join(ROOT, "tools", "pairs.py")
 
 # Pops the next reading from READINGS (a JSON list beside the script), appends
 # its own argv to LOG, and prints a result line the way e2ebench does; a reading
-# of null ops prints nothing, as a crashed run would.
+# of null ops prints nothing, as a crashed run would. A third item in a reading
+# is its peak_rss_mb.
 FAKE = """#!{python}
 import json, sys
 readings_path, log_path = {readings!r}, {log!r}
 with open(readings_path) as f:
     readings = json.load(f)
-ops, correct = readings.pop(0)
+ops, correct, *rss = readings.pop(0)
 with open(readings_path, "w") as f:
     json.dump(readings, f)
 with open(log_path, "a") as f:
@@ -36,9 +38,12 @@ with open(log_path, "a") as f:
 print("some human-readable lines first")
 if ops is None:
     sys.exit(1)
+metrics = {{"ops_per_s": {{"value": ops, "unit": "1/s"}},
+            "op_p50_ms": {{"value": 1000.0 / ops, "unit": "ms"}}}}
+if rss:
+    metrics["peak_rss_mb"] = {{"value": rss[0], "unit": "MB"}}
 print(json.dumps({{"correct": correct, "attempted": 10, "failed": 0 if correct else 10,
-                  "metrics": {{"ops_per_s": {{"value": ops, "unit": "1/s"}},
-                              "op_p50_ms": {{"value": 1000.0 / ops, "unit": "ms"}}}}}}))
+                  "metrics": metrics}}))
 sys.exit(0 if correct else 1)
 """
 
@@ -87,19 +92,45 @@ class PairsTest(unittest.TestCase):
                                       [40, True]])
         proc, record = self.run_pairs(parent, change, "--seeds", "1", "--pairs", "5")
         self.assertEqual(proc.returncode, 0, proc.stderr)
-        seed = record["seeds"]["1"]
-        self.assertEqual(record["metric"], "ops_per_s")
-        self.assertEqual(len(seed["readings"]), 5)
-        self.assertEqual([p["parent"]["metrics"]["ops_per_s"]["value"] for p in seed["readings"]],
+        readings = record["seeds"]["1"]["readings"]
+        ops = record["seeds"]["1"]["metrics"]["ops_per_s"]
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            names = [m["name"] for m in json.load(f)["end_to_end"]]
+        self.assertEqual(record["metrics"], names)
+        self.assertEqual(len(readings), 5)
+        self.assertEqual([p["parent"]["metrics"]["ops_per_s"]["value"] for p in readings],
                          [100, 104, 90, 110, 50])
-        self.assertEqual(seed["wins"], 3)  # 120>100, 118>90, 130>110
-        self.assertEqual(seed["pairs"], 5)
-        self.assertEqual(seed["parent_median"], 100)
-        self.assertEqual(seed["change_median"], 118)
-        self.assertAlmostEqual(seed["gain"], 0.18)
+        self.assertEqual(ops["better"], "higher")
+        self.assertEqual(ops["wins"], 3)  # 120>100, 118>90, 130>110
+        self.assertEqual(ops["pairs"], 5)
+        self.assertEqual(ops["parent_median"], 100)
+        self.assertEqual(ops["change_median"], 118)
+        self.assertAlmostEqual(ops["delta"], 0.18)
         # Inclusive quartiles of 50, 90, 100, 104, 110: 90 and 104.
-        self.assertEqual(seed["parent_iqr"], 14)
-        self.assertIn("change won 3/5", proc.stdout)
+        self.assertEqual(ops["parent_iqr"], 14)
+        self.assertIn("ops_per_s median 100 -> 118 (+18.0%), change better in 3/5", proc.stdout)
+
+    def test_lower_is_better_metrics_count_wins_downward_and_ties_as_no_win(self):
+        parent = self.fake("parent", [[100, True, 30.0], [100, True, 29.5], [100, True, 30.5]])
+        change = self.fake("change", [[100, True, 10.0], [90, True, 29.5], [125, True, 31.0]])
+        proc, record = self.run_pairs(parent, change, "--seeds", "1", "--pairs", "3")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        metrics = record["seeds"]["1"]["metrics"]
+        rss = metrics["peak_rss_mb"]
+        self.assertEqual(rss["better"], "lower")
+        self.assertEqual((rss["wins"], rss["ties"], rss["pairs"]), (1, 1, 3))  # 10<30; 29.5
+        self.assertEqual(rss["parent_median"], 30.0)
+        self.assertEqual(rss["change_median"], 29.5)
+        self.assertEqual(rss["parent_iqr"], 0.5)
+        # op_p50_ms is 1000/ops: lower wins where ops rose (8 < 10), the tie is no win.
+        p50 = metrics["op_p50_ms"]
+        self.assertEqual((p50["better"], p50["wins"], p50["ties"]), ("lower", 1, 1))
+        ops = metrics["ops_per_s"]
+        self.assertEqual((ops["wins"], ops["ties"]), (1, 1))
+        # A metric no run reported is summarized over no pairs.
+        self.assertEqual(metrics["setup_s"], {"better": "lower", "pairs": 0})
+        self.assertIn("peak_rss_mb median 30 -> 29.5 (-1.7%), change better in 1/3 (lower is "
+                      "better, 1 tied)", proc.stdout)
 
     def test_alternates_order_and_passes_exact_counters(self):
         parent = self.fake("parent", [[100, True]] * 4)
@@ -137,24 +168,32 @@ class PairsTest(unittest.TestCase):
         self.assertIsNone(readings[1]["change"])
         self.assertEqual(readings[1]["parent"]["metrics"]["ops_per_s"]["value"], 100)
         # Only the two complete pairs are summarized.
-        self.assertEqual(seed["pairs"], 2)
-        self.assertEqual(seed["wins"], 1)
-        self.assertEqual(seed["change_median"], 105)
+        ops = seed["metrics"]["ops_per_s"]
+        self.assertEqual(ops["pairs"], 2)
+        self.assertEqual(ops["wins"], 1)
+        self.assertEqual(ops["change_median"], 105)
         self.assertIn("change none", proc.stdout)
 
     def test_prints_drift_against_the_previous_file_before_overwriting_it(self):
-        with open(self.out_path(), "w") as f:
-            json.dump({"seeds": {"1": {"change_median": 125.0, "parent_median": 80.0}}}, f)
-        parent = self.fake("parent", [[100, True]] * 3)
-        change = self.fake("change", [[110, True]] * 3)
+        # The previous file is one this script wrote, for seed 1 only, with
+        # change medians of 125 ops/s and 10 MB.
+        parent = self.fake("parent", [[100, True, 30.0]])
+        change = self.fake("change", [[125, True, 10.0]])
+        proc, _ = self.run_pairs(parent, change, "--seeds", "1", "--pairs", "1")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        parent = self.fake("parent", [[100, True, 12.5]] * 2)
+        change = self.fake("change", [[110, True, 10.0]] * 2)
         proc, record = self.run_pairs(parent, change, "--seeds", "1,9973", "--pairs", "1")
         self.assertEqual(proc.returncode, 0, proc.stderr)
-        # The previous change median (125) against this run's parent median (100).
-        self.assertIn("drift: seed 1: previous change median 125, this run's parent median "
-                      "100 (-20.0%)", proc.stdout)
-        self.assertIn("drift: seed 9973: no previous change median", proc.stdout)
+        # The previous change medians against this run's parent medians.
+        self.assertIn("drift: seed 1 ops_per_s: previous change median 125, this run's parent "
+                      "median 100 (-20.0%)", proc.stdout)
+        self.assertIn("drift: seed 1 peak_rss_mb: previous change median 10, this run's parent "
+                      "median 12.5 (+25.0%)", proc.stdout)
+        self.assertIn("drift: seed 1 setup_s: no previous change median", proc.stdout)
+        self.assertIn("drift: seed 9973 ops_per_s: no previous change median", proc.stdout)
         self.assertLess(proc.stdout.index("drift: seed 1"), proc.stdout.index("wrote "))
-        self.assertEqual(record["seeds"]["1"]["parent_median"], 100)  # then overwritten
+        self.assertEqual(record["seeds"]["1"]["metrics"]["ops_per_s"]["parent_median"], 100)
 
     def test_prints_that_there_is_no_previous_file(self):
         parent = self.fake("parent", [[100, True]])
@@ -162,7 +201,7 @@ class PairsTest(unittest.TestCase):
         proc, record = self.run_pairs(parent, change, "--seeds", "1", "--pairs", "1")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("drift: no previous readings in " + self.out_path(), proc.stdout)
-        self.assertEqual(record["seeds"]["1"]["change_median"], 110)
+        self.assertEqual(record["seeds"]["1"]["metrics"]["ops_per_s"]["change_median"], 110)
 
     def test_unknown_workload_is_usage_error(self):
         parent = self.fake("parent", [])

@@ -12,12 +12,14 @@ side. Each run gets the workload's exact counters from e2ebench/claims.json,
 the way run.py passes them, so a counter that moves fails the run.
 
 Per seed the file records every pair (all of e2ebench's metrics for each side;
-null for a side that printed no result) and, for ops_per_s over the pairs where
-both sides printed one, the pairs the change won, both medians, the parent's
-interquartile range and the median gain. FILE defaults to
-bench/results/BENCH_<workload>.json. Before it overwrites FILE, it prints per
-seed the previous file's change median next to this run's parent median: the
-same code measured on two occasions, so host drift between them shows.
+null for a side that printed no result) and, for every end-to-end metric that
+BENCHMARK.json declares, over the pairs where both sides reported it: the pairs
+the change won (by the metric's `better` direction; a tie is no win), both
+medians, the parent's interquartile range and the median's relative change.
+FILE defaults to bench/results/BENCH_<workload>.json. Before it overwrites FILE,
+it prints per seed and metric the previous file's change median next to this
+run's parent median: the same code measured on two occasions, so host drift
+between them shows.
 
 Exit codes: 0 every run was correct, 1 a run failed or printed no result
 (the pair is still written, and the remaining pairs still run), 2 bad usage.
@@ -31,7 +33,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-METRIC = "ops_per_s"  # higher is better
 
 
 def die(message):
@@ -64,33 +65,36 @@ def quartile_spread(values):
     return q3 - q1
 
 
-def value(result):
-    return result["metrics"][METRIC]["value"]
+def value(result, metric):
+    return result["metrics"].get(metric, {}).get("value")
 
 
-def summarize(pairs):
-    """Summarizes the pairs where both sides printed a result."""
-    pairs = [p for p in pairs if p["parent"] is not None and p["change"] is not None]
-    if not pairs:
-        return {"pairs": 0}
-    parent = [value(p["parent"]) for p in pairs]
-    change = [value(p["change"]) for p in pairs]
-    wins = sum(c > p for p, c in zip(parent, change))
+def summarize(pairs, metric, better):
+    """Summarizes |metric| over the pairs where both sides reported it."""
+    both = [(value(p["parent"], metric), value(p["change"], metric)) for p in pairs
+            if p["parent"] is not None and p["change"] is not None]
+    both = [(p, c) for p, c in both if p is not None and c is not None]
+    if not both:
+        return {"better": better, "pairs": 0}
+    parent = [p for p, _ in both]
+    change = [c for _, c in both]
     parent_median = statistics.median(parent)
     change_median = statistics.median(change)
     return {
-        "wins": wins,
-        "pairs": len(pairs),
+        "better": better,
+        "wins": sum(c < p if better == "lower" else c > p for p, c in both),
+        "ties": sum(c == p for p, c in both),
+        "pairs": len(both),
         "parent_median": parent_median,
         "change_median": change_median,
         "parent_iqr": quartile_spread(parent),
-        "gain": change_median / parent_median - 1,
+        "delta": change_median / parent_median - 1 if parent_median else None,
     }
 
 
 def print_drift(out, record):
-    """Prints, per seed, the change median recorded in |out| (the previous
-    run) next to this run's parent median."""
+    """Prints, per seed and metric, the change median recorded in |out| (the
+    previous run) next to this run's parent median."""
     try:
         with open(out) as f:
             previous = json.load(f)
@@ -98,13 +102,16 @@ def print_drift(out, record):
         print(f"drift: no previous readings in {out}")
         return
     for seed, entry in record["seeds"].items():
-        before = previous.get("seeds", {}).get(seed, {}).get("change_median")
-        now = entry.get("parent_median")
-        if before is None or now is None:
-            print(f"drift: seed {seed}: no previous change median to compare")
-            continue
-        print(f"drift: seed {seed}: previous change median {before:.4g}, this run's parent "
-              f"median {now:.4g} ({now / before - 1:+.1%})")
+        for metric, summary in entry["metrics"].items():
+            before = (previous.get("seeds", {}).get(seed, {}).get("metrics", {})
+                      .get(metric, {}).get("change_median"))
+            now = summary.get("parent_median")
+            if before is None or now is None:
+                print(f"drift: seed {seed} {metric}: no previous change median to compare")
+                continue
+            shift = f" ({now / before - 1:+.1%})" if before else ""
+            print(f"drift: seed {seed} {metric}: previous change median {before:.4g}, this "
+                  f"run's parent median {now:.4g}{shift}")
 
 
 def main():
@@ -120,6 +127,8 @@ def main():
 
     with open(os.path.join(ROOT, "e2ebench", "claims.json")) as f:
         exact = json.load(f)["exact_counters"].get(args.workload)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
     if exact is None:
         die(f"no exact counters for workload {args.workload!r} in e2ebench/claims.json")
     try:
@@ -132,7 +141,7 @@ def main():
 
     record = {
         "workload": args.workload,
-        "metric": METRIC,
+        "metrics": [name for name, _ in metrics],
         "seconds": args.seconds,
         "parent_bin": args.parent_bin,
         "change_bin": args.change_bin,
@@ -150,16 +159,21 @@ def main():
                 pair[side] = result
                 all_correct = all_correct and ok
             pairs.append(pair)
-            shown = {side: "none" if pair[side] is None else f"{value(pair[side]):.4g}"
+            shown = {side: "none" if pair[side] is None else
+                     " ".join(f"{name}={value(pair[side], name)}" for name, _ in metrics)
                      for side in order}
             print(f"seed {seed} pair {i + 1}/{args.pairs}: parent {shown['parent']}"
                   f"  change {shown['change']}", flush=True)
-        entry = {"readings": pairs}
-        entry.update(summarize(pairs))
-        if entry["pairs"]:
-            print(f"seed {seed}: {METRIC} median {entry['parent_median']:.4g} -> "
-                  f"{entry['change_median']:.4g} ({entry['gain']:+.1%}), change won "
-                  f"{entry['wins']}/{entry['pairs']}, parent IQR {entry['parent_iqr']:.4g}")
+        entry = {"readings": pairs, "metrics": {}}
+        for name, better in metrics:
+            summary = summarize(pairs, name, better)
+            entry["metrics"][name] = summary
+            if summary["pairs"]:
+                delta = "" if summary["delta"] is None else f" ({summary['delta']:+.1%})"
+                print(f"seed {seed}: {name} median {summary['parent_median']:.4g} -> "
+                      f"{summary['change_median']:.4g}{delta}, change better in "
+                      f"{summary['wins']}/{summary['pairs']} ({better} is better, "
+                      f"{summary['ties']} tied), parent IQR {summary['parent_iqr']:.4g}")
         record["seeds"][str(seed)] = entry
 
     print_drift(out, record)
