@@ -242,24 +242,31 @@ class CodeGen {
 
   Status EmitInitializedVar(const GlobalVar& var) {
     const Type& type = *var.type;
-    // Phase 1: const-fold every item *before* emitting anything — ConstEval can
-    // intern string literals, which itself appends to .data, and that must not land
-    // inside this variable's cells.
+    // Phase 1: const-fold every expression item *before* emitting anything —
+    // ConstEval can intern string literals, which itself appends to .data, and
+    // that must not land inside this variable's cells. Only the folded items are
+    // held; a plain literal is read from its GlobalInit while emitting, so a
+    // large table costs no ConstValue per element.
     bool char_array_from_string = type.IsArray() && type.elem->kind == Type::K::kChar &&
                                   var.inits.size() == 1 && var.inits[0].expr != nullptr &&
                                   var.inits[0].expr->kind == ExprKind::kString;
-    std::vector<ConstValue> values;
+    std::vector<ConstValue> folded;
     if (!char_array_from_string) {
-      values.reserve(var.inits.size());
       for (const GlobalInit& init : var.inits) {
-        if (init.expr == nullptr) {
-          values.push_back(ConstValue{init.value, ""});
-          continue;
+        if (init.expr != nullptr) {
+          ASSIGN_OR_RETURN(ConstValue cv, ConstEval(*init.expr));
+          folded.push_back(std::move(cv));
         }
-        ASSIGN_OR_RETURN(ConstValue cv, ConstEval(*init.expr));
-        values.push_back(std::move(cv));
       }
     }
+    size_t next_folded = 0;
+    auto emit_item = [&](const Type& t, const GlobalInit& init) {
+      if (init.expr == nullptr) {
+        return EmitScalarInit(t, ConstValue{init.value, ""}, var.line);
+      }
+      return EmitScalarInit(t, folded[next_folded++], var.line);
+    };
+    const size_t items = char_array_from_string ? 0 : var.inits.size();
 
     // Phase 2: lay the variable down.
     b_.AlignData(std::max<uint32_t>(TypeAlign(type), 1));
@@ -281,16 +288,16 @@ class CodeGen {
         b_.EmitData(s.data(), static_cast<uint32_t>(s.size()));
         emit_zeros(type.array_len - static_cast<uint32_t>(s.size()));
       } else {
-        if (values.size() > type.array_len) {
+        if (items > type.array_len) {
           return Error(var.line, "too many initializers for '" + var.name + "'");
         }
-        for (const ConstValue& cv : values) {
-          RETURN_IF_ERROR(EmitScalarInit(elem, cv, var.line));
+        for (const GlobalInit& init : var.inits) {
+          RETURN_IF_ERROR(emit_item(elem, init));
         }
-        emit_zeros((type.array_len - static_cast<uint32_t>(values.size())) * elem_size);
+        emit_zeros((type.array_len - static_cast<uint32_t>(items)) * elem_size);
       }
     } else if (type.IsStruct()) {
-      if (values.size() > type.sdef->fields.size()) {
+      if (items > type.sdef->fields.size()) {
         return Error(var.line, "too many initializers for '" + var.name + "'");
       }
       uint32_t written = 0;
@@ -298,8 +305,8 @@ class CodeGen {
         const StructField& field = type.sdef->fields[i];
         emit_zeros(field.offset - written);  // padding up to the field offset
         written = field.offset;
-        if (i < values.size()) {
-          RETURN_IF_ERROR(EmitScalarInit(*field.type, values[i], var.line));
+        if (i < items) {
+          RETURN_IF_ERROR(emit_item(*field.type, var.inits[i]));
         } else {
           emit_zeros(TypeSize(*field.type));
         }
@@ -307,10 +314,10 @@ class CodeGen {
       }
       emit_zeros(type.sdef->size - written);
     } else {
-      if (values.size() != 1) {
+      if (items != 1) {
         return Error(var.line, "scalar '" + var.name + "' needs exactly one initializer");
       }
-      RETURN_IF_ERROR(EmitScalarInit(type, values[0], var.line));
+      RETURN_IF_ERROR(emit_item(type, var.inits[0]));
     }
     return b_.DefineSymbol(var.name, SectionKind::kData, start, /*is_function=*/false,
                            var.is_static ? SymBinding::kLocal : SymBinding::kGlobal);

@@ -14,14 +14,22 @@ Result<ExecResult> ExecuteImage(Machine& machine, const LoadImage& image,
   proc.env() = options.env;
   proc.set_cwd(options.cwd);
 
-  // Map the image segments into private memory.
+  // Map the image segments into private memory: the pages holding file bytes
+  // get a copy of them, and the pages wholly past them (bss) are demand-zero.
   uint32_t data_end = kDataBase;
   for (const ImageSegment& seg : image.segments) {
     uint32_t len = PageCeil(seg.mem_size);
-    auto backing = std::make_shared<std::vector<uint8_t>>(len, 0);
-    std::copy(seg.bytes.begin(), seg.bytes.end(), backing->begin());
+    uint32_t file_len = PageCeil(static_cast<uint32_t>(seg.bytes.size()));
     Prot prot = seg.executable ? Prot::kReadExec : Prot::kReadWrite;
-    RETURN_IF_ERROR(proc.space().MapPrivate(seg.vaddr, len, prot, backing, 0));
+    if (file_len > 0) {
+      auto backing = std::make_shared<std::vector<uint8_t>>(file_len, 0);
+      std::copy(seg.bytes.begin(), seg.bytes.end(), backing->begin());
+      RETURN_IF_ERROR(proc.space().MapPrivate(seg.vaddr, file_len, prot, backing, 0));
+    }
+    if (len > file_len) {
+      RETURN_IF_ERROR(
+          proc.space().MapPrivate(seg.vaddr + file_len, len - file_len, prot, nullptr, 0));
+    }
     if (!seg.executable) {
       data_end = std::max(data_end, seg.vaddr + len);
     }
@@ -29,11 +37,11 @@ Result<ExecResult> ExecuteImage(Machine& machine, const LoadImage& image,
   // Heap break starts after the data segment.
   proc.set_brk(data_end);
 
-  // Stack: top of the private region, growing down.
+  // Stack: top of the private region, growing down, demand-zero — a process
+  // pays for the stack pages it touches.
   uint32_t stack_len = PageCeil(options.stack_bytes);
   uint32_t stack_base = kStackLimit - stack_len;
-  auto stack = std::make_shared<std::vector<uint8_t>>(stack_len, 0);
-  RETURN_IF_ERROR(proc.space().MapPrivate(stack_base, stack_len, Prot::kReadWrite, stack, 0));
+  RETURN_IF_ERROR(proc.space().MapPrivate(stack_base, stack_len, Prot::kReadWrite, nullptr, 0));
   proc.cpu().regs[kRegSp] = kStackLimit - 16;
   proc.cpu().regs[kRegFp] = kStackLimit - 16;
 

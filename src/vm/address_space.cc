@@ -13,7 +13,7 @@ Status AddressSpace::MapPrivate(uint32_t vaddr, uint32_t len, Prot prot, Private
     return InvalidArgument("map: unaligned address or empty range");
   }
   uint32_t pages = PageCeil(len) / kPageSize;
-  if (backing == nullptr || backing->size() < backing_off + pages * kPageSize) {
+  if (backing != nullptr && backing->size() < backing_off + pages * kPageSize) {
     return InvalidArgument("map: private backing too small");
   }
   for (uint32_t i = 0; i < pages; ++i) {
@@ -21,7 +21,7 @@ Status AddressSpace::MapPrivate(uint32_t vaddr, uint32_t len, Prot prot, Private
     e.prot = prot;
     e.is_public = false;
     e.backing = backing;
-    e.backing_off = backing_off + i * kPageSize;
+    e.backing_off = backing == nullptr ? 0 : backing_off + i * kPageSize;
     e.ino = 0;
   }
   BumpMapGen();
@@ -189,6 +189,10 @@ void AddressSpace::SyncTlbTags() const {
 
 uint8_t* AddressSpace::HostPage(const PageEntry& e) const {
   if (!e.is_public) {
+    if (e.backing == nullptr) {  // a demand-zero page's first touch
+      e.backing = std::make_shared<std::vector<uint8_t>>(kPageSize, 0);
+      ++*zero_filled_;
+    }
     return e.backing->data() + e.backing_off;
   }
   uint8_t* base = sfs_->DataPtr(e.ino);
@@ -207,9 +211,11 @@ bool AddressSpace::WordResolves(uint32_t addr) const {
   if (t.page == page && t.epoch == TranslationEpoch()) {
     return HasProt(t.prot, Prot::kReadWrite);
   }
+  // A private page always resolves (an untouched one is materialized by the
+  // access itself); only a public page can have lost its bytes.
   auto it = pages_.find(page);
   return it != pages_.end() && HasProt(it->second.prot, Prot::kReadWrite) &&
-         HostPage(it->second) != nullptr;
+         (!it->second.is_public || HostPage(it->second) != nullptr);
 }
 
 void AddressSpace::BumpMapGen() {
@@ -222,10 +228,10 @@ void AddressSpace::NoteExecStore(uint32_t addr) const {
     sfs_->NoteExecStore(addr);
     return;
   }
-  if (!InTextRegion(addr) || text_code_bits_.empty()) {
+  uint32_t page = addr >> kPageBits;
+  if (!InTextRegion(addr) || page / 8 >= text_code_bits_.size()) {
     return;
   }
-  uint32_t page = addr >> kPageBits;
   uint8_t mask = static_cast<uint8_t>(1u << (page % 8));
   if (text_code_bits_[page / 8] & mask) {
     // Self-modifying private code: retire this process' decoded blocks.
@@ -242,17 +248,21 @@ void AddressSpace::NoteCodePage(uint32_t pc) {
   if (!InTextRegion(pc)) {
     return;
   }
-  if (text_code_bits_.empty()) {
-    text_code_bits_.assign(kTextLimit / kPageSize / 8, 0);
-  }
   uint32_t page = pc >> kPageBits;
+  if (page / 8 >= text_code_bits_.size()) {
+    text_code_bits_.resize(page / 8 + 1, 0);
+  }
   text_code_bits_[page / 8] |= static_cast<uint8_t>(1u << (page % 8));
 }
 
-void AddressSpace::WireVmCounters(uint64_t* hits, uint64_t* misses, uint64_t* flushes) {
+void AddressSpace::ReleaseCodePages() { text_code_bits_ = std::vector<uint8_t>(); }
+
+void AddressSpace::WireVmCounters(uint64_t* hits, uint64_t* misses, uint64_t* flushes,
+                                  uint64_t* zero_filled) {
   tlb_hits_ = hits;
   tlb_misses_ = misses;
   tlb_flushes_ = flushes;
+  zero_filled_ = zero_filled != nullptr ? zero_filled : &tlb_scratch_;
 }
 
 bool AddressSpace::Load32(uint32_t addr, uint32_t* out, Fault* fault) const {
@@ -399,13 +409,15 @@ std::unique_ptr<AddressSpace> AddressSpace::Fork() const {
   // The child shares the machine-wide vm.tlb.* counters but starts with a cold TLB
   // and no watched private code pages (its decoded-block cache starts empty too).
   if (tlb_hits_ != &tlb_scratch_) {
-    child->WireVmCounters(tlb_hits_, tlb_misses_, tlb_flushes_);
+    child->WireVmCounters(tlb_hits_, tlb_misses_, tlb_flushes_,
+                          zero_filled_ == &tlb_scratch_ ? nullptr : zero_filled_);
   }
   // Private backings may be shared by many pages; copy each distinct buffer once.
+  // An untouched demand-zero page has none and stays demand-zero in the child.
   std::map<const std::vector<uint8_t>*, PrivateBacking> copied;
   for (const auto& [vaddr, entry] : pages_) {
     PageEntry ce = entry;
-    if (!entry.is_public) {
+    if (!entry.is_public && entry.backing != nullptr) {
       auto it = copied.find(entry.backing.get());
       if (it == copied.end()) {
         auto dup = std::make_shared<std::vector<uint8_t>>(*entry.backing);

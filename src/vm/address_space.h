@@ -1,7 +1,8 @@
 // A simulated 32-bit address space with page-grained mappings and protections.
 //
 // Two kinds of backing exist, mirroring the paper's private/public split (§5):
-//   * private pages reference a per-process buffer (copied on fork);
+//   * private pages reference a per-process buffer (copied on fork), or are
+//     demand-zero: they get their own zeroed page when first touched;
 //   * public pages reference a shared-file-system inode at a file offset, so every
 //     process mapping the same SFS file sees the same bytes — and stores write through
 //     to the file.
@@ -62,6 +63,16 @@ struct Fault {
 // Backing store for private pages. Fork deep-copies these (classic pre-COW Unix
 // semantics; bench_paper's BM_Fork* rows, from bench/bench_fork.cpp, measure the
 // copy cost).
+//
+// A null backing maps the range demand-zero: no memory until a page is first
+// touched. The first access that resolves such a page, from any path (the CPU's
+// load, store or fetch, or the kernel's ReadBytes/WriteBytes), gives it a zeroed
+// page of its own, on the TLB-miss path, so every vm.tlb.* count is the same as
+// for an eagerly zeroed page. Fork copies only the materialized pages; untouched
+// ones stay demand-zero in the parent and the child alike. Materializing changes
+// the page map, so like a TLB fill it happens only on the process's own core in
+// guest code, or on the kernel path while the process is stopped
+// (docs/CONCURRENCY.md).
 using PrivateBacking = std::shared_ptr<std::vector<uint8_t>>;
 
 class AddressSpace {
@@ -70,6 +81,7 @@ class AddressSpace {
   explicit AddressSpace(SharedFs* sfs) : sfs_(sfs) {}
 
   // Maps [vaddr, vaddr+len) to |backing| starting at |backing_off|. All page-aligned.
+  // A null |backing| maps the range demand-zero (PrivateBacking above).
   Status MapPrivate(uint32_t vaddr, uint32_t len, Prot prot, PrivateBacking backing,
                     uint32_t backing_off);
   // Maps [vaddr, vaddr+len) to SFS file |ino| at |file_off|. The file's physical
@@ -113,8 +125,13 @@ class AddressSpace {
   uint64_t CodeEpoch() const { return map_gen_ + priv_code_epoch_ + sfs_->code_epoch(); }
   // The ExecCache decoded a block from |pc|'s page: watch that page for stores.
   void NoteCodePage(uint32_t pc);
-  // Wires the vm.tlb.* counters (Machine owns the registry; tests may skip this).
-  void WireVmCounters(uint64_t* hits, uint64_t* misses, uint64_t* flushes);
+  // Stops watching private pages for stores: the caller dropped every block it
+  // decoded from them (a process's exit).
+  void ReleaseCodePages();
+  // Wires the vm.tlb.* counters and vm.pages.zero_filled (Machine owns the
+  // registry; tests may skip this, or pass no |zero_filled| cell).
+  void WireVmCounters(uint64_t* hits, uint64_t* misses, uint64_t* flushes,
+                      uint64_t* zero_filled = nullptr);
 
   // --- The JIT TLB-probe contract ---
   //
@@ -161,9 +178,9 @@ class AddressSpace {
   void SyncTlbTags() const;
   // True when a Load32 and a kernel write of the word at |addr| would both
   // succeed without a fault: aligned, and mapped readable and writable over
-  // bytes that are present. Asks the TLB, then the page map, and bumps no
-  // counter and fills no line, so a caller that falls back leaves the access to
-  // be counted once, by the path that makes it.
+  // bytes that are present or demand-zero. Asks the TLB, then the page map, and
+  // bumps no counter, fills no line and materializes no page, so a caller that
+  // falls back leaves the access to be counted once, by the path that makes it.
   bool WordResolves(uint32_t addr) const;
   // The TLB array for the JIT's inlined probe (mutable cache, hence const).
   TlbEntry* tlb_for_jit() const { return tlb_; }
@@ -172,8 +189,10 @@ class AddressSpace {
   struct PageEntry {
     Prot prot = Prot::kNone;
     bool is_public = false;
-    // Private backing.
-    PrivateBacking backing;
+    // Private backing; null while a demand-zero page is untouched. The first
+    // resolve fills it in, hence mutable (like the TLB, it changes under const
+    // access paths).
+    mutable PrivateBacking backing;
     uint32_t backing_off = 0;  // offset of this page within the backing
     // Public backing.
     uint32_t ino = 0;
@@ -188,7 +207,7 @@ class AddressSpace {
   uint8_t* ResolveSlow(uint32_t addr, uint32_t page, AccessKind access, bool check_prot,
                        Fault* fault) const;
   // The host address of |e|'s first byte; null when a public page's file no
-  // longer covers it.
+  // longer covers it. Materializes an untouched demand-zero page.
   uint8_t* HostPage(const PageEntry& e) const;
   // A write retired in an exec-protected page: retire decoded blocks over it.
   void NoteExecStore(uint32_t addr) const;
@@ -206,15 +225,18 @@ class AddressSpace {
   uint64_t map_gen_ = 0;
   // Bumped by stores into private text pages holding decoded blocks.
   mutable uint64_t priv_code_epoch_ = 0;
-  // One bit per private text page (256 MB region -> 8 KB) set by NoteCodePage.
+  // One bit per private text page set by NoteCodePage, sized to the highest
+  // page decoded from (text sits at the bottom of the region, so a few bytes).
   mutable std::vector<uint8_t> text_code_bits_;
 
-  // vm.tlb.* counters — scratch-backed until the Machine wires real handles in,
-  // so the hot path is an unconditional pointer bump.
+  // vm.tlb.* and vm.pages.zero_filled counters — scratch-backed until the
+  // Machine wires real handles in, so the hot path is an unconditional pointer
+  // bump.
   mutable uint64_t tlb_scratch_ = 0;
   mutable uint64_t* tlb_hits_ = &tlb_scratch_;
   mutable uint64_t* tlb_misses_ = &tlb_scratch_;
   mutable uint64_t* tlb_flushes_ = &tlb_scratch_;
+  mutable uint64_t* zero_filled_ = &tlb_scratch_;
 };
 
 }  // namespace hemlock

@@ -90,6 +90,7 @@ Machine::Machine()
   m_jit_bailouts_ = metrics_.Counter("vm.jit.bailouts");
   m_jit_arena_bytes_ = metrics_.Counter("vm.jit.arena_bytes");
   m_shootdowns_ = metrics_.Counter("vm.sched.shootdowns");
+  m_zero_filled_ = metrics_.Counter("vm.pages.zero_filled");
   // Escape hatches for the differential CI job: run existing test binaries against
   // the reference interpreter (or with the JIT tier off) without recompiling them.
   const char* slow_env = std::getenv("HEMLOCK_SLOW_INTERP");
@@ -172,7 +173,8 @@ void Machine::WireProcessVm(Process& proc) {
   // TLB, block-cache, and JIT counters go to the process's private cells (bumped
   // from the guest loop, outside the kernel lock under SMP); FlushVmCounters
   // folds them into the vm.* registry rows. Cells 11 and 12 are BillChunk's.
-  proc.space_->WireVmCounters(&proc.vm_cells_[0], &proc.vm_cells_[1], &proc.vm_cells_[2]);
+  proc.space_->WireVmCounters(&proc.vm_cells_[0], &proc.vm_cells_[1], &proc.vm_cells_[2],
+                              &proc.vm_cells_[13]);
   proc.exec_cache_.WireCounters(&proc.vm_cells_[3], &proc.vm_cells_[4], &proc.vm_cells_[5]);
   proc.machine_ = this;
   if (jit_enabled_ && Jit::HostSupported()) {
@@ -236,12 +238,12 @@ void Machine::BillChunk(Process& proc, uint64_t steps, uint64_t served) {
 }
 
 void Machine::FlushVmCounters(Process& proc) {
-  uint64_t* dst[13] = {m_tlb_hits_,     m_tlb_misses_,     m_tlb_flushes_,
-                       m_icache_hits_,  m_icache_misses_,  m_icache_invalidations_,
-                       m_jit_compiled_, m_jit_chained_,    m_jit_deopts_,
+  uint64_t* dst[14] = {m_tlb_hits_,     m_tlb_misses_,      m_tlb_flushes_,
+                       m_icache_hits_,  m_icache_misses_,   m_icache_invalidations_,
+                       m_jit_compiled_, m_jit_chained_,     m_jit_deopts_,
                        m_jit_bailouts_, m_jit_arena_bytes_, m_syscalls_,
-                       m_syscalls_in_place_};
-  for (int i = 0; i < 13; ++i) {
+                       m_syscalls_in_place_, m_zero_filled_};
+  for (int i = 0; i < 14; ++i) {
     *dst[i] += std::exchange(proc.vm_cells_[i], 0);
   }
 }
@@ -560,10 +562,16 @@ void Machine::ExitProcess(Process& proc, int status) {
   // would otherwise take its counter cells to the grave at reap time.
   FlushVmCounters(proc);
   // A zombie never runs again, so what only a running process uses goes now
-  // rather than at reap. Exit runs on the process's own core after it left
-  // guest code, or outside a run, so no Cpu is using either.
+  // rather than at reap: its decoded blocks and the pages they watch, its JIT,
+  // and its fault handlers (with them the loader's reference to its Ldl). Exit
+  // runs on the process's own core after it left guest code, or outside a run,
+  // so no Cpu is using any of them; a handler that is running the exit is kept
+  // alive by RunFaultHandlers. The page map and private pages stay: a zombie's
+  // memory can still be read until it is reaped.
   proc.exec_cache_.Release();
+  proc.space_->ReleaseCodePages();
   proc.jit_.reset();
+  proc.fault_handlers_ = std::vector<FaultHandler>();
   {
     std::lock_guard<std::mutex> sync(sync_mu_);  // may leave a futex queue
     scheduler_.Remove(proc.pid());
@@ -677,15 +685,11 @@ std::optional<Machine::SysResult> Machine::KernelSyncOp(Process& proc, Op op) {
   }
   // Run the native handler chain only (the lazy linker). The simulated-program
   // SIGSEGV handler is never entered from inside a syscall.
-  bool resolved = false;
-  for (FaultHandler& handler : proc.fault_handlers_) {
-    if (handler(*this, proc, fault)) {
-      resolved = true;
-      break;
-    }
-  }
-  if (!resolved) {
+  if (!RunFaultHandlers(proc, fault)) {
     return Fail(ErrorCode::kFault);
+  }
+  if (proc.state_ == ProcState::kZombie) {
+    return kKeepRegs;  // a handler ended the process: nothing returns to it
   }
   if (proc.state_ == ProcState::kWaiting) {
     // The handler parked us on another process's creation lock. Rewind the pc
@@ -736,11 +740,9 @@ bool Machine::DeliverFault(Process& proc, const Fault& fault) {
     return true;
   }
 
-  for (FaultHandler& handler : proc.fault_handlers_) {
-    if (handler(*this, proc, fault)) {
-        ++*m_faults_resolved_;
-      return true;
-    }
+  if (RunFaultHandlers(proc, fault)) {
+    ++*m_faults_resolved_;
+    return true;
   }
 
   // Every native handler declined: deliver to the simulated program's own handler
@@ -768,6 +770,19 @@ bool Machine::DeliverFault(Process& proc, const Fault& fault) {
   }
   ++*m_faults_fatal_;
   if (trace_.enabled()) trace_.Emit(TraceKind::kFaultHandled, "fatal", "", fault.addr);
+  return false;
+}
+
+bool Machine::RunFaultHandlers(Process& proc, const Fault& fault) {
+  // A handler may end its own process, and the exit drops the chain: each
+  // handler runs from a copy, so the one running outlives the drop, and the
+  // walk re-reads the chain's size after every call.
+  for (size_t i = 0; i < proc.fault_handlers_.size(); ++i) {
+    FaultHandler handler = proc.fault_handlers_[i];
+    if (handler(*this, proc, fault) || proc.state_ == ProcState::kZombie) {
+      return true;
+    }
+  }
   return false;
 }
 
@@ -1017,10 +1032,10 @@ Machine::SysResult Machine::SysSbrk(Process& proc, uint32_t delta, uint32_t, uin
     return Fail(ErrorCode::kOutOfRange);
   }
   if (PageCeil(new_brk) > PageCeil(old_brk)) {
+    // Demand-zero: a page of the new heap costs memory once it is touched.
     uint32_t map_base = PageCeil(old_brk);
     uint32_t len = PageCeil(new_brk) - map_base;
-    auto backing = std::make_shared<std::vector<uint8_t>>(len, 0);
-    Status st = proc.space().MapPrivate(map_base, len, Prot::kReadWrite, backing, 0);
+    Status st = proc.space().MapPrivate(map_base, len, Prot::kReadWrite, nullptr, 0);
     if (!st.ok()) {
       return Fail(st.code());
     }

@@ -156,12 +156,13 @@ class Process {
   // fault costs); the scheduler loops read it after each quantum.
   uint64_t charged_ = 0;
   // Private cells behind this process's vm.tlb.* / vm.icache.* / vm.jit.*
-  // counters and its in-place syscalls (vm.syscalls, vm.syscalls.in_place).
+  // counters, its in-place syscalls (vm.syscalls, vm.syscalls.in_place) and its
+  // demand-zero pages (vm.pages.zero_filled).
   // The TLB, block cache, JIT and dispatch loop bump these outside the kernel
   // lock under SMP, so they cannot share the machine-wide registry cells; they
   // are folded into the registry when a dispatch ends on the kernel path, at
   // exit and at the end of a run (FlushVmCounters), never per quantum.
-  uint64_t vm_cells_[13] = {};
+  uint64_t vm_cells_[14] = {};
   ExecCache exec_cache_;
   // The process's code arena + translations (per-process, like the block cache);
   // null when the tier is disabled or the host cannot run generated code.
@@ -419,6 +420,9 @@ class Machine {
 
   // Returns true if the fault was resolved and the instruction should retry.
   bool DeliverFault(Process& proc, const Fault& fault);
+  // Runs |proc|'s native handler chain until a handler resolves |fault| or ends
+  // the process; true in either case.
+  bool RunFaultHandlers(Process& proc, const Fault& fault);
   void ExitProcess(Process& proc, int status);
   void FlushFd(Process& proc, FileDesc& fd);
   // Reaps a zombie |child| of |proc| (fills $v0/$v1, erases the process).
@@ -447,6 +451,7 @@ class Machine {
   uint64_t* m_jit_bailouts_ = nullptr;
   uint64_t* m_jit_arena_bytes_ = nullptr;
   uint64_t* m_shootdowns_ = nullptr;
+  uint64_t* m_zero_filled_ = nullptr;
   std::map<int, std::unique_ptr<Process>> procs_;
   int next_pid_ = 1;
   // Charged without the kernel lock by a core that bills a guest chunk.

@@ -37,9 +37,9 @@ class TlbTest : public ::testing::Test {
  protected:
   SharedFs sfs_;
   AddressSpace space_{&sfs_};
-  uint64_t hits_ = 0, misses_ = 0, flushes_ = 0;
+  uint64_t hits_ = 0, misses_ = 0, flushes_ = 0, zero_filled_ = 0;
 
-  void SetUp() override { space_.WireVmCounters(&hits_, &misses_, &flushes_); }
+  void SetUp() override { space_.WireVmCounters(&hits_, &misses_, &flushes_, &zero_filled_); }
 
   PrivateBacking MakeBacking(uint32_t pages, uint8_t fill = 0) {
     return std::make_shared<std::vector<uint8_t>>(pages * kPageSize, fill);
@@ -196,6 +196,63 @@ TEST_F(TlbTest, TagSyncDropsOnlyStaleTags) {
   space_.SyncTlbTags();
   EXPECT_EQ(entry(kA).rtag, kNoTag);
   EXPECT_EQ(entry(kA).wtag, kNoTag);
+}
+
+// A demand-zero page is materialized on the TLB-miss path, so the same accesses
+// count the same hits, misses and flushes as over an eagerly zeroed page.
+TEST_F(TlbTest, DemandZeroPagesCountLikeEagerOnes) {
+  SharedFs sfs;
+  AddressSpace eager(&sfs);
+  uint64_t hits = 0, misses = 0, flushes = 0, zero_filled = 0;
+  eager.WireVmCounters(&hits, &misses, &flushes, &zero_filled);
+  ASSERT_TRUE(space_.MapPrivate(0x1000, 3 * kPageSize, Prot::kReadWrite, nullptr, 0).ok());
+  ASSERT_TRUE(eager.MapPrivate(0x1000, 3 * kPageSize, Prot::kReadWrite, MakeBacking(3), 0).ok());
+  for (AddressSpace* space : {&space_, &eager}) {
+    Fault fault;
+    uint32_t v = 0;
+    ASSERT_TRUE(space->Load32(0x1000, &v, &fault));
+    ASSERT_TRUE(space->Store32(0x1004, 5, &fault));
+    ASSERT_TRUE(space->Store32(0x3ffc, 6, &fault));
+    uint8_t bytes[8] = {};
+    ASSERT_TRUE(space->ReadBytes(0x1ffc, bytes, sizeof(bytes)).ok());
+    ASSERT_TRUE(space->Load32(0x1004, &v, &fault));
+    EXPECT_EQ(v, 5u);
+  }
+  EXPECT_EQ(hits_, hits);
+  EXPECT_EQ(misses_, misses);
+  EXPECT_EQ(flushes_, flushes);
+  EXPECT_EQ(zero_filled_, 3u);
+  EXPECT_EQ(zero_filled, 0u);
+}
+
+// The in-place sys_cas asks WordResolves whether the kernel path is needed; an
+// untouched page must answer as a touched one does (and stay untouched).
+TEST_F(TlbTest, WordResolvesTheSameForTouchedAndUntouchedPages) {
+  constexpr uint32_t kRw = 0x1000, kRo = 0x3000;
+  ASSERT_TRUE(space_.MapPrivate(kRw, 2 * kPageSize, Prot::kReadWrite, nullptr, 0).ok());
+  ASSERT_TRUE(space_.MapPrivate(kRo, kPageSize, Prot::kRead, nullptr, 0).ok());
+  auto answers = [&](uint32_t page) {
+    return std::vector<bool>{space_.WordResolves(page), space_.WordResolves(page + 0x7fc),
+                             space_.WordResolves(page + 2)};
+  };
+  const std::vector<bool> rw = {true, true, false};  // a misaligned word never resolves
+  const std::vector<bool> ro = {false, false, false};
+  EXPECT_EQ(answers(kRw), rw);
+  EXPECT_EQ(answers(kRo), ro);
+  EXPECT_EQ(zero_filled_, 0u) << "WordResolves materialized a page";
+  EXPECT_EQ(hits_ + misses_, 0u) << "WordResolves counted an access";
+  Fault fault;
+  uint32_t v = 0;
+  ASSERT_TRUE(space_.Store32(kRw, 1, &fault));
+  ASSERT_TRUE(space_.Load32(kRo, &v, &fault));
+  EXPECT_EQ(answers(kRw), rw) << "touched, answered from the TLB";
+  EXPECT_EQ(answers(kRo), ro);
+  // A map change makes the TLB lines stale: the page map answers.
+  ASSERT_TRUE(space_.MapPrivate(0x8000, kPageSize, Prot::kReadWrite, nullptr, 0).ok());
+  EXPECT_EQ(answers(kRw), rw) << "touched, answered from the page map";
+  EXPECT_EQ(answers(kRw + kPageSize), rw) << "untouched";
+  EXPECT_EQ(answers(kRo), ro);
+  EXPECT_EQ(zero_filled_, 2u);
 }
 
 // --- Decoded-block cache ---

@@ -717,10 +717,17 @@ TEST(RunScheduledSmp, WakeOntoACoreMidSwitchIsNeverLost) {
         "  putint(t);\n"
         "  return 0;\n"
         "}\n";
+    // A spinner stops when the players are done or after a fixed number of
+    // rounds, whichever comes first. The cap bounds the run's work, so a player
+    // core starved by host load cannot let the spinners spend the tick budget;
+    // a lost wake still leaves a player parked with nobody to wake it once the
+    // spinners are gone, which ends the run in kDeadlock. At one core the
+    // players finish within about 300 rounds.
     std::string spinner =
         "extern int finished;\n"
         "int main() {\n"
-        "  while (sys_cas(&finished, 8, 8) != 8) { }\n"
+        "  int rounds = 0;\n"
+        "  while (rounds < 20000 && sys_cas(&finished, 8, 8) != 8) { rounds = rounds + 1; }\n"
         "  puts(\"spun\");\n"
         "  return 0;\n"
         "}\n";

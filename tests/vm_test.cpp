@@ -1,6 +1,7 @@
 // Unit tests for the VM layer: address space semantics, CPU instruction behaviour,
 // and kernel (Machine) syscalls.
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -145,6 +146,83 @@ TEST_F(AddressSpaceTest, ForkSharesBackingAcrossPagesOfOneSegment) {
   EXPECT_EQ(v, 0xAAu);
   ASSERT_TRUE(space_.Load32(0x1000, &v, &fault));
   EXPECT_NE(v, 0xAAu);
+}
+
+// --- Demand-zero private ranges (a null backing) ---
+
+class DemandZeroTest : public AddressSpaceTest {
+ protected:
+  uint64_t hits_ = 0, misses_ = 0, flushes_ = 0, zero_filled_ = 0;
+
+  void SetUp() override {
+    space_.WireVmCounters(&hits_, &misses_, &flushes_, &zero_filled_);
+    ASSERT_TRUE(space_.MapPrivate(0x1000, 4 * kPageSize, Prot::kReadWrite, nullptr, 0).ok());
+  }
+};
+
+TEST_F(DemandZeroTest, UntouchedPageReadsZero) {
+  Fault fault;
+  uint32_t v = 7;
+  ASSERT_TRUE(space_.Load32(0x2ffc, &v, &fault));
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(zero_filled_, 1u);
+  // The kernel's read materializes each page it crosses, and only those.
+  uint8_t bytes[8];
+  std::memset(bytes, 0xFF, sizeof(bytes));
+  ASSERT_TRUE(space_.ReadBytes(0x3ffc, bytes, sizeof(bytes)).ok());
+  EXPECT_EQ(std::vector<uint8_t>(bytes, bytes + 8), std::vector<uint8_t>(8, 0));
+  EXPECT_EQ(zero_filled_, 3u);
+}
+
+TEST_F(DemandZeroTest, FirstWriteMaterializesExactlyOnePage) {
+  Fault fault;
+  ASSERT_TRUE(space_.Store32(0x2004, 0xAB, &fault));
+  EXPECT_EQ(zero_filled_, 1u);
+  ASSERT_TRUE(space_.Store8(0x2ff0, 0xCD, &fault));
+  uint8_t more[4] = {1, 2, 3, 4};
+  ASSERT_TRUE(space_.WriteBytes(0x2100, more, 4).ok());
+  EXPECT_EQ(zero_filled_, 1u) << "later writes to a touched page allocate nothing";
+  uint32_t v = 0;
+  ASSERT_TRUE(space_.Load32(0x2004, &v, &fault));
+  EXPECT_EQ(v, 0xABu);
+  // Its neighbours are pages of their own, still zero.
+  ASSERT_TRUE(space_.Load32(0x1004, &v, &fault));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(space_.Load32(0x3004, &v, &fault));
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(zero_filled_, 3u);
+}
+
+TEST_F(DemandZeroTest, ForkCopiesTouchedPagesAndLeavesTheRestDemandZero) {
+  Fault fault;
+  ASSERT_TRUE(space_.Store32(0x2000, 0x11, &fault));
+  ASSERT_TRUE(space_.Store32(0x4000, 0x33, &fault));
+  ASSERT_EQ(zero_filled_, 2u);
+  std::unique_ptr<AddressSpace> child = space_.Fork();
+  EXPECT_EQ(zero_filled_, 2u) << "a fork copies; it zero-fills nothing";
+  uint32_t v = 0;
+  ASSERT_TRUE(child->Load32(0x2000, &v, &fault));
+  EXPECT_EQ(v, 0x11u);
+  ASSERT_TRUE(child->Load32(0x4000, &v, &fault));
+  EXPECT_EQ(v, 0x33u);
+  // The touched pages are copies: a child store does not reach the parent.
+  ASSERT_TRUE(child->Store32(0x2000, 0x99, &fault));
+  ASSERT_TRUE(space_.Load32(0x2000, &v, &fault));
+  EXPECT_EQ(v, 0x11u);
+  EXPECT_EQ(zero_filled_, 2u);
+  // An untouched page is still demand-zero in the child (its first touch
+  // zero-fills) and in the parent, and each side gets a page of its own.
+  ASSERT_TRUE(child->Load32(0x1000, &v, &fault));
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(zero_filled_, 3u);
+  ASSERT_TRUE(space_.Store32(0x1000, 0x55, &fault));
+  EXPECT_EQ(zero_filled_, 4u);
+  ASSERT_TRUE(child->Load32(0x1000, &v, &fault));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(child->Store32(0x3000, 0x77, &fault));
+  ASSERT_TRUE(space_.Load32(0x3000, &v, &fault));
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(zero_filled_, 6u);
 }
 
 // --- CPU semantics (parameterized over ALU operations) ---
@@ -553,6 +631,103 @@ TEST(MachineTest, MultiLevelForkTree) {
   )");
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->stdout_text, "13\n");
+}
+
+// A zombie keeps its page map and private pages, so its memory can be read until
+// it is reaped, but nothing only a running process uses: its fault handlers go at
+// exit, and with them the loader's reference to its Ldl.
+TEST(MachineTest, ZombiesKeepTheirPagesButNotTheirLinker) {
+  HemlockWorld world;
+  ASSERT_TRUE(world.vfs().MkdirAll("/shm/lib").ok());
+  CompileOptions lib;
+  lib.include_prelude = false;
+  ASSERT_TRUE(world
+                  .CompileTo("int tally;\nint bump(void) { tally = tally + 1; return tally; }",
+                             "/shm/lib/tally.o", lib)
+                  .ok());
+  ASSERT_TRUE(world
+                  .CompileTo("extern int bump(void);\nint main(void) { return bump(); }",
+                             "/home/user/m.o")
+                  .ok());
+  Result<LoadImage> image = world.Link({.inputs = {{"m.o", ShareClass::kStaticPrivate},
+                                                   {"tally.o", ShareClass::kDynamicPublic}}});
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  auto zero_filled = [&] {
+    return world.machine().metrics().Snapshot()["vm.pages.zero_filled"];
+  };
+  constexpr int kProcs = 128;
+  std::vector<int> zombies;
+  uint32_t tally = 0;
+  for (int i = 0; i < kProcs; ++i) {
+    SCOPED_TRACE(testing::Message() << "process " << i);
+    uint64_t filled_before = zero_filled();
+    std::weak_ptr<Ldl> ldl;
+    {
+      Result<ExecResult> run = world.Exec(*image);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ldl = run->ldl;
+      EXPECT_EQ(run->ldl.use_count(), 2) << "the ExecResult and the fault handler";
+      Result<int> status = world.RunToExit(run->pid);
+      ASSERT_TRUE(status.ok()) << status.status().ToString();
+      EXPECT_EQ(*status, i + 1);
+      EXPECT_EQ(run->ldl.use_count(), 1) << "the zombie still holds its Ldl";
+      if (i == 0) {
+        Result<uint32_t> addr = run->ldl->LookupRootSymbol("tally");
+        ASSERT_TRUE(addr.ok());
+        tally = *addr;
+      }
+      zombies.push_back(run->pid);
+    }
+    EXPECT_TRUE(ldl.expired());
+    // crt0 and main touch one stack page; the image has no bss page. Fixed by
+    // the program, not by the host.
+    EXPECT_EQ(zero_filled() - filled_before, 1u);
+  }
+  for (int pid : {zombies.front(), zombies.back()}) {
+    Process* zombie = world.machine().FindProcess(pid);
+    ASSERT_NE(zombie, nullptr);
+    EXPECT_EQ(zombie->state(), ProcState::kZombie);
+    uint32_t value = 0;
+    ASSERT_TRUE(zombie->space().ReadBytes(tally, reinterpret_cast<uint8_t*>(&value), 4).ok());
+    EXPECT_EQ(value, static_cast<uint32_t>(kProcs)) << "the public symbol, read through a zombie";
+  }
+}
+
+// Exit drops the fault handlers; a handler that ends its own process is running
+// when that happens. Run under ASan, a handler that did not outlive the drop is a
+// heap-use-after-free. Covers the dispatch loop's fault path and the kernel's
+// (a sys_cas on an unmapped shared-region word), and a handler that declines after the kill.
+TEST(MachineTest, FaultHandlerThatEndsItsOwnProcess) {
+  const char* kSources[] = {
+      "int main(void) { int *p; p = 0x6ff00000; return *p; }",
+      "int main(void) { int *p; p = 0x6ff00000; return sys_cas(p, 0, 1); }",
+  };
+  for (const char* source : kSources) {
+    for (bool resolve : {true, false}) {
+      SCOPED_TRACE(testing::Message() << source << (resolve ? " resolved" : " declined"));
+      HemlockWorld world;
+      ASSERT_TRUE(world.CompileTo(source, "/home/user/m.o").ok());
+      Result<LoadImage> image = world.Link({.inputs = {{"m.o", ShareClass::kStaticPrivate}}});
+      ASSERT_TRUE(image.ok());
+      Result<ExecResult> run = world.Exec(*image);
+      ASSERT_TRUE(run.ok());
+      Process* proc = world.machine().FindProcess(run->pid);
+      ASSERT_NE(proc, nullptr);
+      auto calls = std::make_shared<int>(0);
+      std::weak_ptr<int> watch = calls;
+      proc->PushFaultHandler([calls, resolve](Machine& m, Process& p, const Fault& fault) {
+        m.KillProcess(p.pid(), 77, StrFormat("handler at 0x%08x", fault.addr));
+        ++*calls;  // the closure's state, after the exit dropped the chain
+        return resolve;
+      });
+      calls.reset();
+      Result<int> status = world.RunToExit(run->pid);
+      ASSERT_TRUE(status.ok()) << status.status().ToString();
+      EXPECT_EQ(*status, 77);
+      EXPECT_EQ(proc->stdout_text(), "[killed: handler at 0x6ff00000]\n");
+      EXPECT_TRUE(watch.expired()) << "the zombie kept its fault handlers";
+    }
+  }
 }
 
 }  // namespace
